@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import cho_solve, get_lapack_funcs, qr, solve_triangular
 
 from .errors import InvalidDimension, SingularSystem
 from .panel import Panel
@@ -192,26 +192,36 @@ def ols_fit(system: DesignSystem, dof: int | None = None) -> OlsFit:
     return OlsFit(beta=beta, residuals=residuals, sigma2=sigma2, blocks=blocks)
 
 
-def _schur_factor(blocks: GramBlocks, deflator_labels=None, price_labels=None):
-    """Cholesky factor of the deflator Schur complement S = A - B'C^{-1}B."""
-    if (blocks.price_gram <= 0).any():
-        i = int(np.argmin(blocks.price_gram))
-        name = price_labels[i] if price_labels else f"ref_price[#{i}]"
-        raise SingularSystem("an item has zero quantity everywhere", column=name)
-    c_inv = 1.0 / blocks.price_gram
-    bc = blocks.cross * c_inv[:, None]
-    schur = np.diag(blocks.deflator_gram) - blocks.cross.T @ bc
-    try:
-        factor = cho_factor(schur, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("deflator Schur complement is not positive definite") from None
-    pivots = np.diag(factor[0]) ** 2
-    if pivots.min() < PIVOT_RTOL * pivots.max():
+def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
+    """Cholesky factor of a two-way Schur complement S = A - B'C^{-1}B.
+
+    The Gram matrix of a two-way model has a diagonal item block
+    C = diag(item_diag), an N x K cross block B = cross and a diagonal
+    unit block A = diag(unit_diag).  Eliminating the N item columns leaves
+    the K-sized S, so the full (N+K)-sized matrix is never formed.  The sign
+    of B does not enter S.  Returns the factor and C^{-1}B.  Raises
+    SingularSystem naming the item or unit column when a pivot of C is not
+    positive or the pivot ratio of S falls below PIVOT_RTOL.
+    """
+    if (item_diag <= 0).any():
+        i = int(np.argmin(item_diag))
+        raise SingularSystem("an item has zero weight in every unit",
+                             column=item_labels[i])
+    c_inv = 1.0 / item_diag
+    bc = cross * c_inv[:, None]
+    schur = np.diag(unit_diag) - cross.T @ bc
+    # potrf directly rather than cho_factor, so a failed minor can be named
+    potrf, = get_lapack_funcs(("potrf",), (schur,))
+    chol, info = potrf(np.asarray_chkfinite(schur), lower=True, clean=False)
+    if info > 0:
+        raise SingularSystem("Schur complement is not positive definite",
+                             column=unit_labels[info - 1])
+    pivots = np.diag(chol) ** 2
+    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
         j = int(np.argmin(pivots))
-        name = deflator_labels[j] if deflator_labels else f"deflator[#{j}]"
-        raise SingularSystem("deflator Schur complement is numerically singular",
-                             column=name)
-    return factor, bc
+        raise SingularSystem("Schur complement is numerically singular",
+                             column=unit_labels[j])
+    return (chol, True), bc
 
 
 def schur_block12(blocks: GramBlocks) -> np.ndarray:
@@ -220,5 +230,8 @@ def schur_block12(blocks: GramBlocks) -> np.ndarray:
     Only the diagonal price block is inverted elementwise; the (T-1)-sized
     Schur complement is factored, never the full (N+T-1) Gram matrix.
     """
-    factor, bc = _schur_factor(blocks)
+    n, t1 = blocks.cross.shape
+    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
+                               [f"ref_price[#{i}]" for i in range(n)],
+                               [f"deflator[#{j}]" for j in range(t1)])
     return cho_solve(factor, bc.T)

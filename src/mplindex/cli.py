@@ -192,17 +192,17 @@ def _new_unit_from_file(path: str, panel: Panel):
         raise ValidationError(
             f"expected exactly one unit in {path}, found {addition.n_units}"
         )
-    unknown = [i for i in addition.items if i not in panel.items]
+    row_of = {item: i for i, item in enumerate(panel.items)}
+    unknown = [i for i in addition.items if i not in row_of]
     if unknown:
         raise ValidationError(
             f"new unit contains items outside the panel: {', '.join(unknown[:5])}"
         )
+    rows = [row_of[item] for item in addition.items]
     values = np.zeros(panel.n_items)
     quantities = np.zeros(panel.n_items)
-    for j, item in enumerate(addition.items):
-        i = panel.items.index(item)
-        values[i] = addition.values[j, 0]
-        quantities[i] = addition.quantities[j, 0]
+    values[rows] = addition.values[:, 0]
+    quantities[rows] = addition.quantities[:, 0]
     return addition.units[0], values, quantities
 
 

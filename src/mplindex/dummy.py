@@ -4,6 +4,12 @@ Fits ln p_it = a_t + b_i + u on present cells with the base unit's effect
 pinned to zero.  The optional weighting uses within-unit expenditure shares.
 Identification needs the bipartite item/unit presence graph connected;
 otherwise relative levels across components are arbitrary.
+
+The normal equations have the same two-way shape as the deflator system:
+a diagonal item block (per-item weight sums), the N x (T-1) weight matrix
+as the cross block and a diagonal unit block (per-unit weight sums).  The
+item effects are absorbed through the shared Schur routine, so a fit costs
+O(NT^2 + T^3) time and O(NT) memory and never forms the dummy design.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidPrice, SingularSystem, UnidentifiedModel
+from .algebra import _schur_factor
+from .errors import InvalidPrice, UnidentifiedModel
 from .panel import Panel, implied_prices
 
 
@@ -66,6 +73,37 @@ def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, 
     return out
 
 
+def require_connected(panel: Panel) -> None:
+    """Raise UnidentifiedModel unless the presence graph is connected.
+
+    A boolean frontier sweep from the base unit: each step reaches the items
+    present in the units reached last, then the units holding those items.
+    No edge list is built; presence_components runs only to describe a
+    failure.
+    """
+    present = panel.present
+    units = np.zeros(panel.n_units, dtype=bool)
+    units[panel.base_unit] = True
+    items = np.zeros(panel.n_items, dtype=bool)
+    frontier = units.copy()
+    while frontier.any():
+        new_items = present[:, frontier].any(axis=1) & ~items
+        items |= new_items
+        frontier = present[new_items].any(axis=0) & ~units
+        units |= frontier
+    if units.all() and items.all():
+        return
+    comps = presence_components(panel)
+    desc = "; ".join(
+        f"units {{{', '.join(u)}}} with items {{{', '.join(i)}}}"
+        for u, i in comps
+    )
+    raise UnidentifiedModel(
+        f"presence graph splits into {len(comps)} components: {desc}",
+        components=tuple(comps),
+    )
+
+
 def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     """Fit the two-way log-price dummy model and return per-unit indexes.
 
@@ -75,69 +113,58 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     (number of present cells) - (N + T - 1) degrees of freedom.
     """
     n, t = panel.n_items, panel.n_units
-    comps = presence_components(panel)
-    if len(comps) > 1:
-        desc = "; ".join(
-            f"units {{{', '.join(u)}}} with items {{{', '.join(i)}}}"
-            for u, i in comps
-        )
-        raise UnidentifiedModel(
-            f"presence graph splits into {len(comps)} components: {desc}",
-            components=tuple(comps),
-        )
+    require_connected(panel)
 
+    present = panel.present
     prices = implied_prices(panel).prices
-    ii, tt = np.nonzero(panel.present)
-    p_obs = prices[ii, tt]
+    p_obs = prices[present]
     if (p_obs <= 0).any() or not np.isfinite(p_obs).all():
+        ii, tt = np.nonzero(present)
         k = int(np.flatnonzero((p_obs <= 0) | ~np.isfinite(p_obs))[0])
         raise InvalidPrice(
             f"nonpositive or non-finite price for item {panel.items[ii[k]]!r} "
             f"in unit {panel.units[tt[k]]!r}"
         )
-    logp = np.log(p_obs)
+    logp = np.zeros((n, t))
+    logp[present] = np.log(p_obs)
 
-    # columns: T-1 unit dummies (base omitted), then N item dummies
-    nonbase = [u for u in range(t) if u != panel.base_unit]
-    col_of_unit = np.full(t, -1)
-    col_of_unit[nonbase] = np.arange(t - 1)
-    n_obs = ii.size
-    k = (t - 1) + n
-    X = np.zeros((n_obs, k))
-    rows = np.arange(n_obs)
-    has_dummy = tt != panel.base_unit
-    X[rows[has_dummy], col_of_unit[tt[has_dummy]]] = 1.0
-    X[rows, (t - 1) + ii] = 1.0
-
+    # W holds the cell weights, exact zeros on absent cells
     if weighted:
-        unit_totals = panel.values.sum(axis=0)
-        w = panel.values[ii, tt] / unit_totals[tt]
+        w = panel.values / panel.values.sum(axis=0)
     else:
-        w = np.ones(n_obs)
-    sw = np.sqrt(w)
+        w = present.astype(np.float64)
+    wy = w * logp
 
-    xtwx = (X * w[:, None]).T @ X
-    xtwy = (X * w[:, None]).T @ logp
-    try:
-        factor = cho_factor(xtwx, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("weighted dummy design is rank deficient") from None
-    beta = cho_solve(factor, xtwy)
-    resid = logp - X @ beta
-    ssr = float((sw * resid) @ (sw * resid))
-    dof = n_obs - k
+    nonbase = [u for u in range(t) if u != panel.base_unit]
+    item_w = w.sum(axis=1)
+    cross = w[:, nonbase]
+    r_item = wy.sum(axis=1)
+    r_unit = wy.sum(axis=0)[nonbase]
+    factor, bc = _schur_factor(
+        item_w, cross, w.sum(axis=0)[nonbase],
+        [f"item[{item}]" for item in panel.items],
+        [f"unit[{panel.units[u]}]" for u in nonbase],
+    )
+    unit_effects = cho_solve(factor, r_unit - bc.T @ r_item)
+    item_effects = (r_item - cross @ unit_effects) / item_w
+    log_effects = np.zeros(t)
+    log_effects[nonbase] = unit_effects
+
+    resid = logp - item_effects[:, None] - log_effects[None, :]
+    ssr = float((w * resid * resid).sum())
+    dof = int(present.sum()) - (n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    cov_diag = np.diag(cho_solve(factor, np.eye(k)))
-    log_effects = np.zeros(t)
+    # S^{-1} is exactly the unit block of the full inverse Gram matrix
     se = np.zeros(t)
-    for u in nonbase:
-        j = col_of_unit[u]
-        log_effects[u] = beta[j]
-        se[u] = np.sqrt(sigma2 * cov_diag[j]) if sigma2 is not None else np.nan
+    if sigma2 is None:
+        se[nonbase] = np.nan
+    else:
+        s_inv = cho_solve(factor, np.eye(t - 1))
+        se[nonbase] = np.sqrt(sigma2 * np.diag(s_inv))
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         log_unit_effects=log_effects, indexes=np.exp(log_effects),
-        item_effects=beta[t - 1:], se=se, weighted=weighted,
+        item_effects=item_effects, se=se, weighted=weighted,
         sigma2=sigma2, dof=dof,
     )

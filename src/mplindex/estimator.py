@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .algebra import GramBlocks, _base_first, _schur_factor, gram_blocks
+from .dummy import require_connected
 from .errors import (
     BasketViolation,
     DegenerateDeflator,
@@ -107,7 +108,8 @@ def _solve_blocks(panel: Panel, blocks: GramBlocks):
     order = _base_first(panel)
     deflator_labels = [f"deflator[{panel.units[t]}]" for t in order[1:]]
     price_labels = [f"ref_price[{item}]" for item in panel.items]
-    factor, bc = _schur_factor(blocks, deflator_labels, price_labels)
+    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
+                               price_labels, deflator_labels)
     delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
     c_inv = 1.0 / blocks.price_gram
     prices = c_inv * (blocks.rhs + blocks.cross @ delta_nb)
@@ -142,6 +144,7 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     times the exact Schur-complement inverse.  dof_rule "paper" divides the
     SSR by N*T - (N+T-1); "observed" counts only present cells (absent cells
     have identically zero residuals, so only the divisor changes).
+    Raises UnidentifiedModel when the presence graph is disconnected.
     """
     if variance_method not in VARIANCE_METHODS:
         raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
@@ -154,6 +157,10 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
 
     blocks = gram_blocks(panel)
     delta_nb, prices, lam11 = _solve_blocks(panel, blocks)
+    # after the solve: a split panel whose components each fit exactly
+    # already failed there as SingularSystem; any other split would pin the
+    # deflators outside the base unit's component at zero
+    require_connected(panel)
 
     order = _base_first(panel)
     deflators = np.ones(t)

@@ -81,7 +81,8 @@ def update_multilateral(panel: Panel, new_unit,
     order = _base_first(extended)
     deflator_labels = [f"deflator[{extended.units[t]}]" for t in order[1:]]
     price_labels = [f"ref_price[{item}]" for item in extended.items]
-    factor, bc = _schur_factor(blocks, deflator_labels, price_labels)
+    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
+                               price_labels, deflator_labels)
     delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
     prices = (blocks.rhs + blocks.cross @ delta_nb) / blocks.price_gram
     lam11 = cho_solve(factor, np.eye(delta_nb.size))

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mplindex
 from mplindex import estimate_deflators, to_index_series
 from mplindex.cli import emit_report, run_cli
 from helpers import random_panel
@@ -145,6 +149,35 @@ def test_disconnected_tpd_exits_1(run, tmp_path):
     assert "components" in err
 
 
+def test_disconnected_mpl_exits_1(run, tmp_path):
+    csv_text = HEADER + ("a,u0,1,1\na,u1,2,1\nb,u2,1,1\nb,u3,2,1\n"
+                         "c,u2,3,1\nc,u3,1,1\n")
+    src = write(tmp_path, "split.csv", csv_text)
+    code, out, err = run("mpl", "--input", src)
+    assert code == 1
+    assert out == ""
+    assert "components" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = write(tmp_path, "f1.csv", F1_CSV)
+    package_root = os.path.dirname(os.path.dirname(mplindex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "mplindex", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run_module("mpl", "--input", src)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [r["unit"] for r in doc["series"]] == ["t1", "t2"]
+    assert doc["series"][1]["index"] == pytest.approx(2.0, rel=1e-12)
+    assert run_module("mpl").returncode == 3
+
+
 def test_usage_errors_exit_3(run, tmp_path):
     assert run("mpl")[0] == 3
     assert run("frobnicate", "--input", "x.csv")[0] == 3
@@ -223,6 +256,26 @@ def test_update_unit_matches_fresh_run(run, tmp_path):
     for unit in a:
         assert a[unit]["index"] == pytest.approx(b[unit]["index"], rel=1e-9)
         assert a[unit]["se"] == pytest.approx(b[unit]["se"], rel=1e-7)
+
+
+def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
+    from mplindex import emit_panel
+    from mplindex.cli import _new_unit_from_file
+
+    panel = random_panel(np.random.default_rng(4), 6, 3)
+    # a subset of the items, written in reverse panel order
+    rows = "".join(f"i{k},new,{k + 1},{10 * (k + 1)}\n" for k in (5, 3, 0))
+    new = write(tmp_path, "new.csv", HEADER + rows)
+    unit, values, quantities = _new_unit_from_file(new, panel)
+    assert unit == "new"
+    assert values.tolist() == [1, 0, 0, 4, 0, 6]
+    assert quantities.tolist() == [10, 0, 0, 40, 0, 60]
+
+    src = write(tmp_path, "panel.csv", emit_panel(panel))
+    bad = write(tmp_path, "bad.csv", HEADER + "i0,new,1,1\nzz,new,1,1\n")
+    code, _, err = run("update-period", "--input", src, "--new", bad)
+    assert code == 1
+    assert "items outside the panel: zz" in err
 
 
 def test_simulate_deterministic_output_files(run, tmp_path):

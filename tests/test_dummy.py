@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mplindex import (
     InvalidPrice,
     Panel,
+    SingularSystem,
     UnidentifiedModel,
     fit_dummy_index,
     load_panel,
     presence_components,
 )
 from helpers import random_panel
+from oracles import dense_dummy_fit
 
 
 def price_panel(p_by_unit, q_by_unit=None, base=0):
@@ -153,3 +156,84 @@ def test_nonzero_base_unit():
     fit = fit_dummy_index(panel)
     assert fit.indexes[1] == 1.0
     assert fit.indexes[0] == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
+
+
+def max_rel_err(a, b):
+    """Largest absolute difference relative to the largest reference entry."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert_array_equal(np.isnan(a), np.isnan(b))
+    keep = ~np.isnan(b)
+    diff = np.abs(a[keep] - b[keep]).max(initial=0.0)
+    scale = np.abs(b[keep]).max(initial=0.0)
+    return diff / scale if scale > 0 else diff
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n, t, missing, base", [
+    (12, 6, 0.0, 0),
+    (12, 6, 0.3, 0),
+    (12, 6, 0.6, 0),
+    (12, 6, 0.3, 4),
+    (1, 4, 0.0, 2),   # N + T - 1 = N * T: zero dof
+])
+def test_matches_dense_design_oracle(weighted, n, t, missing, base):
+    rng = np.random.default_rng([n, t, int(10 * missing), base, int(weighted)])
+    panel = random_panel(rng, n, t, missing=missing, base=base)
+    fit = fit_dummy_index(panel, weighted=weighted)
+    ref = dense_dummy_fit(panel, weighted=weighted)
+    assert fit.dof == ref.dof
+    for name in ("log_unit_effects", "item_effects", "se"):
+        assert max_rel_err(getattr(fit, name), getattr(ref, name)) <= 1e-10, name
+    if ref.dof > 0:
+        assert fit.sigma2 == pytest.approx(ref.sigma2, rel=1e-10)
+    else:
+        assert fit.sigma2 is None and ref.sigma2 is None
+        assert np.isnan(np.delete(fit.se, base)).all()
+
+
+def test_item_with_zero_weight_is_singular():
+    # item c's within-unit shares underflow to zero in both of its units
+    values = np.array([[1e300, 1e300, 1.0],
+                       [1e300, 1.0, 1.0],
+                       [5e-324, 5e-324, 0.0]])
+    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                              np.where(values > 0, 1.0, 0.0))
+    with pytest.raises(SingularSystem) as exc:
+        fit_dummy_index(panel, weighted=True)
+    assert exc.value.column == "item[c]"
+
+
+@pytest.mark.parametrize("share", [1e-15, 1e-17])
+def test_numerically_singular_schur_complement(share):
+    # unit t2 reaches the other units only through item a's tiny share; at
+    # 1e-17 the Schur pivot cancels to zero, at 1e-15 it falls below
+    # PIVOT_RTOL of the largest one
+    values = np.array([[2.0, 3.0, share],
+                       [1.0, 4.0, 0.0],
+                       [0.0, 0.0, 1.0]])
+    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                              np.where(values > 0, 1.0, 0.0))
+    with pytest.raises(SingularSystem) as exc:
+        fit_dummy_index(panel, weighted=True)
+    assert exc.value.column == "unit[t2]"
+
+
+def test_large_sparse_fit_never_builds_the_design():
+    # the dense design would need n_obs * (N + T - 1) * 8 bytes, about 8.5 GB
+    rng = np.random.default_rng(97)
+    n, t = 5000, 60
+    present = rng.random((n, t)) >= 0.3
+    present[:, 0] = True  # every item meets the base unit: connected
+    values = np.where(present, rng.uniform(0.5, 8.0, (n, t)), 0.0)
+    quantities = np.where(present, rng.uniform(0.5, 8.0, (n, t)), 0.0)
+    panel = Panel(tuple(f"i{k}" for k in range(n)), tuple(f"u{k}" for k in range(t)),
+                  values, quantities, present)
+    tracemalloc.start()
+    try:
+        fit = fit_dummy_index(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.isfinite(fit.se).all() and (fit.indexes > 0).all()

@@ -11,6 +11,7 @@ from mplindex import (
     InvalidDimension,
     Panel,
     UndefinedVariance,
+    UnidentifiedModel,
     ValidationError,
     build_design_system,
     deflator_covariance,
@@ -228,3 +229,17 @@ def test_trivial_single_unit_estimate():
     assert est.sigma2 is None
     with pytest.raises(InvalidDimension):
         DeflatorEstimate.trivial(F1)
+
+
+def test_disconnected_panel_raises_instead_of_zero_deflators():
+    # units u2, u3 share no item with the base; their component has no exact
+    # fit, so the Schur solve succeeds and would return zero deflators there
+    values = np.array([[1.0, 2.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 2.0],
+                       [0.0, 0.0, 3.0, 1.0]])
+    panel = Panel.from_arrays(("a", "b", "c"), ("u0", "u1", "u2", "u3"),
+                              values, np.where(values > 0, 1.0, 0.0))
+    with pytest.raises(UnidentifiedModel) as exc:
+        estimate_deflators(panel)
+    assert len(exc.value.components) == 2
+    assert "u2" in str(exc.value)
