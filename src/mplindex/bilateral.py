@@ -58,35 +58,29 @@ def quadratic_form_index(p1, p2, form: np.ndarray) -> float:
     return float(p2 @ form @ p1) / denom
 
 
+def _quantity_weights(inp: BilateralInput, kind: str) -> np.ndarray:
+    """Quantity vector w whose price aggregate p'w defines the classic kind."""
+    if kind == "laspeyres":
+        return inp.q1
+    if kind == "paasche":
+        return inp.q2
+    if kind == "marshall_edgeworth":
+        return inp.q1 + inp.q2
+    if kind == "walsh":
+        # geometric mean of the two quantity vectors, both sides of the ratio
+        return np.sqrt(inp.q1 * inp.q2)
+    raise ValidationError(f"kind must be one of {CLASSICAL_KINDS}, got {kind!r}")
+
+
 def classical_index(inp: BilateralInput, kind: str) -> float:
     """Laspeyres, Paasche, Marshall-Edgeworth or Walsh index."""
-    p1, p2, q1, q2 = inp.p1, inp.p2, inp.q1, inp.q2
-    if kind == "laspeyres":
-        w = q1
-    elif kind == "paasche":
-        w = q2
-    elif kind == "marshall_edgeworth":
-        w = q1 + q2
-    elif kind == "walsh":
-        # geometric mean of the two quantity vectors, both sides of the ratio
-        w = np.sqrt(q1 * q2)
-    else:
-        raise ValidationError(f"kind must be one of {CLASSICAL_KINDS}, got {kind!r}")
-    return math.fsum(p2 * w) / math.fsum(p1 * w)
+    w = _quantity_weights(inp, kind)
+    return math.fsum(inp.p2 * w) / math.fsum(inp.p1 * w)
 
 
 def classical_form_matrix(inp: BilateralInput, kind: str) -> np.ndarray:
     """Rank-one quantity form whose quadratic-form index equals the classic."""
-    if kind == "laspeyres":
-        w = inp.q1
-    elif kind == "paasche":
-        w = inp.q2
-    elif kind == "marshall_edgeworth":
-        w = inp.q1 + inp.q2
-    elif kind == "walsh":
-        w = np.sqrt(inp.q1 * inp.q2)
-    else:
-        raise ValidationError(f"kind must be one of {CLASSICAL_KINDS}, got {kind!r}")
+    w = _quantity_weights(inp, kind)
     return np.outer(w, w)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .algebra import GramBlocks, _base_first, _schur_factor, gram_blocks
+from .algebra import _base_first, _schur_factor, gram_blocks
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -103,20 +103,6 @@ def _check_basket(panel: Panel):
         )
 
 
-def _solve_blocks(panel: Panel, blocks: GramBlocks):
-    """Schur-complement solve; returns non-base deflators, prices, lam11."""
-    order = _base_first(panel)
-    deflator_labels = [f"deflator[{panel.units[t]}]" for t in order[1:]]
-    price_labels = [f"ref_price[{item}]" for item in panel.items]
-    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
-                               price_labels, deflator_labels)
-    delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
-    c_inv = 1.0 / blocks.price_gram
-    prices = c_inv * (blocks.rhs + blocks.cross @ delta_nb)
-    lam11 = cho_solve(factor, np.eye(delta_nb.size))
-    return delta_nb, prices, lam11
-
-
 def _stacked_ssr(panel: Panel, delta: np.ndarray, prices: np.ndarray) -> float:
     """Sum of squared residuals of the stacked system, absent cells excluded.
 
@@ -125,6 +111,13 @@ def _stacked_ssr(panel: Panel, delta: np.ndarray, prices: np.ndarray) -> float:
     """
     resid = panel.quantities * prices[:, None] - panel.values * delta[None, :]
     return float((resid * resid).sum())
+
+
+def _dof(panel: Panel, dof_rule: str, n_params: int) -> int:
+    """Residual dof: the full grid ("paper") or the present cells ("observed")."""
+    if dof_rule == "paper":
+        return panel.n_items * panel.n_units - n_params
+    return int(panel.present.sum()) - n_params
 
 
 def _covariance(method, sigma2, deflator_gram, lam11):
@@ -156,21 +149,24 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     _check_basket(panel)
 
     blocks = gram_blocks(panel)
-    delta_nb, prices, lam11 = _solve_blocks(panel, blocks)
+    order = _base_first(panel)
+    factor, bc = _schur_factor(
+        blocks.price_gram, blocks.cross, blocks.deflator_gram,
+        [f"ref_price[{item}]" for item in panel.items],
+        [f"deflator[{panel.units[u]}]" for u in order[1:]])
+    delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
+    prices = (1.0 / blocks.price_gram) * (blocks.rhs + blocks.cross @ delta_nb)
+    lam11 = cho_solve(factor, np.eye(t - 1))
     # after the solve: a split panel whose components each fit exactly
     # already failed there as SingularSystem; any other split would pin the
     # deflators outside the base unit's component at zero
     require_connected(panel)
 
-    order = _base_first(panel)
     deflators = np.ones(t)
     deflators[list(order[1:])] = delta_nb
 
     ssr = _stacked_ssr(panel, deflators, prices)
-    if dof_rule == "paper":
-        dof = n * t - (n + t - 1)
-    else:
-        dof = int(panel.present.sum()) - (n + t - 1)
+    dof = _dof(panel, dof_rule, n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
     cov = _covariance(variance_method, sigma2, blocks.deflator_gram, lam11)

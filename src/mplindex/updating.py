@@ -1,11 +1,11 @@
-"""Closed-form updates when a unit (area) or a period joins the panel.
+"""Updates when a unit (area) or a period joins the panel.
 
-A multilateral update (new area) re-solves the joint system; its closed
-form works off the previous Gram blocks extended by one column, and the
-result coincides with a fresh estimate on the extended panel.  A multiperiod
-update (new period) keeps all previously published deflators fixed and
-solves a scalar system for the new one, so the published history never
-revises.
+A multilateral update (new area) is the fresh estimate on the extended
+panel: every deflator is re-estimated jointly, and the update raises
+UnidentifiedModel when the newcomer leaves the presence graph split.  A
+multiperiod update (new period) keeps all previously published deflators
+fixed and solves a scalar system for the new one, so the published history
+never revises.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .algebra import GramBlocks, _base_first, _schur_factor, gram_blocks
 from .errors import (
     DegenerateDeflator,
     MplIndexError,
@@ -25,8 +23,9 @@ from .errors import (
 from .estimator import (
     DeflatorEstimate,
     _check_basket,
-    _covariance,
+    _dof,
     _stacked_ssr,
+    estimate_deflators,
     pseudo_reciprocal,
 )
 from .panel import Panel
@@ -46,74 +45,27 @@ class UpdateResult:
     changed_mask: np.ndarray
 
 
-def _coerce_new_unit(panel: Panel, new_unit):
-    label, values, quantities = new_unit
-    return panel.with_unit(label, values, quantities)
-
-
 def update_multilateral(panel: Panel, new_unit,
                         variance_method: str = "full_partition",
                         dof_rule: str = "paper",
                         prior: DeflatorEstimate | None = None) -> UpdateResult:
-    """Admit a new unit by extending the Gram blocks and re-solving.
+    """Admit a new unit: the fresh estimate on the extended panel.
 
     new_unit is a (label, values, quantities) triple sharing the panel's
     item list (zero-filled where absent).  All deflators are re-estimated
-    jointly, so prior indexes may move; changed_mask records where.
+    jointly, so prior indexes may move; changed_mask records where.  Raises
+    UnidentifiedModel when the extended presence graph is disconnected.
+    Without a prior, the panel is refitted to compare against; a panel that
+    cannot be fitted on its own (one unit, thin basket) marks every unit.
     """
-    extended = _coerce_new_unit(panel, new_unit)
-    _check_basket(extended)
+    extended = panel.with_unit(*new_unit)
+    estimate = estimate_deflators(extended, variance_method, dof_rule)
 
-    # extend the prior panel's blocks by the new unit's column instead of
-    # recomputing from scratch; the base unit is unchanged so the non-base
-    # ordering is the prior ordering plus the newcomer last
-    prev = gram_blocks(panel)
-    v_new = extended.values[:, -1]
-    q_new = extended.quantities[:, -1]
-    qv = q_new * v_new
-    blocks = GramBlocks(
-        deflator_gram=np.append(prev.deflator_gram, v_new @ v_new),
-        cross=np.column_stack([prev.cross, qv]),
-        price_gram=prev.price_gram + q_new * q_new,
-        rhs=prev.rhs,
-    )
-
-    order = _base_first(extended)
-    deflator_labels = [f"deflator[{extended.units[t]}]" for t in order[1:]]
-    price_labels = [f"ref_price[{item}]" for item in extended.items]
-    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
-                               price_labels, deflator_labels)
-    delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
-    prices = (blocks.rhs + blocks.cross @ delta_nb) / blocks.price_gram
-    lam11 = cho_solve(factor, np.eye(delta_nb.size))
-
-    n, t = extended.n_items, extended.n_units
-    deflators = np.ones(t)
-    deflators[list(order[1:])] = delta_nb
-    ssr = _stacked_ssr(extended, deflators, prices)
-    if dof_rule == "paper":
-        dof = n * t - (n + t - 1)
-    else:
-        dof = int(extended.present.sum()) - (n + t - 1)
-    sigma2 = ssr / dof if dof > 0 else None
-    cov = _covariance(variance_method, sigma2, blocks.deflator_gram, lam11)
-
-    estimate = DeflatorEstimate(
-        units=extended.units, items=extended.items, base_unit=extended.base_unit,
-        mode=extended.mode, deflators=deflators,
-        indexes=pseudo_reciprocal(deflators), ref_prices=prices,
-        ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
-        variance_method=variance_method, cov_deflators=cov,
-        deflator_gram=blocks.deflator_gram, lam11=lam11,
-    )
-
+    t = extended.n_units
     changed = np.ones(t, dtype=bool)
     if prior is None:
         try:
-            from .estimator import estimate_deflators
-
-            prior = estimate_deflators(panel, variance_method=variance_method,
-                                       dof_rule=dof_rule)
+            prior = estimate_deflators(panel, variance_method, dof_rule)
         except MplIndexError:
             prior = None
     if prior is not None and prior.units == extended.units[:-1]:
@@ -128,14 +80,17 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     Solves the joint fit of the new deflator and refreshed reference prices
     with the prior deflators held fixed; the prior deflators and indexes are
     carried over bit-identically.  The noise scale is recomputed on the
-    stacked constrained system with N*(T+1) - (N+1) degrees of freedom; the
-    prior covariance block is carried unchanged and flagged stale.
+    stacked constrained system, whose N+1 unknowns are charged against the
+    prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
+    deflator's variance follows the prior's variance_method: sigma2 over the
+    scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
+    The prior covariance block is carried unchanged and flagged stale.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
     if prior.base_unit != panel.base_unit:
         raise ValidationError("prior estimate and panel base unit disagree")
-    extended = _coerce_new_unit(panel, new_period)
+    extended = panel.with_unit(*new_period)
     _check_basket(extended)
 
     v_new = extended.values[:, -1]
@@ -164,12 +119,17 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     prices = (m + qv * delta_new) / d
 
     deflators = np.append(prior.deflators, delta_new)
-    n, t1 = extended.n_items, extended.n_units
     ssr = _stacked_ssr(extended, deflators, prices)
-    dof = n * t1 - (n + 1)
+    dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    var_new = sigma2 / denom if sigma2 is not None else np.nan
+    vv_new = v_new @ v_new
+    if sigma2 is None:
+        var_new = np.nan
+    elif prior.variance_method == "corollary3":
+        var_new = sigma2 / vv_new
+    else:
+        var_new = sigma2 / denom
     k_prior = prior.deflator_gram.size
     cov = np.full((k_prior + 1, k_prior + 1), np.nan)
     if prior.cov_deflators is not None:
@@ -186,9 +146,9 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         sigma2=sigma2, variance_method=prior.variance_method,
         cov_deflators=cov,
-        deflator_gram=np.append(prior.deflator_gram, v_new @ v_new),
+        deflator_gram=np.append(prior.deflator_gram, vv_new),
         lam11=lam11, covariance_stale=True,
     )
-    changed = np.zeros(t1, dtype=bool)
+    changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True
     return UpdateResult(estimate=estimate, changed_mask=changed)

@@ -1,15 +1,168 @@
 """Dense reference routes that the structured solvers are checked against.
 
 Nothing in the package imports this module; it keeps the straightforward
-implementations the fast paths replaced, so tests can compare against them.
+implementations the fast paths replaced, so tests can compare against them:
+the dense stacked deflator design with its pivoted-QR least-squares fit, the
+normal matrix assembled from the closed-form blocks, and the dense dummy fit.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from dataclasses import dataclass
 
-from mplindex import DummyFit, Panel, SingularSystem, implied_prices
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+
+from mplindex import (
+    DummyFit,
+    GramBlocks,
+    InvalidDimension,
+    Panel,
+    SingularSystem,
+    gram_blocks,
+    implied_prices,
+)
+from mplindex.algebra import PIVOT_RTOL, _base_first, _schur_factor
+
+
+def transition_matrix(n: int) -> np.ndarray:
+    """n^2 x n selector whose i-th column is e_i kron e_i.
+
+    Sandwiching a Kronecker product between these selectors turns it into a
+    Hadamard product: T_n' (A kron B) T_m = A * B for n x m factors.
+    """
+    if n < 1:
+        raise InvalidDimension(f"transition matrix needs n >= 1, got {n}")
+    out = np.zeros((n * n, n))
+    out[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class DesignSystem:
+    """Dense stacked design for one panel, base unit ordered first."""
+
+    y: np.ndarray
+    X: np.ndarray
+    n_items: int
+    n_units: int
+    dof: int
+    column_labels: tuple[str, ...]
+    unit_order: tuple[int, ...]
+
+
+def structured_normal_matrix(panel: Panel) -> np.ndarray:
+    """X'X assembled from the closed-form blocks (never from X itself)."""
+    b = gram_blocks(panel)
+    t1 = b.deflator_gram.size
+    n = b.price_gram.size
+    out = np.zeros((t1 + n, t1 + n))
+    out[:t1, :t1] = np.diag(b.deflator_gram)
+    out[:t1, t1:] = -b.cross.T
+    out[t1:, :t1] = -b.cross
+    out[t1:, t1:] = np.diag(b.price_gram)
+    return out
+
+
+def structured_normal_rhs(panel: Panel) -> np.ndarray:
+    """X'y: zeros for the deflator columns, q_base * v_base for the prices."""
+    b = gram_blocks(panel)
+    return np.concatenate([np.zeros(b.deflator_gram.size), b.rhs])
+
+
+def build_design_system(panel: Panel) -> DesignSystem:
+    """Assemble the dense stacked design, base-unit rows first.
+
+    Rows come in T blocks of N; block 0 carries the base unit.  Columns are
+    the T-1 non-base deflators followed by the N reference prices.  The
+    assembly fills the few structurally nonzero entries directly, so no
+    Kronecker factor is ever materialized.
+    """
+    n, t = panel.n_items, panel.n_units
+    if t < 2:
+        raise InvalidDimension(f"design needs at least two units, got T={t}")
+    order = _base_first(panel)
+    v = panel.values[:, order]
+    q = panel.quantities[:, order]
+
+    k = (t - 1) + n
+    y = np.zeros(n * t)
+    y[:n] = v[:, 0]
+    X = np.zeros((n * t, k))
+    rows = np.arange(n)
+    X[rows, (t - 1) + rows] = q[:, 0]
+    for s in range(1, t):
+        block = n * s + rows
+        X[block, s - 1] = -v[:, s]
+        X[block, (t - 1) + rows] = q[:, s]
+
+    labels = tuple(f"deflator[{panel.units[order[s]]}]" for s in range(1, t)) + tuple(
+        f"ref_price[{item}]" for item in panel.items
+    )
+    return DesignSystem(y=y, X=X, n_items=n, n_units=t,
+                        dof=n * t - (n + t - 1),
+                        column_labels=labels, unit_order=order)
+
+
+@dataclass(frozen=True)
+class BlockInverse:
+    """(X'X)^{-1} partitioned at the deflator/price boundary."""
+
+    lam11: np.ndarray
+    lam12: np.ndarray
+    lam22: np.ndarray
+
+
+@dataclass(frozen=True)
+class OlsFit:
+    beta: np.ndarray
+    residuals: np.ndarray
+    sigma2: float | None
+    blocks: BlockInverse
+
+
+def ols_fit(system: DesignSystem, dof: int | None = None) -> OlsFit:
+    """Plain pivoted-QR least squares on the dense design.
+
+    Serves as the reference route against which the structured closed-form
+    estimator is checked.  Raises SingularSystem naming a dependent column
+    when the pivot ratio falls below PIVOT_RTOL.
+    """
+    X, y = system.X, system.y
+    k = X.shape[1]
+    Q, R, piv = qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0 or diag.min() < PIVOT_RTOL * diag.max():
+        bad = int(piv[int(np.argmin(diag))])
+        raise SingularSystem("design matrix is rank deficient",
+                             column=system.column_labels[bad])
+    beta = np.empty(k)
+    beta[piv] = solve_triangular(R, Q.T @ y)
+    residuals = y - X @ beta
+
+    dof = system.dof if dof is None else dof
+    sigma2 = float(residuals @ residuals) / dof if dof > 0 else None
+
+    r_inv = solve_triangular(R, np.eye(k))
+    gram_inv_p = r_inv @ r_inv.T
+    lam = np.empty((k, k))
+    lam[np.ix_(piv, piv)] = gram_inv_p
+    t1 = system.n_units - 1
+    blocks = BlockInverse(lam11=lam[:t1, :t1], lam12=lam[:t1, t1:], lam22=lam[t1:, t1:])
+    return OlsFit(beta=beta, residuals=residuals, sigma2=sigma2, blocks=blocks)
+
+
+def schur_block12(blocks: GramBlocks) -> np.ndarray:
+    """Off-diagonal block of (X'X)^{-1}: S^{-1} B' C^{-1}, from blocks alone.
+
+    Only the diagonal price block is inverted elementwise; the (T-1)-sized
+    Schur complement is factored, never the full (N+T-1) Gram matrix.
+    """
+    n, t1 = blocks.cross.shape
+    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
+                               [f"ref_price[#{i}]" for i in range(n)],
+                               [f"deflator[#{j}]" for j in range(t1)])
+    return cho_solve(factor, bc.T)
 
 
 def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:

@@ -17,14 +17,12 @@ from mplindex import (
     BilateralInput,
     Panel,
     SimulationConfig,
-    build_design_system,
     classical_form_matrix,
     deflator_covariance,
     estimate_deflators,
     fit_dummy_index,
     index_variance,
     mpl_two_period,
-    ols_fit,
     quadratic_form_index,
     simulate,
     to_index_series,
@@ -32,6 +30,7 @@ from mplindex import (
     update_multiperiod,
 )
 from helpers import panel_from_bilateral, random_bilateral, random_panel
+from oracles import build_design_system, ols_fit
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

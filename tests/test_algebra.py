@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mplindex import (
+from mplindex import InvalidDimension, Panel, SingularSystem, gram_blocks
+from helpers import random_panel
+from oracles import (
     DesignSystem,
-    InvalidDimension,
-    Panel,
-    SingularSystem,
     build_design_system,
-    gram_blocks,
     ols_fit,
     schur_block12,
     structured_normal_matrix,
     structured_normal_rhs,
     transition_matrix,
 )
-from helpers import random_panel
 
 
 def ones_panel(v1, v2, base=0):

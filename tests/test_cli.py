@@ -159,6 +159,28 @@ def test_disconnected_mpl_exits_1(run, tmp_path):
     assert "components" in err
 
 
+def test_update_unit_on_split_panel_exits_1(run, tmp_path):
+    csv_text = HEADER + ("a,t0,1,1\nb,t0,3,1\na,t1,2,1\nb,t1,5,1\n"
+                         "c,t2,1,1\nd,t2,3,1\nc,t3,2,1\nd,t3,1,1\n")
+    src = write(tmp_path, "split.csv", csv_text)
+    new = write(tmp_path, "t4.csv", HEADER + "a,t4,2,1\nb,t4,4,1\n")
+    code, out, err = run("update-unit", "--input", src, "--new", new)
+    assert code == 1
+    assert out == ""
+    assert "components" in err
+
+
+def test_overflowing_values_exit_2(run, tmp_path):
+    csv_text = HEADER + "".join(
+        f"{item},t{t},{v}e160,1\n"
+        for item, row in (("a", (1, 2, 3)), ("b", (2, 3, 5))) for t, v in enumerate(row))
+    src = write(tmp_path, "huge.csv", csv_text)
+    code, out, err = run("mpl", "--input", src)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("estimation error:")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = write(tmp_path, "f1.csv", F1_CSV)
     package_root = os.path.dirname(os.path.dirname(mplindex.__file__))

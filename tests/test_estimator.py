@@ -13,16 +13,15 @@ from mplindex import (
     UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
-    build_design_system,
     deflator_covariance,
     estimate_deflators,
     index_variance,
-    ols_fit,
     pseudo_reciprocal,
     to_index_series,
     with_variance_method,
 )
 from helpers import random_panel
+from oracles import build_design_system, ols_fit
 
 
 def ones_panel(*columns, base=0, mode="time"):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mplindex import (
     BasketViolation,
     Panel,
+    UnidentifiedModel,
     ValidationError,
     estimate_deflators,
     update_multilateral,
@@ -70,12 +71,10 @@ def test_matches_fresh_estimation_with_missing_cells():
             quantities[0] = 0.0
         result = update_multilateral(panel, ("new", values, quantities))
         fresh = estimate_deflators(panel.with_unit("new", values, quantities))
-        assert_allclose(result.estimate.deflators, fresh.deflators, rtol=1e-9)
-        assert_allclose(result.estimate.ref_prices, fresh.ref_prices, rtol=1e-9)
-        assert result.estimate.ssr == pytest.approx(fresh.ssr, rel=1e-9, abs=1e-15)
-        assert result.estimate.sigma2 == pytest.approx(fresh.sigma2, rel=1e-9)
-        assert_allclose(result.estimate.cov_deflators, fresh.cov_deflators,
-                        rtol=1e-8, atol=1e-14)
+        for field in ("deflators", "indexes", "ref_prices", "lam11",
+                      "cov_deflators", "ssr", "sigma2"):
+            assert_array_equal(getattr(result.estimate, field),
+                               getattr(fresh, field), err_msg=field)
 
 
 def test_changed_mask_agrees_with_prior_comparison():
@@ -106,6 +105,25 @@ def test_new_unit_basket_violation():
     ok = update_multilateral(panel, ("t2", np.array([1.0, 1.0, 5.0]),
                                      np.array([1.0, 1.0, 1.0])))
     assert ok.estimate.n_units == 3
+
+
+# two blocks: items a, b in t0, t1 and items c, d in t2, t3; neither block
+# fits exactly, so the Schur solve succeeds and only connectivity fails
+SPLIT_VALUES = np.array([[1.0, 2.0, 0.0, 0.0],
+                         [3.0, 5.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 2.0],
+                         [0.0, 0.0, 3.0, 1.0]])
+SPLIT = Panel.from_arrays(("a", "b", "c", "d"), ("t0", "t1", "t2", "t3"),
+                          SPLIT_VALUES, (SPLIT_VALUES > 0).astype(float))
+
+
+def test_newcomer_covering_one_block_of_split_panel_is_unidentified():
+    newcomer = ("t4", np.array([2.0, 4.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(UnidentifiedModel, match="components"):
+        update_multilateral(SPLIT, newcomer)
+    # a newcomer that spans both blocks joins them
+    bridge = ("t4", np.array([2.0, 4.0, 1.0, 2.0]), np.ones(4))
+    assert update_multilateral(SPLIT, bridge).estimate.indexes.min() > 0
 
 
 def test_new_unit_label_and_length_validation():
@@ -170,6 +188,28 @@ def test_period_update_covariance_blocks():
     d = e + quantities**2
     denom = float(np.sum(values * values * e / d))
     assert cov[2, 2] == pytest.approx(est.sigma2 / denom, rel=1e-12)
+
+
+@pytest.mark.parametrize("dof_rule", ["paper", "observed"])
+@pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
+def test_period_update_reports_what_it_computed(dof_rule, variance_method):
+    rng = np.random.default_rng(3)
+    panel = random_panel(rng, 6, 4)
+    values = rng.uniform(0.5, 8.0, 6)
+    quantities = rng.uniform(0.5, 8.0, 6)
+    values[2] = quantities[2] = 0.0
+    prior = estimate_deflators(panel, variance_method=variance_method,
+                               dof_rule=dof_rule)
+    est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    assert (est.dof_rule, est.variance_method) == (dof_rule, variance_method)
+    # 6 items x 5 units with one absent cell; N+1 = 7 unknowns
+    assert est.dof == {"paper": 23, "observed": 22}[dof_rule]
+    assert est.sigma2 == est.ssr / est.dof
+    e = (panel.quantities**2).sum(axis=1)
+    d = e + quantities**2
+    basis = {"full_partition": float(np.sum(values * values * e / d)),
+             "corollary3": float(values @ values)}[variance_method]
+    assert est.cov_deflators[-1, -1] == pytest.approx(est.sigma2 / basis, rel=1e-12)
 
 
 def test_period_update_requires_matching_prior():
