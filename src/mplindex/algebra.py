@@ -56,12 +56,14 @@ def gram_blocks(panel: Panel) -> GramBlocks:
     q = panel.quantities[:, order]
     v_nb = v[:, 1:]
     q_nb = q[:, 1:]
-    return GramBlocks(
-        deflator_gram=(v_nb * v_nb).sum(axis=0),
-        cross=q_nb * v_nb,
-        price_gram=(q * q).sum(axis=1),
-        rhs=q[:, 0] * v[:, 0],
-    )
+    # overflow to inf is reported as EstimationError by _schur_factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GramBlocks(
+            deflator_gram=(v_nb * v_nb).sum(axis=0),
+            cross=q_nb * v_nb,
+            price_gram=(q * q).sum(axis=1),
+            rhs=q[:, 0] * v[:, 0],
+        )
 
 
 def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
@@ -82,7 +84,8 @@ def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
                              column=item_labels[i])
     c_inv = 1.0 / item_diag
     bc = cross * c_inv[:, None]
-    schur = np.diag(unit_diag) - cross.T @ bc
+    with np.errstate(over="ignore", invalid="ignore"):
+        schur = np.diag(unit_diag) - cross.T @ bc
     # an infinite item pivot would silently zero its column of C^{-1}B
     if not (np.isfinite(schur).all() and np.isfinite(item_diag).all()):
         raise EstimationError("Gram blocks overflow: values or quantities "

@@ -217,8 +217,7 @@ def _cmd_validate(args) -> int:
         out.append("dropped (fewer than two presences): " + ", ".join(report.dropped_items))
     if report.base_absent_items:
         out.append("present elsewhere but absent in base: " + ", ".join(report.base_absent_items))
-    least = min(report.pair_intersections.values()) if report.pair_intersections else 0
-    out.append(f"smallest pairwise overlap between units: {least} items")
+    out.append(f"smallest pairwise overlap between units: {report.min_pair_overlap()} items")
     _write("\n".join(out) + "\n", args.output)
     return 0
 

@@ -182,18 +182,44 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
 
 def deflator_covariance(estimate: DeflatorEstimate,
                         method: str | None = None) -> np.ndarray:
-    """Covariance of the non-base deflators under the requested method."""
+    """Covariance of the non-base deflators under the requested method.
+
+    Under the estimate's own method this is the stored cov_deflators, so a
+    period update reports the prior periods' published covariance.  A stale
+    estimate cannot be re-based on another method: its prior block came
+    from an earlier noise scale and its cross-covariances are unknown (NaN),
+    so that request raises ValidationError.
+    """
     method = estimate.variance_method if method is None else method
     if method not in VARIANCE_METHODS:
         raise ValidationError(f"method must be one of {VARIANCE_METHODS}")
     if estimate.sigma2 is None:
         raise UndefinedVariance("noise scale is undefined (no residual dof)")
+    if method == estimate.variance_method and estimate.cov_deflators is not None:
+        cov = estimate.cov_deflators.view()
+        cov.flags.writeable = False
+        return cov
+    if estimate.covariance_stale:
+        raise ValidationError(
+            f"covariance carried over by a period update cannot be "
+            f"recomputed under {method!r}"
+        )
     return _covariance(method, estimate.sigma2, estimate.deflator_gram,
                        estimate.lam11)
 
 
 def with_variance_method(estimate: DeflatorEstimate, method: str) -> DeflatorEstimate:
-    """Same fit, covariance recomputed under another method."""
+    """Same fit, covariance recomputed under another method.
+
+    Raises ValidationError on a stale (period-updated) estimate, whose
+    carried covariance cannot be recomputed.
+    """
+    if method not in VARIANCE_METHODS:
+        raise ValidationError(f"method must be one of {VARIANCE_METHODS}")
+    if estimate.covariance_stale:
+        raise ValidationError(
+            "covariance carried over by a period update cannot be recomputed"
+        )
     cov = _covariance(method, estimate.sigma2, estimate.deflator_gram,
                       estimate.lam11)
     return replace(estimate, variance_method=method, cov_deflators=cov)

@@ -12,7 +12,8 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,13 +149,70 @@ class PriceMatrix:
         object.__setattr__(self, "prices", _as_readonly(self.prices, np.float64))
 
 
+class PairOverlaps(Mapping):
+    """Read-only map (unit_a, unit_b) -> items present in both units.
+
+    A view over a read-only N x T presence mask (``present``) and its unit
+    labels (``units``).  Keys are the T(T-1)/2 unit pairs in panel order
+    with a < b, iterated as (units[0], units[1]), (units[0], units[2]), ...;
+    a reversed or unknown pair raises KeyError.  No overlap is precomputed:
+    each lookup counts one pair's common items, and len is O(1).
+    """
+
+    __slots__ = ("present", "units", "_column")
+
+    def __init__(self, present: np.ndarray, units: tuple[str, ...]):
+        self.present = present
+        self.units = units
+        self._column = {label: k for k, label in enumerate(units)}
+
+    def __len__(self) -> int:
+        t = len(self.units)
+        return t * (t - 1) // 2
+
+    def __iter__(self):
+        units = self.units
+        for a in range(len(units)):
+            for b in range(a + 1, len(units)):
+                yield units[a], units[b]
+
+    def __getitem__(self, pair) -> int:
+        try:
+            first, second = pair
+            a, b = self._column[first], self._column[second]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(pair) from None
+        if a >= b:
+            raise KeyError(pair)
+        return int(np.count_nonzero(self.present[:, a] & self.present[:, b]))
+
+
 @dataclass(frozen=True)
 class BasketReport:
-    """What build_reference_basket did and what it noticed."""
+    """What build_reference_basket did and what it noticed.
+
+    pair_intersections is a lazy PairOverlaps view over the restricted
+    panel's presence mask; estimation never reads it, so no overlap is
+    computed unless asked for.
+    """
 
     dropped_items: tuple[str, ...]
-    pair_intersections: dict = field(default_factory=dict)
+    pair_intersections: PairOverlaps
     base_absent_items: tuple[str, ...] = ()
+
+    def min_pair_overlap(self) -> int:
+        """Fewest items any two units share (0 with fewer than two units).
+
+        One float Gram product of the 0/1 mask gives every pair's count,
+        exact below 2**53 items.
+        """
+        present = self.pair_intersections.present
+        if present.shape[1] < 2:
+            return 0
+        mask = present.astype(np.float64)
+        overlaps = mask.T @ mask
+        np.fill_diagonal(overlaps, np.inf)
+        return int(overlaps.min())
 
 
 def _resolve_base(units: tuple[str, ...], base_unit) -> int:
@@ -279,9 +337,11 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     """Drop items present in fewer than two units; report what happened.
 
     Returns the restricted panel and a report with the dropped item labels,
-    per-pair presence intersection sizes, and items that survive the rule but
-    are absent in the base unit (they stay in the basket, zero-filled).
-    Raises EmptyBasket when nothing survives.  Idempotent on conforming panels.
+    the items that survive the rule but are absent in the base unit (they
+    stay in the basket, zero-filled), and a lazy view of the per-pair
+    presence intersection sizes.  The work is O(NT): estimation never reads
+    the pairwise overlaps, so they are counted only on lookup.  Raises
+    EmptyBasket when nothing survives.  Idempotent on conforming panels.
     """
     presences = panel.presences_per_item()
     keep = presences >= 2
@@ -303,16 +363,11 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
         restricted = panel
 
     pres = restricted.present
-    pairs = {}
-    for a in range(restricted.n_units):
-        for b in range(a + 1, restricted.n_units):
-            pairs[(restricted.units[a], restricted.units[b])] = int(
-                (pres[:, a] & pres[:, b]).sum()
-            )
     base_absent = tuple(
         lab for i, lab in enumerate(restricted.items) if not pres[i, restricted.base_unit]
     )
-    return restricted, BasketReport(dropped, pairs, base_absent)
+    overlaps = PairOverlaps(pres, restricted.units)
+    return restricted, BasketReport(dropped, overlaps, base_absent)
 
 
 def implied_prices(panel: Panel) -> PriceMatrix:

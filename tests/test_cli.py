@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mplindex
-from mplindex import estimate_deflators, to_index_series
+from mplindex import Panel, emit_panel, estimate_deflators, to_index_series
 from mplindex.cli import emit_report, run_cli
 from helpers import random_panel
 
@@ -119,6 +119,28 @@ def test_validate_reports_basket_decisions(run, tmp_path):
     assert "smallest pairwise overlap" in out
 
 
+def test_validate_reports_brute_force_smallest_overlap(run, tmp_path):
+    rng = np.random.default_rng(12)
+    mask = rng.random((10, 8)) < 0.6
+    mask[:, 0] = True
+    mask[np.arange(8), np.arange(8)] = True
+    lone = np.zeros((1, 8), dtype=bool)
+    lone[0, 5] = True
+    mask = np.vstack([mask, lone])
+    values = np.where(mask, rng.uniform(0.5, 8.0, mask.shape), 0.0)
+    items = tuple(f"i{k}" for k in range(mask.shape[0]))
+    units = tuple(f"u{k}" for k in range(mask.shape[1]))
+    panel = Panel.from_arrays(items, units, values, mask.astype(float))
+    src = write(tmp_path, "panel.csv", emit_panel(panel))
+    kept = mask[:-1]
+    least = min(int((kept[:, a] & kept[:, b]).sum())
+                for a in range(8) for b in range(a + 1, 8))
+    code, out, _ = run("validate", "--input", src)
+    assert code == 0
+    assert "dropped (fewer than two presences): i10" in out
+    assert f"smallest pairwise overlap between units: {least} items\n" in out
+
+
 def test_duplicate_row_exits_1(run, tmp_path):
     src = write(tmp_path, "dup.csv", HEADER + "a,t1,1,1\na,t1,2,1\n")
     code, out, err = run("validate", "--input", src)
@@ -170,6 +192,16 @@ def test_update_unit_on_split_panel_exits_1(run, tmp_path):
     assert "components" in err
 
 
+def run_module(*argv):
+    """Run ``python -m mplindex`` in a child process with the package importable."""
+    package_root = os.path.dirname(os.path.dirname(mplindex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "mplindex", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_overflowing_values_exit_2(run, tmp_path):
     csv_text = HEADER + "".join(
         f"{item},t{t},{v}e160,1\n"
@@ -179,19 +211,16 @@ def test_overflowing_values_exit_2(run, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("estimation error:")
+    # no numpy warning reaches stderr ahead of the message
+    proc = run_module("mpl", "--input", src)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == err
+    assert proc.stderr.count("\n") == 1
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = write(tmp_path, "f1.csv", F1_CSV)
-    package_root = os.path.dirname(os.path.dirname(mplindex.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-
-    def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", "mplindex", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-
     proc = run_module("mpl", "--input", src)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -251,6 +280,22 @@ def test_update_period_keeps_prior_rows_bit_identical(run, tmp_path):
     for old_row, new_row in zip(a, b):
         assert new_row["index"] == old_row["index"]  # bit-identical via 17g text
     assert b[2]["index"] == 2.0
+
+
+def test_update_period_keeps_prior_standard_errors(run, tmp_path):
+    panel = random_panel(np.random.default_rng(3), 6, 4)
+    src = write(tmp_path, "panel.csv", emit_panel(panel))
+    new = write(tmp_path, "new.csv", HEADER + "".join(
+        f"{item},t9,{2.0 + k},{1.5 + k}\n" for k, item in enumerate(panel.items)))
+    for variance in ("full", "corollary3"):
+        _, before, _ = run("mpl", "--input", src, "--variance", variance)
+        code, after, _ = run("update-period", "--input", src, "--new", new,
+                             "--variance", variance)
+        assert code == 0
+        a = json.loads(before)["series"]
+        b = json.loads(after)["series"]
+        assert b[:-1] == a
+        assert b[-1]["se"] > 0
 
 
 def test_update_unit_matches_fresh_run(run, tmp_path):

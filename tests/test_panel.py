@@ -1,14 +1,18 @@
 import io
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from mplindex import (
+    BasketReport,
     DuplicateObservation,
     EmptyBasket,
     FormatError,
     InconsistentCell,
+    PairOverlaps,
     Panel,
     ValidationError,
     build_reference_basket,
@@ -198,6 +202,106 @@ def test_basket_flags_items_absent_from_base():
     kept, report = build_reference_basket(panel)
     assert kept.items == ("a", "b")
     assert report.base_absent_items == ("b",)
+
+
+def mask_panel(mask):
+    """Panel with the given presence mask and arbitrary positive cells."""
+    rng = np.random.default_rng(0)
+    values = np.where(mask, rng.uniform(0.5, 8.0, mask.shape), 0.0)
+    items = tuple(f"i{k}" for k in range(mask.shape[0]))
+    units = tuple(f"u{k}" for k in range(mask.shape[1]))
+    return Panel.from_arrays(items, units, values, mask.astype(float))
+
+
+def random_mask(seed, n, t, density):
+    """Seeded mask: every item in two or more units, every unit covered."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, t)) < density
+    for i in range(n):
+        mask[i, rng.permutation(t)[:2]] = True
+    mask[np.arange(t) % n, np.arange(t)] = True
+    return mask
+
+
+def lone_row(t, unit):
+    row = np.zeros((1, t), dtype=bool)
+    row[0, unit] = True
+    return row
+
+
+def base_absent_row(t):
+    row = np.ones((1, t), dtype=bool)
+    row[0, 0] = False
+    return row
+
+
+OVERLAP_MASKS = {
+    "two_units_with_dropped_item": np.vstack([random_mask(1, 4, 2, 0.5), lone_row(2, 1)]),
+    "dropped_and_base_absent": np.vstack(
+        [random_mask(2, 9, 7, 0.4), lone_row(7, 3), base_absent_row(7)]),
+    "full_overlap": np.ones((4, 5), dtype=bool),
+    "sparse": random_mask(3, 12, 10, 0.15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_MASKS))
+def test_pair_overlaps_match_brute_force(name):
+    mask = OVERLAP_MASKS[name]
+    panel = mask_panel(mask)
+    kept, report = build_reference_basket(panel)
+    units = panel.units
+    keep = mask.sum(axis=1) >= 2
+    assert kept.items == tuple(lab for lab, k in zip(panel.items, keep) if k)
+    pres = mask[keep]
+    expected = {}
+    for a in range(len(units)):
+        for b in range(a + 1, len(units)):
+            expected[(units[a], units[b])] = int((pres[:, a] & pres[:, b]).sum())
+
+    view = report.pair_intersections
+    assert isinstance(view, Mapping)
+    assert len(view) == len(expected)
+    assert list(view) == list(expected)
+    for pair, count in expected.items():
+        assert view[pair] == count
+    assert dict(view) == expected
+    assert report.min_pair_overlap() == min(expected.values())
+    for bad in [(units[1], units[0]), (units[0], units[0]), (units[0], "nowhere"),
+                units[0], (units[0], units[1], units[0]), ["unhashable"]]:
+        with pytest.raises(KeyError):
+            view[bad]
+    assert (units[1], units[0]) not in view
+
+
+def test_overlap_masks_hit_the_basket_cases():
+    _, report = build_reference_basket(mask_panel(OVERLAP_MASKS["dropped_and_base_absent"]))
+    assert report.dropped_items == ("i9",)
+    assert "i10" in report.base_absent_items
+    _, report = build_reference_basket(mask_panel(OVERLAP_MASKS["full_overlap"]))
+    assert report.min_pair_overlap() == 4
+
+
+def test_min_pair_overlap_single_unit_is_zero():
+    view = PairOverlaps(np.ones((3, 1), dtype=bool), ("u0",))
+    assert len(view) == 0
+    assert list(view) == []
+    assert BasketReport((), view).min_pair_overlap() == 0
+
+
+def test_basket_work_is_linear_in_cells():
+    # the overlaps of 4.5M unit pairs must not be materialized
+    mask = np.ones((20, 3000), dtype=bool)
+    mask[::3, 1::2] = False
+    panel = mask_panel(mask)
+    tracemalloc.start()
+    try:
+        kept, report = build_reference_basket(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept is panel and report.dropped_items == ()
+    assert len(report.pair_intersections) == 3000 * 2999 // 2
+    assert peak < 1_000_000
 
 
 def test_basket_empty_when_nothing_survives():

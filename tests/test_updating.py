@@ -7,9 +7,12 @@ from mplindex import (
     Panel,
     UnidentifiedModel,
     ValidationError,
+    deflator_covariance,
     estimate_deflators,
+    to_index_series,
     update_multilateral,
     update_multiperiod,
+    with_variance_method,
 )
 from helpers import random_panel
 
@@ -210,6 +213,34 @@ def test_period_update_reports_what_it_computed(dof_rule, variance_method):
     basis = {"full_partition": float(np.sum(values * values * e / d)),
              "corollary3": float(values @ values)}[variance_method]
     assert est.cov_deflators[-1, -1] == pytest.approx(est.sigma2 / basis, rel=1e-12)
+
+
+@pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
+def test_period_update_keeps_published_standard_errors(variance_method):
+    rng = np.random.default_rng(3)
+    panel = random_panel(rng, 6, 4)
+    prior = estimate_deflators(panel, variance_method=variance_method)
+    values = rng.uniform(0.5, 8.0, 6)
+    quantities = rng.uniform(0.5, 8.0, 6)
+    est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    published = to_index_series(prior).se
+    assert_array_equal(to_index_series(est).se[:-1], published)
+    assert_array_equal(deflator_covariance(est)[:3, :3], prior.cov_deflators)
+
+
+def test_stale_covariance_cannot_switch_method():
+    rng = np.random.default_rng(3)
+    panel = random_panel(rng, 6, 4)
+    prior = estimate_deflators(panel)
+    est = update_multiperiod(
+        prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
+    ).estimate
+    with pytest.raises(ValidationError):
+        with_variance_method(est, "corollary3")
+    with pytest.raises(ValidationError):
+        with_variance_method(est, "full_partition")
+    with pytest.raises(ValidationError):
+        deflator_covariance(est, "corollary3")
 
 
 def test_period_update_requires_matching_prior():
