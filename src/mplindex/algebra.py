@@ -76,20 +76,23 @@ def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
     of B does not enter S.  Returns the factor and C^{-1}B.  Raises
     SingularSystem naming the item or unit column when a pivot of C is not
     positive or the pivot ratio of S falls below PIVOT_RTOL, and
-    EstimationError when C or S is not finite.
+    EstimationError when C, its inverse or S is not finite.
     """
     if (item_diag <= 0).any():
         i = int(np.argmin(item_diag))
         raise SingularSystem("an item has zero weight in every unit",
                              column=item_labels[i])
-    c_inv = 1.0 / item_diag
-    bc = cross * c_inv[:, None]
+    # a subnormal pivot overflows its reciprocal, an infinite one turns
+    # inf * 0 into NaN; both are reported below
     with np.errstate(over="ignore", invalid="ignore"):
+        c_inv = 1.0 / item_diag
+        bc = cross * c_inv[:, None]
         schur = np.diag(unit_diag) - cross.T @ bc
     # an infinite item pivot would silently zero its column of C^{-1}B
-    if not (np.isfinite(schur).all() and np.isfinite(item_diag).all()):
+    if not (np.isfinite(schur).all() and np.isfinite(item_diag).all()
+            and np.isfinite(c_inv).all()):
         raise EstimationError("Gram blocks overflow: values or quantities "
-                              "are too large in magnitude")
+                              "are too large or too small in magnitude")
     # potrf directly rather than cho_factor, so a failed minor can be named
     potrf, = get_lapack_funcs(("potrf",), (schur,))
     chol, info = potrf(schur, lower=True, clean=False)

@@ -45,7 +45,8 @@ class DeflatorEstimate:
     order) and is None when sigma2 is undefined.  deflator_gram and lam11
     keep the two variance bases around so the method can be switched after
     the fit.  covariance_stale marks covariances carried over unchanged by
-    a period update.
+    a period update; such an estimate cannot switch method, and its lam11
+    is None because no single Schur complement covers the frozen history.
     """
 
     units: tuple[str, ...]
@@ -62,7 +63,7 @@ class DeflatorEstimate:
     variance_method: str
     cov_deflators: np.ndarray | None
     deflator_gram: np.ndarray
-    lam11: np.ndarray
+    lam11: np.ndarray | None
     covariance_stale: bool = False
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from collections.abc import Mapping
@@ -27,6 +28,10 @@ from .errors import (
 
 CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
 MODES = ("time", "space")
+# characters per readlines() batch of the columnar parser: big enough that
+# per-batch overhead vanishes, small enough that a batch's field strings
+# stay a few MB
+_CHUNK_CHARS = 1 << 18
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
@@ -231,21 +236,157 @@ def _resolve_base(units: tuple[str, ...], base_unit) -> int:
 def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     """Read a long-format CSV (item_id,unit_id,value,quantity) into a Panel.
 
-    ``source`` is a path or an open text stream.  Rows with value = 0 and
-    quantity = 0 mark explicit absence; any other mix of signs is rejected.
-    ``units`` optionally fixes the unit ordering (default: first appearance).
-    ``base_unit`` is a unit label or positional index (default: first unit).
+    ``source`` is a path (read as UTF-8) or an open text stream.  Rows with
+    value = 0 and quantity = 0 mark explicit absence; any other mix of signs
+    is rejected.  ``units`` optionally fixes the unit ordering (default:
+    first appearance).  ``base_unit`` is a unit label or positional index
+    (default: first unit).
+
+    Plain input (LF line ends; no quote, CR or NUL; three commas on every
+    line) is parsed column by column, a few hundred kB at a time.  Anything
+    else, and any input a columnar check rejects, goes to the csv row parser
+    from the start: a path is reopened, a stream's lines already read are
+    replayed.  Both parsers give the same panel, and every error comes from
+    the row parser.  Text that does not decode and csv faults such as an
+    oversized field raise FormatError.
     """
-    if hasattr(source, "read"):
-        return _parse_panel(source, mode, base_unit, units)
-    with open(os.fspath(source), "r", encoding="utf-8", newline="") as fh:
-        return _parse_panel(fh, mode, base_unit, units)
-
-
-def _parse_panel(stream, mode, base_unit, units) -> Panel:
-    reader = csv.reader(stream)
+    is_stream = hasattr(source, "read")
     try:
-        header = next(reader)
+        if is_stream:
+            replay: list[str] = []
+            parsed = _parse_columns(source, replay)
+            if parsed is None:
+                parsed = _parse_rows(itertools.chain(replay, source))
+        else:
+            parsed = _parse_path(os.fspath(source))
+    except UnicodeDecodeError as exc:
+        line = None if is_stream else _undecodable_line(os.fspath(source))
+        raise FormatError(f"input is not {exc.encoding} text ({exc.reason})",
+                          line=line) from None
+    return _assemble(*parsed, mode, base_unit, units)
+
+
+def _parse_path(path):
+    """Columnar parse of the file, else the row parser on a fresh open."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            parsed = _parse_columns(fh)
+        except UnicodeDecodeError:
+            parsed = None
+    if parsed is not None:
+        return parsed
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return _parse_rows(fh)
+
+
+def _undecodable_line(path) -> int | None:
+    """Line holding the first byte sequence that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
+
+
+def _plain_text(lines, limit) -> str | None:
+    """The joined lines when each is an unquoted LF line with three commas.
+
+    On such lines csv.reader splits exactly where str.split(",") does.  A
+    line longer than the csv field limit is left to csv.reader to judge.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > limit
+            or set(map(str.count, lines, itertools.repeat(","))) != {3}):
+        return None
+    return text
+
+
+class _Codes(dict):
+    """label -> code, numbering labels in order of first lookup."""
+
+    def __missing__(self, label):
+        self[label] = code = len(self)
+        return code
+
+
+def _parse_columns(stream, replay=None):
+    """Columnar parse of plain input; None where the row parser must decide.
+
+    Appends every line it reads to ``replay`` when given.  Returns what
+    _parse_rows returns for the same text, or None on a header other than
+    CSV_HEADER, a batch that is not plain text (see _plain_text), an
+    unparseable, non-finite or sign-inconsistent number, an empty label, a
+    duplicate cell or no data rows.
+    """
+    limit = csv.field_size_limit()
+    header = stream.readline()
+    if not header:
+        return None
+    if replay is not None:
+        replay.append(header)
+    text = _plain_text([header], limit)
+    if text is None or tuple(h.strip() for h in text.rstrip("\n").split(",")) != CSV_HEADER:
+        return None
+
+    item_code, unit_code = _Codes(), _Codes()
+    batches = []
+    while lines := stream.readlines(_CHUNK_CHARS):
+        if replay is not None:
+            replay.extend(lines)
+        text = _plain_text(lines, limit)
+        if text is None:
+            return None
+        fields = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            fields.pop()
+        count = len(lines)
+        try:
+            values = np.fromiter(map(float, fields[2::4]), np.float64, count)
+            quantities = np.fromiter(map(float, fields[3::4]), np.float64, count)
+        except ValueError:
+            return None
+        codes = [np.fromiter(map(code.__getitem__, map(str.strip, fields[k::4])),
+                             np.intp, count)
+                 for k, code in enumerate((item_code, unit_code))]
+        batches.append((*codes, values, quantities))
+    if not batches or "" in item_code or "" in unit_code:
+        return None
+
+    rows, cols, values, quantities = (np.concatenate(part) for part in zip(*batches))
+    del batches
+    if not (np.isfinite(values).all() and np.isfinite(quantities).all()):
+        return None
+    if not (((values > 0) & (quantities > 0)) | ((values == 0) & (quantities == 0))).all():
+        return None
+    n, t = len(item_code), len(unit_code)
+    flat = rows * t + cols
+    if np.bincount(flat, minlength=n * t).max() > 1:
+        return None
+    grid_values = np.zeros(n * t)
+    grid_quantities = np.zeros(n * t)
+    grid_values[flat] = values
+    grid_quantities[flat] = quantities
+    return (list(item_code), list(unit_code),
+            grid_values.reshape(n, t), grid_quantities.reshape(n, t))
+
+
+def _csv_rows(reader):
+    """The reader's rows; a csv fault (oversized field, stray CR) as FormatError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(str(exc), line=reader.line_num) from None
+
+
+def _parse_rows(lines):
+    """Strict row-by-row parse: labels in first-appearance order, N x T arrays."""
+    reader = csv.reader(lines)
+    records = _csv_rows(reader)
+    try:
+        header = next(records)
     except StopIteration:
         raise FormatError("empty input", line=1) from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -258,7 +399,7 @@ def _parse_panel(stream, mode, base_unit, units) -> Panel:
     unit_order: list[str] = []
     seen_items = set()
     seen_units = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != 4:
@@ -294,25 +435,31 @@ def _parse_panel(stream, mode, base_unit, units) -> Panel:
     if not cells:
         raise FormatError("input contains no data rows", line=2)
 
-    if units is not None:
-        units = [str(u) for u in units]
-        missing = [u for u in unit_order if u not in units]
-        if missing:
-            raise ValidationError(f"unit {missing[0]!r} not covered by the units argument")
-        extra = [u for u in units if u not in seen_units]
-        if extra:
-            raise ValidationError(f"unit {extra[0]!r} in the units argument never appears")
-        unit_order = units
-
-    n, t = len(item_order), len(unit_order)
-    values = np.zeros((n, t))
-    quantities = np.zeros((n, t))
+    values = np.zeros((len(item_order), len(unit_order)))
+    quantities = np.zeros_like(values)
     item_idx = {lab: i for i, lab in enumerate(item_order)}
     unit_idx = {lab: j for j, lab in enumerate(unit_order)}
     for (item, unit), (value, quantity) in cells.items():
         values[item_idx[item], unit_idx[unit]] = value
         quantities[item_idx[item], unit_idx[unit]] = quantity
+    return item_order, unit_order, values, quantities
 
+
+def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units) -> Panel:
+    """Apply the units override and the base unit to a parsed panel."""
+    if units is not None:
+        units = [str(u) for u in units]
+        missing = [u for u in unit_order if u not in units]
+        if missing:
+            raise ValidationError(f"unit {missing[0]!r} not covered by the units argument")
+        column = {lab: j for j, lab in enumerate(unit_order)}
+        extra = [u for u in units if u not in column]
+        if extra:
+            raise ValidationError(f"unit {extra[0]!r} in the units argument never appears")
+        order = [column[u] for u in units]
+        values, quantities, unit_order = values[:, order], quantities[:, order], units
+
+    t = len(unit_order)
     base = _resolve_base(tuple(unit_order), base_unit)
     if not 0 <= base < t:
         raise ValidationError(f"base unit index {base} out of range for T={t}")

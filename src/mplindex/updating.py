@@ -84,7 +84,8 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
-    The prior covariance block is carried unchanged and flagged stale.
+    The prior covariance block is carried unchanged and flagged stale; the
+    update has no Schur-complement inverse, so its lam11 is None.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -135,9 +136,6 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     if prior.cov_deflators is not None:
         cov[:k_prior, :k_prior] = prior.cov_deflators
     cov[k_prior, k_prior] = var_new
-    lam11 = np.zeros((k_prior + 1, k_prior + 1))
-    lam11[:k_prior, :k_prior] = prior.lam11
-    lam11[k_prior, k_prior] = 1.0 / denom
 
     indexes = np.append(prior.indexes, pseudo_reciprocal([delta_new])[0])
     estimate = DeflatorEstimate(
@@ -147,7 +145,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         sigma2=sigma2, variance_method=prior.variance_method,
         cov_deflators=cov,
         deflator_gram=np.append(prior.deflator_gram, vv_new),
-        lam11=lam11, covariance_stale=True,
+        lam11=None, covariance_stale=True,
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

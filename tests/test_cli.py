@@ -402,3 +402,71 @@ def test_dropped_item_note_goes_to_stderr(run, tmp_path):
     assert "dropped items outside the reference basket: c" in err
     doc = json.loads(out)
     assert [r["unit"] for r in doc["series"]] == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("scale", ["e-160", "e155"])
+def test_extreme_scales_print_one_line(tmp_path, scale):
+    csv_text = HEADER + "".join(
+        f"{item},t{t},{v}{scale},{q}{scale}\n"
+        for item, vs, qs in (("a", (1, 2, 3), (1, 2, 1)), ("b", (2, 3, 5), (1, 1, 2)))
+        for t, (v, q) in enumerate(zip(vs, qs)))
+    src = write(tmp_path, "extreme.csv", csv_text)
+    proc = run_module("mpl", "--input", src)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("estimation error: Gram blocks overflow: values or "
+                           "quantities are too large or too small in magnitude\n")
+
+
+@pytest.mark.parametrize("encoding, line, reason", [
+    ("utf-16", 1, "invalid start byte"),
+    ("latin-1", 6, "invalid continuation byte"),
+])
+def test_undecodable_input_exits_1(tmp_path, encoding, line, reason):
+    path = tmp_path / "panel.csv"
+    path.write_bytes((F1_CSV + "café,t2,1,1\n").encode(encoding))
+    proc = run_module("validate", "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"validation error: line {line}: input is not utf-8 text ({reason})\n"
+
+
+def test_oversized_field_exits_1(run, tmp_path):
+    src = write(tmp_path, "panel.csv", F1_CSV + "c" * 200_000 + ",t2,1,1\n")
+    code, out, err = run("mpl", "--input", src)
+    assert code == 1
+    assert out == ""
+    assert err == "validation error: line 6: field larger than field limit (131072)\n"
+
+
+def mutations(text, seed, count):
+    """Seeded damaged copies of a CSV file, as bytes."""
+    rng = np.random.default_rng(seed)
+    data = text.encode()
+    out = [text.encode("utf-16"), data[: len(data) // 2], data[:-1] + b"\0"]
+    for k in range(count):
+        pos = int(rng.integers(0, len(data)))
+        kind = k % 4
+        if kind == 0:  # flip one bit of one byte
+            flipped = data[pos] ^ (1 << int(rng.integers(0, 8)))
+            out.append(data[:pos] + bytes([flipped]) + data[pos + 1:])
+        elif kind == 1:  # truncate
+            out.append(data[:pos])
+        else:  # insert a quote, NUL or CR
+            out.append(data[:pos] + (b'"', b"\0", b"\r")[int(rng.integers(0, 3))]
+                       + data[pos:])
+    return out
+
+
+def test_damaged_input_gets_a_documented_exit_code(run, tmp_path):
+    panel = random_panel(np.random.default_rng(8), 5, 4, missing=0.2)
+    path = tmp_path / "damaged.csv"
+    seen = set()
+    for data in mutations(emit_panel(panel), seed=19, count=33):
+        path.write_bytes(data)
+        for command in ("validate", "mpl"):
+            code, _, err = run(command, "--input", str(path))
+            assert code in (0, 1, 2, 3), (data, err)
+            assert "Traceback" not in err
+            seen.add(code)
+    assert {0, 1} <= seen

@@ -1,11 +1,15 @@
 import io
 import tracemalloc
 from collections.abc import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import mplindex.panel as panel_module
 from mplindex import (
     BasketReport,
     DuplicateObservation,
@@ -350,3 +354,215 @@ def test_mode_validation():
     with pytest.raises(ValidationError):
         Panel.from_arrays(("a",), ("t1", "t2"), np.ones((1, 2)), np.ones((1, 2)),
                           mode="frequency")
+
+
+# --- columnar fast path against the strict row parser -----------------------
+
+def strict_load(text, **kwargs):
+    """load_panel with the columnar parser switched off."""
+    with mock.patch.object(panel_module, "_parse_columns", return_value=None):
+        return load_panel(io.StringIO(text), **kwargs)
+
+
+def outcome(load):
+    """A panel as comparable plain data, or the type and text of its error."""
+    try:
+        p = load()
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+    return (p.items, p.units, p.base_unit, p.mode, p.values.tobytes(),
+            p.quantities.tobytes(), p.present.tobytes())
+
+
+def assert_same_as_strict(text, tmp_path=None, columnar=None, **kwargs):
+    """load_panel on a stream (and a file) matches the strict parser.
+
+    columnar=True/False also pins whether the columnar parser decided.
+    """
+    expected = outcome(lambda: strict_load(text, **kwargs))
+    assert outcome(lambda: load_panel(io.StringIO(text), **kwargs)) == expected
+    if tmp_path is not None:
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: load_panel(path, **kwargs)) == expected
+    if columnar is not None:
+        decided = panel_module._parse_columns(io.StringIO(text)) is not None
+        assert decided == columnar
+    return expected
+
+
+LOADER_CASES = {
+    # plain input the columnar parser takes
+    "plain": (HEADER + "\na,t1,10,2\nb,t1,6,3\na,t2,8,2\nb,t2,9,3\n", True),
+    "no_trailing_newline": (HEADER + "\na,t1,10,2\nb,t1,6,3\na,t2,8,2\nb,t2,9,3", True),
+    "whitespace": (" item_id ,unit_id, value,quantity \n"
+                   " a ,\tt1 , 10 , 2\nb,t1,6 ,\t3\n a,t2 ,8,2\nb , t2,9, 3 \n", True),
+    "spellings": (HEADER + "\na,t1,1_000,2\nb,t1,6e0,3\na,t2,-0,-0\nb,t2,+9,.5\n"
+                  "a,t3,8,2\nb,t3,0,0\n", True),
+    "non_ascii": (HEADER + "\ncafé,période 1,10,2\n日本,période 1,6,3\n"
+                  "café,période 2,8,2\n日本,période 2,9,3\n", True),
+    "odd_whitespace_in_labels": (HEADER + "\na\x0cb,t\x851,10,2\n c,t\x851,6,3\n"
+                                 "a\x0cb,t2 ,8,2\nc\x0c,t2,9,3\n", True),
+    "explicit_absence": (HEADER + "\na,t1,10,2\nb,t1,0,0\na,t2,8,2\nb,t2,9,3\n"
+                         "b,t3,1,1\na,t3,0,0\n", True),
+    # input the row parser decides
+    "quoted": (HEADER + '\n"a",t1,10,2\nb,"t1",6,3\n"a,x",t2,8,2\nb,t2,"9",3\n', False),
+    "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
+             "a,t2,8,2\r\nb,t2,9,3\r\n", False),
+    "blank_lines": (HEADER + "\na,t1,10,2\n\nb,t1,6,3\na,t2,8,2\n\nb,t2,9,3\n\n", False),
+    "trailing_comma": (HEADER + "\na,t1,10,2\nb,t1,6,3,\na,t2,8,2\n", False),
+    # realigned, the fields would read as two more valid, distinct cells
+    "three_then_five_fields": (HEADER + "\n1,2,3,4\n5,6,7\n8,9,10,11,12\n", False),
+    "inf": (HEADER + "\na,t1,inf,2\nb,t1,6,3\n", False),
+    "nan": (HEADER + "\na,t1,10,nan\nb,t1,6,3\n", False),
+    "duplicate": (HEADER + "\na,t1,10,2\nb,t1,6,3\na,t2,8,2\n a ,t1,11,2\n", False),
+    "inconsistent": (HEADER + "\na,t1,10,2\nb,t1,6,0\n", False),
+    "negative": (HEADER + "\na,t1,10,2\nb,t1,-6,-3\n", False),
+    "empty_label": (HEADER + "\na,t1,10,2\n ,t1,6,3\n", False),
+    "unparseable": (HEADER + "\na,t1,10,2\nb,t1,six,3\n", False),
+    "header_only": (HEADER + "\n", False),
+    "bad_header": ("item_id,unit,value,quantity\na,t1,10,2\n", False),
+    "empty": ("", False),
+    "nul": (HEADER + "\na,t1,10,2\nb\0,t1,6,3\na,t2,8,2\nb\0,t2,9,3\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_loader_matches_strict_parser(name, tmp_path):
+    text, columnar = LOADER_CASES[name]
+    assert_same_as_strict(text, tmp_path, columnar=columnar)
+
+
+def test_loader_cases_hit_the_intended_outcomes():
+    def result(name):
+        return outcome(lambda: strict_load(LOADER_CASES[name][0]))
+
+    assert result("three_then_five_fields") == (
+        FormatError, "line 3: expected 4 fields, got 3")
+    assert result("duplicate")[0] is DuplicateObservation
+    assert "line 5" in result("duplicate")[1]
+    assert result("inf") == (FormatError, "line 2: value and quantity must be finite")
+    assert result("nan") == (FormatError, "line 2: value and quantity must be finite")
+    assert result("header_only") == (FormatError, "line 2: input contains no data rows")
+    assert result("empty") == (FormatError, "line 1: empty input")
+    assert result("spellings")[0] == ("a", "b")
+    assert result("quoted")[0] == ("a", "b", "a,x")
+    assert result("odd_whitespace_in_labels")[:2] == (("a\x0cb", "c"), ("t\x851", "t2"))
+
+
+def test_loader_applies_units_and_base_alike():
+    text = LOADER_CASES["plain"][0]
+    for kwargs in ({"units": ("t2", "t1"), "base_unit": "t1"}, {"base_unit": 1},
+                   {"units": ("t2",)}, {"base_unit": "t9"}, {"mode": "space"}):
+        assert_same_as_strict(text, **kwargs)
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    # a batch of one or two lines, so labels and cells span batches
+    monkeypatch.setattr(panel_module, "_CHUNK_CHARS", 12)
+
+
+def test_first_appearance_spans_chunks(tiny_chunks, tmp_path):
+    text = HEADER + "\nz,t2,1,1\ny,t2,2,1\nz,t1,3,1\nx,t1,4,1\ny,t3,5,1\nx,t3,6,1\n"
+    assert panel_module._parse_columns(io.StringIO(text)) is not None
+    assert_same_as_strict(text, tmp_path)
+    panel = load_panel(io.StringIO(text))
+    assert panel.items == ("z", "y", "x")
+    assert panel.units == ("t2", "t1", "t3")
+
+
+def test_duplicate_cell_across_chunks(tiny_chunks, tmp_path):
+    text = HEADER + "\na,t1,1,1\nb,t1,2,1\na,t2,3,1\nb,t2,4,1\na,t1,5,1\n"
+    error = assert_same_as_strict(text, tmp_path, columnar=False)
+    assert error == (DuplicateObservation,
+                     "line 6: duplicate observation for item 'a', unit 't1'")
+
+
+def test_fallback_replays_lines_already_read(tiny_chunks):
+    # the quote sits several batches in; the row parser must still see line 2
+    rows = [f"i{k},t{k % 3},{k + 1},1" for k in range(12)]
+    rows[9] = '"i9",t0,10,1'
+    text = "\n".join([HEADER] + rows) + "\n"
+    assert_same_as_strict(text, columnar=False)
+    assert load_panel(io.StringIO(text)).items == tuple(f"i{k}" for k in range(12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), t=st.integers(2, 5),
+       missing=st.floats(0.0, 0.5), chunk=st.sampled_from([1, 40, 1 << 20]))
+def test_random_panels_load_like_strict_parser(seed, n, t, missing, chunk):
+    rng = np.random.default_rng(seed)
+    panel = random_panel(rng, n, t, missing=missing)
+    # spell some absent cells as explicit 0,0 rows, then shuffle the rows
+    lines = emit_panel(panel).splitlines()[1:]
+    absent = np.argwhere(~panel.present)
+    zero = absent[rng.random(len(absent)) < 0.5]
+    lines += [f"{panel.items[i]},{panel.units[j]},0,0" for i, j in zero]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    text = "\n".join([HEADER] + lines) + "\n"
+    with mock.patch.object(panel_module, "_CHUNK_CHARS", chunk):
+        assert panel_module._parse_columns(io.StringIO(text)) is not None
+        assert_same_as_strict(text)
+    back = load_panel(io.StringIO(text), units=panel.units)
+    assert sorted(back.items) == sorted(panel.items)
+    rows = [back.items.index(item) for item in panel.items]
+    assert_array_equal(back.values[rows], panel.values)
+    assert_array_equal(back.quantities[rows], panel.quantities)
+
+
+def big_panel_text(n_items=2000, n_units=50):
+    """~100k-row long CSV with 17-digit numbers, unit by unit."""
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 80.0, (n_items, n_units))
+    quantities = rng.uniform(0.5, 8.0, (n_items, n_units))
+    return HEADER + "\n" + "".join(
+        f"i{i:05d},t{t:04d},{values[i, t]:.17g},{quantities[i, t]:.17g}\n"
+        for t in range(n_units) for i in range(n_items))
+
+
+def test_columnar_parse_peaks_below_half_the_row_parser(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(big_panel_text())
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            panel = load()
+            return panel, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fast, fast_peak = peak(lambda: load_panel(path))
+    with mock.patch.object(panel_module, "_parse_columns", return_value=None):
+        strict, strict_peak = peak(lambda: load_panel(path))
+    assert fast.values.shape == (2000, 50)
+    assert_array_equal(fast.values, strict.values)
+    assert_array_equal(fast.quantities, strict.quantities)
+    assert fast_peak < strict_peak / 2, (fast_peak, strict_peak)
+
+
+def test_undecodable_file_is_format_error_with_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\na,t1,1,1\ncafé,t1,2,1\n").encode("latin-1"))
+    with pytest.raises(FormatError) as exc:
+        load_panel(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: input is not utf-8 text")
+    path.write_bytes((HEADER + "\na,t1,1,1\n").encode("utf-16"))
+    with pytest.raises(FormatError) as exc:
+        load_panel(path)
+    assert exc.value.line == 1
+
+
+def test_undecodable_stream_is_format_error():
+    raw = io.BytesIO((HEADER + "\na,t1,1,1\nb,t1,2,1\n").encode("utf-16"))
+    with pytest.raises(FormatError) as exc:
+        load_panel(io.TextIOWrapper(raw, encoding="utf-8"))
+    assert exc.value.line is None
+
+
+def test_oversized_field_is_format_error(tmp_path):
+    text = HEADER + "\na,t1,1,1\nb" + "x" * 200_000 + ",t1,2,1\n"
+    error = assert_same_as_strict(text, tmp_path, columnar=False)
+    assert error == (FormatError, "line 3: field larger than field limit (131072)")

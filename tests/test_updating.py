@@ -243,6 +243,31 @@ def test_stale_covariance_cannot_switch_method():
         deflator_covariance(est, "corollary3")
 
 
+@pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
+def test_period_update_stores_no_schur_inverse(variance_method):
+    rng = np.random.default_rng(9)
+    panel = random_panel(rng, 6, 4, missing=0.1)
+    prior = estimate_deflators(panel, variance_method=variance_method)
+    est = update_multiperiod(
+        prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
+    ).estimate
+    assert est.lam11 is None
+    # what is published comes from the carried covariance alone
+    cov = deflator_covariance(est)
+    assert_array_equal(cov, est.cov_deflators)
+    nonbase = list(est.nonbase_indices)
+    se = np.zeros(est.n_units)
+    se[nonbase] = np.sqrt(np.diag(est.cov_deflators) / est.deflators[nonbase] ** 4)
+    series = to_index_series(est)
+    assert_array_equal(series.se, se)
+    assert_array_equal(series.lower, est.indexes - 3.0 * se)
+    other = {"full_partition": "corollary3", "corollary3": "full_partition"}
+    with pytest.raises(ValidationError):
+        with_variance_method(est, other[variance_method])
+    with pytest.raises(ValidationError):
+        deflator_covariance(est, other[variance_method])
+
+
 def test_period_update_requires_matching_prior():
     rng = np.random.default_rng(6)
     panel = random_panel(rng, 3, 3)
