@@ -9,7 +9,10 @@ The normal equations have the same two-way shape as the deflator system:
 a diagonal item block (per-item weight sums), the N x (T-1) weight matrix
 as the cross block and a diagonal unit block (per-unit weight sums).  The
 item effects are absorbed through the shared Schur routine, so a fit costs
-O(NT^2 + T^3) time and O(NT) memory and never forms the dummy design.
+O(NT^2 + T^3) time and O(NT) memory and never forms the dummy design.  The
+unit effects come from two triangular solves with the Schur factor
+(algebra._tri_solve) and their standard errors from the triangular inverse
+(algebra._tri_inv); connectivity is checked with boolean frontier sweeps.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .algebra import _schur_factor
+from .algebra import _schur_factor, _tri_inv, _tri_solve
 from .errors import InvalidPrice, UnidentifiedModel
 from .panel import Panel, implied_prices
 
@@ -51,46 +51,55 @@ class DummyFit:
         return self.indexes * self.se
 
 
-def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Connected components of the bipartite presence graph.
+def _reach(present, items, units):
+    """Grow item and unit masks, in place, to their part of the presence graph.
 
-    Nodes are the N items followed by the T units; each present cell is an
-    edge.  Returns (unit labels, item labels) per component.
-    """
-    n, t = panel.n_items, panel.n_units
-    ii, tt = np.nonzero(panel.present)
-    rows = np.concatenate([ii, tt + n])
-    cols = np.concatenate([tt + n, ii])
-    data = np.ones(rows.size)
-    graph = coo_matrix((data, (rows, cols)), shape=(n + t, n + t))
-    n_comp, labels = connected_components(graph, directed=False)
-    out = []
-    for c in range(n_comp):
-        members = np.flatnonzero(labels == c)
-        units = tuple(panel.units[m - n] for m in members if m >= n)
-        items = tuple(panel.items[m] for m in members if m < n)
-        out.append((units, items))
-    return out
-
-
-def require_connected(panel: Panel) -> None:
-    """Raise UnidentifiedModel unless the presence graph is connected.
-
-    A boolean frontier sweep from the base unit: each step reaches the items
+    A boolean frontier sweep from the units: each step reaches the items
     present in the units reached last, then the units holding those items.
-    No edge list is built; presence_components runs only to describe a
-    failure.
+    Every unit of an item already in items must be in units.  No edge list
+    is built.
     """
-    present = panel.present
-    units = np.zeros(panel.n_units, dtype=bool)
-    units[panel.base_unit] = True
-    items = np.zeros(panel.n_items, dtype=bool)
     frontier = units.copy()
     while frontier.any():
         new_items = present[:, frontier].any(axis=1) & ~items
         items |= new_items
         frontier = present[new_items].any(axis=0) & ~units
         units |= frontier
+
+
+def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Connected components of the bipartite presence graph.
+
+    Nodes are the N items followed by the T units; each present cell is an
+    edge.  Returns (unit labels, item labels) per component, components in
+    order of their first item and members in panel order (every unit holds
+    an item, so each component is reached from its first item).
+    """
+    n, t = panel.n_items, panel.n_units
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    while not seen.all():
+        first = np.argmin(seen)
+        items = np.zeros(n, dtype=bool)
+        items[first] = True
+        units = panel.present[first].copy()
+        _reach(panel.present, items, units)
+        seen |= items
+        out.append((tuple(panel.units[u] for u in np.flatnonzero(units)),
+                    tuple(panel.items[i] for i in np.flatnonzero(items))))
+    return out
+
+
+def require_connected(panel: Panel) -> None:
+    """Raise UnidentifiedModel unless the presence graph is connected.
+
+    One sweep from the base unit; presence_components runs only to describe
+    a failure.
+    """
+    items = np.zeros(panel.n_items, dtype=bool)
+    units = np.zeros(panel.n_units, dtype=bool)
+    units[panel.base_unit] = True
+    _reach(panel.present, items, units)
     if units.all() and items.all():
         return
     comps = presence_components(panel)
@@ -140,12 +149,13 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     cross = w[:, nonbase]
     r_item = wy.sum(axis=1)
     r_unit = wy.sum(axis=0)[nonbase]
-    factor, bc = _schur_factor(
+    chol, bc = _schur_factor(
         item_w, cross, w.sum(axis=0)[nonbase],
         [f"item[{item}]" for item in panel.items],
         [f"unit[{panel.units[u]}]" for u in nonbase],
     )
-    unit_effects = cho_solve(factor, r_unit - bc.T @ r_item)
+    unit_effects = _tri_solve(chol, _tri_solve(chol, r_unit - bc.T @ r_item),
+                              trans=True)
     item_effects = (r_item - cross @ unit_effects) / item_w
     log_effects = np.zeros(t)
     log_effects[nonbase] = unit_effects
@@ -155,13 +165,14 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     dof = int(present.sum()) - (n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    # S^{-1} is exactly the unit block of the full inverse Gram matrix
+    # S^{-1} is exactly the unit block of the full inverse Gram matrix, and
+    # its diagonal is the column sums of squares of L^{-1}
     se = np.zeros(t)
     if sigma2 is None:
         se[nonbase] = np.nan
     else:
-        s_inv = cho_solve(factor, np.eye(t - 1))
-        se[nonbase] = np.sqrt(sigma2 * np.diag(s_inv))
+        chol_inv = _tri_inv(chol)
+        se[nonbase] = np.sqrt(sigma2 * (chol_inv * chol_inv).sum(axis=0))
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         log_unit_effects=log_effects, indexes=np.exp(log_effects),

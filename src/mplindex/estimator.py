@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .algebra import _base_first, _schur_factor, gram_blocks
+from .algebra import _base_first, _schur_factor, _tri_inv, _tri_solve, gram_blocks
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -151,13 +150,15 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
 
     blocks = gram_blocks(panel)
     order = _base_first(panel)
-    factor, bc = _schur_factor(
+    chol, bc = _schur_factor(
         blocks.price_gram, blocks.cross, blocks.deflator_gram,
         [f"ref_price[{item}]" for item in panel.items],
         [f"deflator[{panel.units[u]}]" for u in order[1:]])
-    delta_nb = cho_solve(factor, bc.T @ blocks.rhs)
+    delta_nb = _tri_solve(chol, _tri_solve(chol, bc.T @ blocks.rhs), trans=True)
     prices = (1.0 / blocks.price_gram) * (blocks.rhs + blocks.cross @ delta_nb)
-    lam11 = cho_solve(factor, np.eye(t - 1))
+    # S^{-1} = L^{-T} L^{-1}; numpy computes X'X as one symmetric product
+    chol_inv = _tri_inv(chol)
+    lam11 = chol_inv.T @ chol_inv
     # after the solve: a split panel whose components each fit exactly
     # already failed there as SingularSystem; any other split would pin the
     # deflators outside the base unit's component at zero

@@ -156,13 +156,16 @@ def schur_block12(blocks: GramBlocks) -> np.ndarray:
     """Off-diagonal block of (X'X)^{-1}: S^{-1} B' C^{-1}, from blocks alone.
 
     Only the diagonal price block is inverted elementwise; the (T-1)-sized
-    Schur complement is factored, never the full (N+T-1) Gram matrix.
+    Schur complement is factored here with scipy, never the full (N+T-1)
+    Gram matrix.  The package's _schur_factor runs first for its checks and
+    its C^{-1}B; its factor is not used.
     """
     n, t1 = blocks.cross.shape
-    factor, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
-                               [f"ref_price[#{i}]" for i in range(n)],
-                               [f"deflator[#{j}]" for j in range(t1)])
-    return cho_solve(factor, bc.T)
+    _, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
+                          [f"ref_price[#{i}]" for i in range(n)],
+                          [f"deflator[#{j}]" for j in range(t1)])
+    schur = np.diag(blocks.deflator_gram) - blocks.cross.T @ bc
+    return cho_solve(cho_factor(schur, lower=True), bc.T)
 
 
 def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mplindex import InvalidDimension, Panel, SingularSystem, gram_blocks
+from mplindex.algebra import _first_failed_minor, _schur_factor, _tri_inv, _tri_solve
+from mplindex.dummy import presence_components
 from helpers import random_panel
 from oracles import (
     DesignSystem,
@@ -241,3 +246,133 @@ def test_blocks_invert_the_normal_matrix():
         lam[t1:, t1:] = fit.blocks.lam22
         gram = structured_normal_matrix(panel)
         assert_allclose(gram @ lam, np.eye(k), rtol=0, atol=1e-9)
+
+
+# --- numpy triangular kit against scipy ----------------------------------------
+
+def spd(rng, n):
+    """Well-conditioned random SPD matrix (eigenvalues in about [1, 5])."""
+    g = rng.normal(size=(n, n))
+    return g @ g.T / n + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 1199])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_triangular_kit_matches_scipy(n, cols):
+    rng = np.random.default_rng(n)
+    chol = np.linalg.cholesky(spd(rng, n))
+    rhs = rng.normal(size=n if cols is None else (n, cols))
+    x = _tri_solve(chol, rhs)
+    assert x.shape == rhs.shape
+    assert_allclose(x, solve_triangular(chol, rhs, lower=True), rtol=1e-12, atol=1e-12)
+    assert_allclose(_tri_solve(chol, rhs, trans=True),
+                    solve_triangular(chol, rhs, lower=True, trans="T"),
+                    rtol=1e-12, atol=1e-12)
+    assert_allclose(_tri_solve(chol, x, trans=True), cho_solve((chol, True), rhs),
+                    rtol=1e-12, atol=1e-12)
+    if cols is None:
+        inv = _tri_inv(chol)
+        assert_array_equal(np.triu(inv, 1), 0.0)
+        assert_allclose(inv, solve_triangular(chol, np.eye(n), lower=True),
+                        rtol=1e-12, atol=1e-13)
+        assert_allclose(inv.T @ inv, cho_solve((chol, True), np.eye(n)),
+                        rtol=1e-12, atol=1e-13)
+
+
+def test_one_by_one_solve_multiplies_by_reciprocal_pivot():
+    # chosen so that rhs * (1/l) and rhs / l round differently, both once
+    # and twice over
+    chol = np.array([[np.sqrt(6.10569418009508)]])
+    rhs = np.array([7.322015953741584])
+    step = 1.0 / chol[0, 0]
+    assert rhs[0] * step != rhs[0] / chol[0, 0]
+    assert rhs[0] * step * step != rhs[0] / chol[0, 0] / chol[0, 0]
+    assert _tri_solve(chol, rhs)[0] == rhs[0] * step
+    assert _tri_solve(chol, rhs, trans=True)[0] == rhs[0] * step
+    assert _tri_solve(chol, _tri_solve(chol, rhs), trans=True)[0] == rhs[0] * step * step
+    assert _tri_inv(chol)[0, 0] == step
+
+
+def test_small_blocks_are_inverted_without_pivoting():
+    # dyadic pivots and integer entries: back substitution is exact, while
+    # LU with row exchanges on the unreversed block leaves rounding errors
+    chol = np.array([[0.5, 0.0, 0.0, 0.0, 0.0],
+                     [-6.0, 0.25, 0.0, 0.0, 0.0],
+                     [4.0, -2.0, 2.0, 0.0, 0.0],
+                     [-3.0, -5.0, -1.0, 0.25, 0.0],
+                     [-2.0, -1.0, 5.0, -4.0, 0.5]])
+    exact = np.array([[2.0, 0.0, 0.0, 0.0, 0.0],
+                      [48.0, 4.0, 0.0, 0.0, 0.0],
+                      [44.0, 4.0, 0.5, 0.0, 0.0],
+                      [1160.0, 96.0, 2.0, 4.0, 0.0],
+                      [8944.0, 736.0, 11.0, 32.0, 2.0]])
+    assert_array_equal(_tri_inv(chol), exact)
+    rhs = np.array([1.0, -2.0, 3.0, 0.5, 4.0])
+    assert_array_equal(_tri_solve(chol, rhs), exact @ rhs)
+    assert_array_equal(_tri_solve(chol, rhs, trans=True), exact.T @ rhs)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 3), (64, 64), (70, 65),
+                                 (200, 130), (300, 299)])
+def test_failed_minor_matches_potrf_info(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    a = spd(rng, n)
+    # push the k-th Schur pivot below zero: the minor of order k fails first
+    head, col = a[:k - 1, :k - 1], a[:k - 1, k - 1]
+    a[k - 1, k - 1] = col @ np.linalg.solve(head, col) - rng.uniform(0.01, 1.0)
+    potrf, = get_lapack_funcs(("potrf",), (a,))
+    _, info = potrf(a, lower=True, clean=False)
+    assert info == k
+    assert _first_failed_minor(a) == info - 1
+
+
+def test_failed_minor_of_shifted_random_matrices_matches_potrf():
+    rng = np.random.default_rng(21)
+    for n in (10, 64, 65, 150, 300):
+        for _ in range(3):
+            a = spd(rng, n) - rng.uniform(1.2, 3.0) * np.eye(n)
+            potrf, = get_lapack_funcs(("potrf",), (a,))
+            _, info = potrf(a, lower=True, clean=False)
+            assert info > 0
+            assert _first_failed_minor(a) == info - 1
+
+
+def test_schur_factor_names_the_failed_unit_column():
+    # S = diag(unit_diag): its third leading minor is the first to fail
+    with pytest.raises(SingularSystem) as exc:
+        _schur_factor(np.ones(2), np.zeros((2, 4)), np.array([1.0, 2.0, -1.0, 3.0]),
+                      ["i0", "i1"], ["u0", "u1", "u2", "u3"])
+    assert exc.value.column == "u2"
+    chol, _ = _schur_factor(np.ones(2), np.zeros((2, 3)), np.array([4.0, 1.0, 9.0]),
+                            ["i0", "i1"], ["u0", "u1", "u2"])
+    assert_array_equal(chol, np.diag([2.0, 1.0, 3.0]))
+
+
+def split_masks():
+    """Seeded sparse presence masks, mostly split into several components.
+
+    Every unit holds an item (the panel requires it); items may be absent
+    everywhere and so form components of their own.
+    """
+    rng = np.random.default_rng(44)
+    for _ in range(25):
+        n, t = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        present = rng.random((n, t)) < rng.uniform(0.0, 0.1)
+        present[rng.integers(0, n, t), np.arange(t)] = True
+        yield n, t, present
+
+
+def test_presence_components_match_csgraph():
+    for n, t, present in split_masks():
+        values = np.where(present, 1.0, 0.0)
+        panel = Panel(tuple(f"i{k}" for k in range(n)), tuple(f"u{k}" for k in range(t)),
+                      values, values.copy(), present)
+        ii, tt = np.nonzero(present)
+        graph = coo_matrix((np.ones(ii.size), (ii, tt + n)), shape=(n + t, n + t))
+        n_comp, labels = connected_components(graph, directed=False)
+        expected = []
+        for c in range(n_comp):
+            members = np.flatnonzero(labels == c)
+            expected.append((tuple(panel.units[m - n] for m in members if m >= n),
+                             tuple(panel.items[m] for m in members if m < n)))
+        assert presence_components(panel) == expected

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -192,14 +193,53 @@ def test_update_unit_on_split_panel_exits_1(run, tmp_path):
     assert "components" in err
 
 
-def run_module(*argv):
-    """Run ``python -m mplindex`` in a child process with the package importable."""
+def run_python(*argv):
+    """Run ``python *argv`` in a child process with the package importable."""
     package_root = os.path.dirname(os.path.dirname(mplindex.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "mplindex", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_module(*argv):
+    """Run ``python -m mplindex`` in a child process."""
+    return run_python("-m", "mplindex", *argv)
+
+
+# runs each (argv, expected exit code) pair in one fresh interpreter and
+# fails on the first run after which a scipy module is loaded
+NO_SCIPY_CHILD = """
+import json, sys
+from mplindex.cli import run_cli
+for argv, expected in json.loads(sys.argv[1]):
+    code = run_cli(argv)
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    print(argv[0], code, loaded, file=sys.stderr)
+    assert code == expected and not loaded, (argv, code, loaded)
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    ok = write(tmp_path, "ok.csv", F1_CSV + "a,t3,3,1\nb,t3,5,2\n")
+    split = write(tmp_path, "split.csv", HEADER + (
+        "a,u0,1,1\na,u1,2,1\nb,u2,1,1\nb,u3,2,1\nc,u2,3,1\nc,u3,1,1\n"))
+    exact_split = write(tmp_path, "exact.csv",
+                        HEADER + "a,u0,1,1\na,u1,1,1\nb,u2,1,1\nb,u3,1,1\n")
+    # t2 and t3 reach the rest only through item a's 1e-17 share: the Schur
+    # factorization itself fails and the failed column is searched for
+    tiny_link = write(tmp_path, "tiny.csv", HEADER + (
+        "a,t0,2,1\na,t1,3,1\na,t2,1e-17,1\nb,t0,1,1\nb,t1,4,1\n"
+        "c,t2,1,1\nc,t3,2,1\nd,t2,3,1\nd,t3,5,1\n"))
+    runs = [(["mpl", "--input", ok], 0),
+            (["tpd", "--weighted", "--input", ok], 0),
+            (["mpl", "--input", split], 1),
+            (["tpd", "--input", split], 1),
+            (["mpl", "--input", exact_split], 2),
+            (["tpd", "--weighted", "--input", tiny_link], 2)]
+    proc = run_python("-c", NO_SCIPY_CHILD, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_overflowing_values_exit_2(run, tmp_path):
@@ -470,3 +510,23 @@ def test_damaged_input_gets_a_documented_exit_code(run, tmp_path):
             assert "Traceback" not in err
             seen.add(code)
     assert {0, 1} <= seen
+
+
+def readme_block(heading, fence):
+    """The first fenced block opening with ``fence`` after ``heading`` in README.md."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(fence + "\n", text.index(heading)) + len(fence) + 1
+    return text[start:text.index("```", start)]
+
+
+def test_readme_input_and_json_examples_are_real(run, tmp_path):
+    csv_text = readme_block("## Input format", "```")
+    panel = mplindex.load_panel(io.StringIO(csv_text))
+    assert panel.items == ("apples", "pears")
+    assert panel.units == ("t1", "t2")
+    src = write(tmp_path, "panel.csv", csv_text)
+    code, out, _ = run("mpl", "--input", src)
+    assert code == 0
+    assert out == readme_block("JSON output for an index series", "```json")
