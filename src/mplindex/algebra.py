@@ -12,11 +12,12 @@ The Gram matrix of this design has a closed block form (diagonal, Hadamard
 cross products, diagonal), which everything downstream exploits; the dense
 design matrix is never assembled.
 
-The (T-1)-sized Schur complement left after absorbing the items is the only
-matrix that is factored.  The kit for it runs on numpy alone:
-np.linalg.cholesky for the factor, and two recursive blocked routines on
-BLAS-3 products, _tri_solve for triangular solves and _tri_inv for the
-triangular inverse.
+solve_two_way solves every system of this two-way shape, the deflator
+system and the TPD/CPD dummy regression alike.  The Schur complement left
+after absorbing the items is the only matrix it factors.  The kit for it
+runs on numpy alone: np.linalg.cholesky for the factor, and two recursive
+blocked routines on BLAS-3 products, _tri_solve for triangular solves and
+_tri_inv for the triangular inverse, which callers use for covariances.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class GramBlocks:
 
     deflator_gram: length T-1, squared norms v_t'v_t of non-base value columns
     cross: N x (T-1) Hadamard product of non-base quantity and value columns
+        (X'X holds its negative)
     price_gram: length N, per-item sum of squared quantities over all units
     rhs: length N, q_base * v_base (the only nonzero part of X'y)
     """
@@ -51,25 +53,18 @@ class GramBlocks:
     rhs: np.ndarray
 
 
-def _base_first(panel: Panel) -> tuple[int, ...]:
-    base = panel.base_unit
-    return (base,) + tuple(t for t in range(panel.n_units) if t != base)
-
-
 def gram_blocks(panel: Panel) -> GramBlocks:
     """Assemble the structured normal-equation blocks without forming X."""
-    order = _base_first(panel)
-    v = panel.values[:, order]
-    q = panel.quantities[:, order]
-    v_nb = v[:, 1:]
-    q_nb = q[:, 1:]
-    # overflow to inf is reported as EstimationError by _schur_factor
+    v, q, base = panel.values, panel.quantities, panel.base_unit
+    nonbase = panel.nonbase_units
+    v_nb = v[:, nonbase]
+    # overflow to inf is reported as EstimationError by solve_two_way
     with np.errstate(over="ignore", invalid="ignore"):
         return GramBlocks(
             deflator_gram=(v_nb * v_nb).sum(axis=0),
-            cross=q_nb * v_nb,
+            cross=q[:, nonbase] * v_nb,
             price_gram=(q * q).sum(axis=1),
-            rhs=q[:, 0] * v[:, 0],
+            rhs=q[:, base] * v[:, base],
         )
 
 
@@ -146,19 +141,20 @@ def _first_failed_minor(a):
     return int(np.argmin(np.diagonal(chol)))
 
 
-def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
-    """Lower Cholesky factor L of a two-way Schur complement S = A - B'C^{-1}B.
+def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
+                  item_labels, unit_labels):
+    """Solve two-way normal equations [[C, B], [B', A]] [b; a] = [r; s].
 
-    The Gram matrix of a two-way model has a diagonal item block
-    C = diag(item_diag), an N x K cross block B = cross and a diagonal
-    unit block A = diag(unit_diag).  Eliminating the N item columns leaves
-    the K-sized S, so the full (N+K)-sized matrix is never formed.  The sign
-    of B does not enter S.  Returns L (from np.linalg.cholesky, so S = LL')
-    and C^{-1}B.  Raises SingularSystem naming the item or unit column when
-    a pivot of C is not positive, S has a leading minor that is not
-    positive definite (the first one is named) or the pivot ratio of S
-    falls below PIVOT_RTOL, and EstimationError when C, its inverse or S is
-    not finite.
+    C = diag(item_diag) is the N-sized item block, B = cross the N x K cross
+    block and A = diag(unit_diag) the K-sized unit block; r = item_rhs and
+    s = unit_rhs.  Eliminating the items leaves the Schur complement
+    S = A - B'C^{-1}B, so the (N+K)-sized matrix is never formed:
+    S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).  Returns the unit effects
+    a, the item effects b and the lower Cholesky factor L of S (S = LL').
+    Raises SingularSystem naming the item or unit column when a pivot of C
+    is not positive, S has a leading minor that is not positive definite
+    (the first one is named) or the pivot ratio of S falls below
+    PIVOT_RTOL, and EstimationError when C, its inverse or S is not finite.
     """
     if (item_diag <= 0).any():
         i = int(np.argmin(item_diag))
@@ -186,4 +182,7 @@ def _schur_factor(item_diag, cross, unit_diag, item_labels, unit_labels):
         j = int(np.argmin(pivots))
         raise SingularSystem("Schur complement is numerically singular",
                              column=unit_labels[j])
-    return chol, bc
+    units = _tri_solve(chol, _tri_solve(chol, unit_rhs - bc.T @ item_rhs),
+                       trans=True)
+    items = (item_rhs - cross @ units) / item_diag
+    return units, items, chol

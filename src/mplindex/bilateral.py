@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateForm, EstimationError, ValidationError
+from .errors import DegenerateForm, ValidationError
 from .panel import Panel, implied_prices
 
 CLASSICAL_KINDS = ("laspeyres", "paasche", "marshall_edgeworth", "walsh")
@@ -111,9 +111,8 @@ def convex_weights(inp: BilateralInput) -> np.ndarray:
 def mpl_two_period(inp: BilateralInput) -> float:
     """Two-period closed form of the panel deflator estimator.
 
-    Computed as a ratio of price aggregates under harmonic quantity weights,
-    then cross-checked against two algebraically equivalent routes (weighted
-    mean of relatives; compact normalized-quantity ratio) to 1e-12.
+    The ratio of price aggregates under harmonic quantity weights; it equals
+    the weighted mean of price relatives under convex_weights.
     """
     p1, p2, q1, q2 = inp.p1, inp.p2, inp.q1, inp.q2
     d = q1 * q1 + q2 * q2
@@ -124,25 +123,7 @@ def mpl_two_period(inp: BilateralInput) -> float:
     den = math.fsum(p1 * pi)
     if den <= 0:
         raise DegenerateForm("price aggregate vanishes on the base prices")
-    value = num / den
-
-    w = convex_weights(inp)
-    as_mean = math.fsum((p2 / p1) * w)
-    wsum = math.fsum(w)
-
-    v1 = p1 * q1
-    v2 = p2 * q2
-    root_d = np.sqrt(d)
-    qt1 = q1 / root_d
-    qt2 = q2 / root_d
-    compact = math.fsum((qt1 * v2) ** 2) / math.fsum((qt2 * v2) * (qt1 * v1))
-
-    tol = 1e-12 * abs(value)
-    if abs(wsum - 1.0) > 1e-12 or abs(as_mean - value) > tol or abs(compact - value) > tol:
-        raise EstimationError(
-            "internal consistency check failed across equivalent two-period forms"
-        )
-    return value
+    return num / den
 
 
 def bilateral_from_panel(panel: Panel) -> BilateralInput:

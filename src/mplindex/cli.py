@@ -206,6 +206,13 @@ def _new_unit_from_file(path: str, panel: Panel):
     return addition.units[0], values, quantities
 
 
+def _write_series(args, series: IndexSeries, variance_method: str, dof_rule: str) -> int:
+    """Write an index series and its meta to --output or stdout."""
+    meta = {"variance_method": variance_method, "dof_rule": dof_rule}
+    _write(emit_report(series, args.format, meta), args.output)
+    return 0
+
+
 def _cmd_validate(args) -> int:
     panel = _load(args)
     restricted, report = build_reference_basket(panel)
@@ -226,12 +233,8 @@ def _cmd_mpl(args) -> int:
     panel = _prepare(args)
     est = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                              dof_rule=args.dof)
-    series = to_index_series(est, k=args.k)
-    text = emit_report(series, args.format, {
-        "variance_method": est.variance_method, "dof_rule": est.dof_rule,
-    })
-    _write(text, args.output)
-    return 0
+    return _write_series(args, to_index_series(est, k=args.k),
+                         est.variance_method, est.dof_rule)
 
 
 def _cmd_bilateral(args) -> int:
@@ -247,24 +250,11 @@ def _cmd_bilateral(args) -> int:
 
 
 def _cmd_tpd(args) -> int:
-    panel = _prepare(args)
-    fit = fit_dummy_index(panel, weighted=args.weighted)
-    se = fit.index_se
-    pct = None
-    if panel.mode == "time":
-        pct = np.full(panel.n_units, np.nan)
-        pct[1:] = 100.0 * (fit.indexes[1:] / fit.indexes[:-1] - 1.0)
-    series = IndexSeries(
-        units=fit.units, base_unit=fit.base_unit, mode=panel.mode,
-        index=fit.indexes, se=se, lower=fit.indexes - args.k * se,
-        upper=fit.indexes + args.k * se, k=args.k, pct_change=pct,
-    )
-    text = emit_report(series, args.format, {
-        "variance_method": "dummy_wls" if args.weighted else "dummy_ols",
-        "dof_rule": "observed",
-    })
-    _write(text, args.output)
-    return 0
+    fit = fit_dummy_index(_prepare(args), weighted=args.weighted)
+    series = IndexSeries.from_index(fit.units, fit.base_unit, args.mode,
+                                    fit.indexes, fit.index_se, args.k)
+    return _write_series(args, series, "dummy_wls" if args.weighted else "dummy_ols",
+                         "observed")
 
 
 def _cmd_update_unit(args) -> int:
@@ -273,13 +263,9 @@ def _cmd_update_unit(args) -> int:
     result = update_multilateral(panel, new_unit,
                                  variance_method=_VARIANCE_FLAG[args.variance],
                                  dof_rule=args.dof)
-    series = to_index_series(result.estimate, k=args.k)
-    text = emit_report(series, args.format, {
-        "variance_method": result.estimate.variance_method,
-        "dof_rule": result.estimate.dof_rule,
-    })
-    _write(text, args.output)
-    changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
+    est = result.estimate
+    _write_series(args, to_index_series(est, k=args.k), est.variance_method, est.dof_rule)
+    changed = [u for u, c in zip(est.units, result.changed_mask) if c]
     sys.stderr.write("revised units: " + (", ".join(changed) or "none") + "\n")
     return 0
 
@@ -289,14 +275,9 @@ def _cmd_update_period(args) -> int:
     prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                                dof_rule=args.dof)
     new_period = _new_unit_from_file(args.new, panel)
-    result = update_multiperiod(prior, panel, new_period)
-    series = to_index_series(result.estimate, k=args.k)
-    text = emit_report(series, args.format, {
-        "variance_method": result.estimate.variance_method,
-        "dof_rule": result.estimate.dof_rule,
-    })
-    _write(text, args.output)
-    return 0
+    est = update_multiperiod(prior, panel, new_period).estimate
+    return _write_series(args, to_index_series(est, k=args.k),
+                         est.variance_method, est.dof_rule)
 
 
 def _cmd_simulate(args) -> int:

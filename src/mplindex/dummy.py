@@ -8,11 +8,11 @@ otherwise relative levels across components are arbitrary.
 The normal equations have the same two-way shape as the deflator system:
 a diagonal item block (per-item weight sums), the N x (T-1) weight matrix
 as the cross block and a diagonal unit block (per-unit weight sums).  The
-item effects are absorbed through the shared Schur routine, so a fit costs
-O(NT^2 + T^3) time and O(NT) memory and never forms the dummy design.  The
-unit effects come from two triangular solves with the Schur factor
-(algebra._tri_solve) and their standard errors from the triangular inverse
-(algebra._tri_inv); connectivity is checked with boolean frontier sweeps.
+item effects are absorbed by the shared two-way solve (algebra.solve_two_way),
+so a fit costs O(NT^2 + T^3) time and O(NT) memory and never forms the
+dummy design.  The standard errors of the unit effects come from the
+triangular inverse of its Schur factor (algebra._tri_inv); connectivity is
+checked with boolean frontier sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _schur_factor, _tri_inv, _tri_solve
+from .algebra import _tri_inv, solve_two_way
 from .errors import InvalidPrice, UnidentifiedModel
 from .panel import Panel, implied_prices
 
@@ -144,19 +144,13 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
         w = present.astype(np.float64)
     wy = w * logp
 
-    nonbase = [u for u in range(t) if u != panel.base_unit]
-    item_w = w.sum(axis=1)
-    cross = w[:, nonbase]
-    r_item = wy.sum(axis=1)
-    r_unit = wy.sum(axis=0)[nonbase]
-    chol, bc = _schur_factor(
-        item_w, cross, w.sum(axis=0)[nonbase],
+    nonbase = panel.nonbase_units
+    unit_effects, item_effects, chol = solve_two_way(
+        w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase],
+        wy.sum(axis=1), wy.sum(axis=0)[nonbase],
         [f"item[{item}]" for item in panel.items],
         [f"unit[{panel.units[u]}]" for u in nonbase],
     )
-    unit_effects = _tri_solve(chol, _tri_solve(chol, r_unit - bc.T @ r_item),
-                              trans=True)
-    item_effects = (r_item - cross @ unit_effects) / item_w
     log_effects = np.zeros(t)
     log_effects[nonbase] = unit_effects
 

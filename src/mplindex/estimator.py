@@ -1,8 +1,9 @@
 """Closed-form estimation of unit deflators and the price index.
 
-The deflator vector solves the structured normal equations through the
-small (T-1)-sized Schur complement; the reference prices follow by back
-substitution through the diagonal price block.  The published index is the
+The deflators and reference prices solve the structured normal equations
+through algebra.solve_two_way: the reference prices are absorbed through
+the diagonal price block, and the (T-1)-sized Schur complement of the
+deflators is the only matrix factored.  The published index is the
 pseudo-reciprocal of the deflators, so the base unit always reads 1.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import _base_first, _schur_factor, _tri_inv, _tri_solve, gram_blocks
+from .algebra import _tri_inv, gram_blocks, solve_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -147,25 +148,21 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     if t < 2:
         raise InvalidDimension(f"estimation needs at least two units, got T={t}")
     _check_basket(panel)
+    require_connected(panel)
 
     blocks = gram_blocks(panel)
-    order = _base_first(panel)
-    chol, bc = _schur_factor(
-        blocks.price_gram, blocks.cross, blocks.deflator_gram,
+    nonbase = panel.nonbase_units
+    delta_nb, prices, chol = solve_two_way(
+        blocks.price_gram, -blocks.cross, blocks.deflator_gram,
+        blocks.rhs, np.zeros(t - 1),
         [f"ref_price[{item}]" for item in panel.items],
-        [f"deflator[{panel.units[u]}]" for u in order[1:]])
-    delta_nb = _tri_solve(chol, _tri_solve(chol, bc.T @ blocks.rhs), trans=True)
-    prices = (1.0 / blocks.price_gram) * (blocks.rhs + blocks.cross @ delta_nb)
+        [f"deflator[{panel.units[u]}]" for u in nonbase])
     # S^{-1} = L^{-T} L^{-1}; numpy computes X'X as one symmetric product
     chol_inv = _tri_inv(chol)
     lam11 = chol_inv.T @ chol_inv
-    # after the solve: a split panel whose components each fit exactly
-    # already failed there as SingularSystem; any other split would pin the
-    # deflators outside the base unit's component at zero
-    require_connected(panel)
 
     deflators = np.ones(t)
-    deflators[list(order[1:])] = delta_nb
+    deflators[nonbase] = delta_nb
 
     ssr = _stacked_ssr(panel, deflators, prices)
     dof = _dof(panel, dof_rule, n + t - 1)
@@ -258,13 +255,28 @@ class IndexSeries:
     k: float
     pct_change: np.ndarray | None
 
+    @classmethod
+    def from_index(cls, units, base_unit, mode, index, se, k) -> "IndexSeries":
+        """Series with bounds index -/+ k*se, from any estimator's indexes.
+
+        pct_change is period-over-period in time mode (first entry NaN) and
+        None in space mode.
+        """
+        pct = None
+        if mode == "time":
+            pct = np.full(len(units), np.nan)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
+        return cls(units=units, base_unit=base_unit, mode=mode,
+                   index=index.copy(), se=se, lower=index - k * se,
+                   upper=index + k * se, k=float(k), pct_change=pct)
+
 
 def to_index_series(estimate: DeflatorEstimate, k: float = 3.0) -> IndexSeries:
     """Index, standard errors and k-sigma bounds; never raises.
 
     When the noise scale is undefined the non-base standard errors and
-    bounds are NaN.  pct_change is period-over-period in time mode (first
-    entry NaN) and None in space mode.
+    bounds are NaN.
     """
     t = estimate.n_units
     se = np.zeros(t)
@@ -276,14 +288,5 @@ def to_index_series(estimate: DeflatorEstimate, k: float = 3.0) -> IndexSeries:
         except DegenerateDeflator:
             se = np.full(t, np.nan)
             se[estimate.base_unit] = 0.0
-    lower = estimate.indexes - k * se
-    upper = estimate.indexes + k * se
-    pct = None
-    if estimate.mode == "time":
-        pct = np.full(t, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pct[1:] = 100.0 * (estimate.indexes[1:] / estimate.indexes[:-1] - 1.0)
-    return IndexSeries(units=estimate.units, base_unit=estimate.base_unit,
-                       mode=estimate.mode, index=estimate.indexes.copy(),
-                       se=se, lower=lower, upper=upper, k=float(k),
-                       pct_change=pct)
+    return IndexSeries.from_index(estimate.units, estimate.base_unit,
+                                  estimate.mode, estimate.indexes, se, k)

@@ -120,6 +120,11 @@ class Panel:
     def n_units(self) -> int:
         return len(self.units)
 
+    @property
+    def nonbase_units(self) -> list[int]:
+        """Column indices of every unit except the base, in panel order."""
+        return [u for u in range(self.n_units) if u != self.base_unit]
+
     def presences_per_item(self) -> np.ndarray:
         return self.present.sum(axis=1)
 
@@ -394,11 +399,8 @@ def _parse_rows(lines):
             f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}", line=1
         )
 
-    cells: dict[tuple[str, str], tuple[float, float]] = {}
-    item_order: list[str] = []
-    unit_order: list[str] = []
-    seen_items = set()
-    seen_units = set()
+    item_code, unit_code = _Codes(), _Codes()
+    cells: dict[tuple[int, int], tuple[float, float]] = {}
     for lineno, row in enumerate(records, start=2):
         if not row:
             continue
@@ -419,30 +421,22 @@ def _parse_rows(lines):
                 f"line {lineno}: cell ({item}, {unit}) has value={row[2]}, "
                 f"quantity={row[3]}; need both positive or both exactly zero"
             )
-        key = (item, unit)
+        key = (item_code[item], unit_code[unit])
         if key in cells:
             raise DuplicateObservation(
                 f"line {lineno}: duplicate observation for item {item!r}, unit {unit!r}"
             )
         cells[key] = (value, quantity)
-        if item not in seen_items:
-            seen_items.add(item)
-            item_order.append(item)
-        if unit not in seen_units:
-            seen_units.add(unit)
-            unit_order.append(unit)
 
     if not cells:
         raise FormatError("input contains no data rows", line=2)
 
-    values = np.zeros((len(item_order), len(unit_order)))
+    values = np.zeros((len(item_code), len(unit_code)))
     quantities = np.zeros_like(values)
-    item_idx = {lab: i for i, lab in enumerate(item_order)}
-    unit_idx = {lab: j for j, lab in enumerate(unit_order)}
-    for (item, unit), (value, quantity) in cells.items():
-        values[item_idx[item], unit_idx[unit]] = value
-        quantities[item_idx[item], unit_idx[unit]] = quantity
-    return item_order, unit_order, values, quantities
+    for (i, j), (value, quantity) in cells.items():
+        values[i, j] = value
+        quantities[i, j] = quantity
+    return list(item_code), list(unit_code), values, quantities
 
 
 def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units) -> Panel:

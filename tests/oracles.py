@@ -22,7 +22,7 @@ from mplindex import (
     gram_blocks,
     implied_prices,
 )
-from mplindex.algebra import PIVOT_RTOL, _base_first, _schur_factor
+from mplindex.algebra import PIVOT_RTOL
 
 
 def transition_matrix(n: int) -> np.ndarray:
@@ -81,7 +81,7 @@ def build_design_system(panel: Panel) -> DesignSystem:
     n, t = panel.n_items, panel.n_units
     if t < 2:
         raise InvalidDimension(f"design needs at least two units, got T={t}")
-    order = _base_first(panel)
+    order = (panel.base_unit,) + tuple(panel.nonbase_units)
     v = panel.values[:, order]
     q = panel.quantities[:, order]
 
@@ -157,13 +157,9 @@ def schur_block12(blocks: GramBlocks) -> np.ndarray:
 
     Only the diagonal price block is inverted elementwise; the (T-1)-sized
     Schur complement is factored here with scipy, never the full (N+T-1)
-    Gram matrix.  The package's _schur_factor runs first for its checks and
-    its C^{-1}B; its factor is not used.
+    Gram matrix.
     """
-    n, t1 = blocks.cross.shape
-    _, bc = _schur_factor(blocks.price_gram, blocks.cross, blocks.deflator_gram,
-                          [f"ref_price[#{i}]" for i in range(n)],
-                          [f"deflator[#{j}]" for j in range(t1)])
+    bc = blocks.cross / blocks.price_gram[:, None]
     schur = np.diag(blocks.deflator_gram) - blocks.cross.T @ bc
     return cho_solve(cho_factor(schur, lower=True), bc.T)
 

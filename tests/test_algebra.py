@@ -6,7 +6,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mplindex import InvalidDimension, Panel, SingularSystem, gram_blocks
-from mplindex.algebra import _first_failed_minor, _schur_factor, _tri_inv, _tri_solve
+from mplindex.algebra import _first_failed_minor, _tri_inv, _tri_solve, solve_two_way
 from mplindex.dummy import presence_components
 from helpers import random_panel
 from oracles import (
@@ -221,13 +221,35 @@ def test_schur_two_unit_scalar_formula():
 
 
 def test_schur_rejects_zero_quantity_item():
-    from mplindex.algebra import GramBlocks
-    blocks = GramBlocks(deflator_gram=np.array([2.0]),
-                        cross=np.array([[1.0], [0.0]]),
-                        price_gram=np.array([1.0, 0.0]),
-                        rhs=np.array([1.0, 0.0]))
-    with pytest.raises(SingularSystem):
-        schur_block12(blocks)
+    # the second item has zero quantity, so its price pivot is zero
+    with pytest.raises(SingularSystem) as exc:
+        solve_two_way(np.array([1.0, 0.0]), -np.array([[1.0], [0.0]]),
+                      np.array([2.0]), np.array([1.0, 0.0]), np.zeros(1),
+                      ["ref_price[a]", "ref_price[b]"], ["deflator[t2]"])
+    assert exc.value.column == "ref_price[b]"
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (40, 70), (90, 130)])
+def test_solve_two_way_matches_dense_solve(n, k):
+    # negative cross block and nonzero right-hand sides on both sides; the
+    # unit block makes S diagonally dominant, so positive definite
+    rng = np.random.default_rng(10 * n + k)
+    item_diag = rng.uniform(0.5, 3.0, n)
+    cross = -rng.uniform(0.0, 2.0, (n, k))
+    absorbed = cross.T @ (cross / item_diag[:, None])
+    unit_diag = 2.0 * np.abs(absorbed).sum(axis=1) + rng.uniform(0.1, 2.0, k)
+    item_rhs = rng.normal(size=n)
+    unit_rhs = rng.normal(size=k)
+    dense = np.block([[np.diag(item_diag), cross], [cross.T, np.diag(unit_diag)]])
+    expected = np.linalg.solve(dense, np.concatenate([item_rhs, unit_rhs]))
+    units, items, chol = solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
+                                       [f"i{j}" for j in range(n)],
+                                       [f"u{j}" for j in range(k)])
+    scale = np.abs(expected).max()
+    assert_allclose(items, expected[:n], rtol=0, atol=1e-12 * scale)
+    assert_allclose(units, expected[n:], rtol=0, atol=1e-12 * scale)
+    schur = np.diag(unit_diag) - absorbed
+    assert_allclose(chol @ chol.T, schur, rtol=1e-13, atol=1e-13 * np.abs(schur).max())
 
 
 def test_blocks_invert_the_normal_matrix():
@@ -340,12 +362,15 @@ def test_failed_minor_of_shifted_random_matrices_matches_potrf():
 def test_schur_factor_names_the_failed_unit_column():
     # S = diag(unit_diag): its third leading minor is the first to fail
     with pytest.raises(SingularSystem) as exc:
-        _schur_factor(np.ones(2), np.zeros((2, 4)), np.array([1.0, 2.0, -1.0, 3.0]),
-                      ["i0", "i1"], ["u0", "u1", "u2", "u3"])
+        solve_two_way(np.ones(2), np.zeros((2, 4)), np.array([1.0, 2.0, -1.0, 3.0]),
+                      np.zeros(2), np.zeros(4), ["i0", "i1"], ["u0", "u1", "u2", "u3"])
     assert exc.value.column == "u2"
-    chol, _ = _schur_factor(np.ones(2), np.zeros((2, 3)), np.array([4.0, 1.0, 9.0]),
-                            ["i0", "i1"], ["u0", "u1", "u2"])
+    units, items, chol = solve_two_way(
+        np.ones(2), np.zeros((2, 3)), np.array([4.0, 1.0, 9.0]),
+        np.array([3.0, 5.0]), np.array([8.0, 2.0, 18.0]), ["i0", "i1"], ["u0", "u1", "u2"])
     assert_array_equal(chol, np.diag([2.0, 1.0, 3.0]))
+    assert_array_equal(units, [2.0, 2.0, 2.0])
+    assert_array_equal(items, [3.0, 5.0])
 
 
 def split_masks():

@@ -156,12 +156,15 @@ def test_missing_input_file_exits_1(run, tmp_path):
     assert "validation error" in err
 
 
-def test_singular_panel_exits_2(run, tmp_path):
+def test_exactly_fitting_split_panel_exits_1(run, tmp_path):
+    # each component fits exactly; mpl and tpd fail alike before any solve
     csv_text = HEADER + "a,u0,1,1\na,u1,1,1\nb,u2,1,1\nb,u3,1,1\n"
     src = write(tmp_path, "split.csv", csv_text)
-    code, _, err = run("mpl", "--input", src)
-    assert code == 2
-    assert err.startswith("estimation error:")
+    code, out, err = run("mpl", "--input", src)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error: presence graph splits into 2 components")
+    assert run("tpd", "--input", src) == (code, out, err)
 
 
 def test_disconnected_tpd_exits_1(run, tmp_path):
@@ -236,7 +239,7 @@ def test_cli_never_imports_scipy(tmp_path):
             (["tpd", "--weighted", "--input", ok], 0),
             (["mpl", "--input", split], 1),
             (["tpd", "--input", split], 1),
-            (["mpl", "--input", exact_split], 2),
+            (["mpl", "--input", exact_split], 1),
             (["tpd", "--weighted", "--input", tiny_link], 2)]
     proc = run_python("-c", NO_SCIPY_CHILD, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr

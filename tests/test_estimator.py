@@ -242,3 +242,15 @@ def test_disconnected_panel_raises_instead_of_zero_deflators():
         estimate_deflators(panel)
     assert len(exc.value.components) == 2
     assert "u2" in str(exc.value)
+
+
+def test_exactly_fitting_split_panel_raises_unidentified():
+    # each component fits exactly, so its Schur complement is singular; the
+    # connectivity check runs before the solve and names the components
+    values = np.array([[1.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 1.0]])
+    panel = Panel.from_arrays(("a", "b"), ("u0", "u1", "u2", "u3"),
+                              values, values.copy())
+    with pytest.raises(UnidentifiedModel) as exc:
+        estimate_deflators(panel)
+    assert exc.value.components == ((("u0", "u1"), ("a",)), (("u2", "u3"), ("b",)))
