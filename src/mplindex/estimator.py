@@ -9,7 +9,8 @@ pseudo-reciprocal of the deflators, so the base unit always reads 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +43,8 @@ class DeflatorEstimate:
 
     deflators and indexes have length T in panel unit order with the base
     entry pinned to 1.  cov_deflators covers the non-base units only (same
-    order) and is None when sigma2 is undefined.  deflator_gram and lam11
-    keep the two variance bases around so the method can be switched after
-    the fit.  covariance_stale marks covariances carried over unchanged by
-    a period update; such an estimate cannot switch method, and its lam11
-    is None because no single Schur complement covers the frozen history.
+    order) and is None when sigma2 is undefined.  It is computed once, under
+    variance_method; refit to get the other convention.
     """
 
     units: tuple[str, ...]
@@ -62,9 +60,6 @@ class DeflatorEstimate:
     sigma2: float | None
     variance_method: str
     cov_deflators: np.ndarray | None
-    deflator_gram: np.ndarray
-    lam11: np.ndarray | None
-    covariance_stale: bool = False
 
     @property
     def n_units(self) -> int:
@@ -73,24 +68,6 @@ class DeflatorEstimate:
     @property
     def nonbase_indices(self) -> tuple[int, ...]:
         return tuple(t for t in range(len(self.units)) if t != self.base_unit)
-
-    @classmethod
-    def trivial(cls, panel: Panel) -> "DeflatorEstimate":
-        """Exact single-unit fit (deflator 1, prices v/q); update bootstrap seed."""
-        if panel.n_units != 1:
-            raise InvalidDimension("trivial estimate needs a single-unit panel")
-        q = panel.quantities[:, 0]
-        v = panel.values[:, 0]
-        prices = np.zeros_like(v)
-        np.divide(v, q, out=prices, where=q > 0)
-        empty = np.zeros((0, 0))
-        return cls(
-            units=panel.units, items=panel.items, base_unit=0, mode=panel.mode,
-            deflators=np.ones(1), indexes=np.ones(1), ref_prices=prices,
-            ssr=0.0, dof=0, dof_rule="paper", sigma2=None,
-            variance_method="full_partition", cov_deflators=None,
-            deflator_gram=np.zeros(0), lam11=empty,
-        )
 
 
 def _check_basket(panel: Panel):
@@ -121,14 +98,6 @@ def _dof(panel: Panel, dof_rule: str, n_params: int) -> int:
     return int(panel.present.sum()) - n_params
 
 
-def _covariance(method, sigma2, deflator_gram, lam11):
-    if sigma2 is None:
-        return None
-    if method == "corollary3":
-        return sigma2 * np.diag(1.0 / deflator_gram)
-    return sigma2 * lam11
-
-
 def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
                        dof_rule: str = "paper") -> DeflatorEstimate:
     """Estimate all unit deflators and reference prices in closed form.
@@ -157,9 +126,6 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
         blocks.rhs, np.zeros(t - 1),
         [f"ref_price[{item}]" for item in panel.items],
         [f"deflator[{panel.units[u]}]" for u in nonbase])
-    # S^{-1} = L^{-T} L^{-1}; numpy computes X'X as one symmetric product
-    chol_inv = _tri_inv(chol)
-    lam11 = chol_inv.T @ chol_inv
 
     deflators = np.ones(t)
     deflators[nonbase] = delta_nb
@@ -168,66 +134,40 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     dof = _dof(panel, dof_rule, n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    cov = _covariance(variance_method, sigma2, blocks.deflator_gram, lam11)
+    if sigma2 is None:
+        cov = None
+    elif variance_method == "corollary3":
+        cov = sigma2 * np.diag(1.0 / blocks.deflator_gram)
+    else:
+        # S^{-1} = L^{-T} L^{-1}; numpy computes X'X as one symmetric product
+        chol_inv = _tri_inv(chol)
+        cov = sigma2 * (chol_inv.T @ chol_inv)
     return DeflatorEstimate(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, deflators=deflators,
         indexes=pseudo_reciprocal(deflators), ref_prices=prices,
         ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
         variance_method=variance_method, cov_deflators=cov,
-        deflator_gram=blocks.deflator_gram, lam11=lam11,
     )
 
 
-def deflator_covariance(estimate: DeflatorEstimate,
-                        method: str | None = None) -> np.ndarray:
-    """Covariance of the non-base deflators under the requested method.
+def deflator_covariance(estimate: DeflatorEstimate) -> np.ndarray:
+    """Read-only view of the non-base deflator covariance.
 
-    Under the estimate's own method this is the stored cov_deflators, so a
-    period update reports the prior periods' published covariance.  A stale
-    estimate cannot be re-based on another method: its prior block came
-    from an earlier noise scale and its cross-covariances are unknown (NaN),
-    so that request raises ValidationError.
+    It is the covariance computed under the estimate's variance_method at
+    fit time; after a period update, the prior periods' published block.
+    Raises UndefinedVariance when the noise scale is undefined.
     """
-    method = estimate.variance_method if method is None else method
-    if method not in VARIANCE_METHODS:
-        raise ValidationError(f"method must be one of {VARIANCE_METHODS}")
     if estimate.sigma2 is None:
         raise UndefinedVariance("noise scale is undefined (no residual dof)")
-    if method == estimate.variance_method and estimate.cov_deflators is not None:
-        cov = estimate.cov_deflators.view()
-        cov.flags.writeable = False
-        return cov
-    if estimate.covariance_stale:
-        raise ValidationError(
-            f"covariance carried over by a period update cannot be "
-            f"recomputed under {method!r}"
-        )
-    return _covariance(method, estimate.sigma2, estimate.deflator_gram,
-                       estimate.lam11)
+    cov = estimate.cov_deflators.view()
+    cov.flags.writeable = False
+    return cov
 
 
-def with_variance_method(estimate: DeflatorEstimate, method: str) -> DeflatorEstimate:
-    """Same fit, covariance recomputed under another method.
-
-    Raises ValidationError on a stale (period-updated) estimate, whose
-    carried covariance cannot be recomputed.
-    """
-    if method not in VARIANCE_METHODS:
-        raise ValidationError(f"method must be one of {VARIANCE_METHODS}")
-    if estimate.covariance_stale:
-        raise ValidationError(
-            "covariance carried over by a period update cannot be recomputed"
-        )
-    cov = _covariance(method, estimate.sigma2, estimate.deflator_gram,
-                      estimate.lam11)
-    return replace(estimate, variance_method=method, cov_deflators=cov)
-
-
-def index_variance(estimate: DeflatorEstimate,
-                   method: str | None = None) -> np.ndarray:
+def index_variance(estimate: DeflatorEstimate) -> np.ndarray:
     """Delta-method variance of the index: var(d_t) / d_t^4, base entry 0."""
-    cov = deflator_covariance(estimate, method)
+    cov = deflator_covariance(estimate)
     nonbase = estimate.nonbase_indices
     delta_nb = estimate.deflators[list(nonbase)]
     if (delta_nb == 0).any():
@@ -260,8 +200,11 @@ class IndexSeries:
         """Series with bounds index -/+ k*se, from any estimator's indexes.
 
         pct_change is period-over-period in time mode (first entry NaN) and
-        None in space mode.
+        None in space mode.  Raises ValidationError unless k is finite and
+        positive.
         """
+        if not (math.isfinite(k) and k > 0):
+            raise ValidationError(f"k must be finite and positive, got {k}")
         pct = None
         if mode == "time":
             pct = np.full(len(units), np.nan)
@@ -273,10 +216,10 @@ class IndexSeries:
 
 
 def to_index_series(estimate: DeflatorEstimate, k: float = 3.0) -> IndexSeries:
-    """Index, standard errors and k-sigma bounds; never raises.
+    """Index, standard errors and k-sigma bounds.
 
     When the noise scale is undefined the non-base standard errors and
-    bounds are NaN.
+    bounds are NaN.  Raises only on a bad k (see IndexSeries.from_index).
     """
     t = estimate.n_units
     se = np.zeros(t)

@@ -10,6 +10,7 @@ stay positive aborts the whole run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,15 +51,19 @@ class SimulationConfig:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        if self.noise_sd_max < 0:
-            raise ValidationError("noise_sd_max must be >= 0")
+        if not math.isfinite(self.noise_mean):
+            raise ValidationError("noise_mean must be finite")
+        if not (math.isfinite(self.noise_sd_max) and self.noise_sd_max >= 0):
+            raise ValidationError("noise_sd_max must be finite and >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValidationError(f"unknown estimator {name!r}")
-        if self.k <= 0:
-            raise ValidationError("k must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValidationError(f"k must be finite and positive, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,8 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
-    The prior covariance block is carried unchanged and flagged stale; the
-    update has no Schur-complement inverse, so its lam11 is None.
+    The prior covariance block is carried unchanged and the cross terms
+    with the new period are NaN, since the frozen fit does not know them.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -124,14 +124,13 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    vv_new = v_new @ v_new
     if sigma2 is None:
         var_new = np.nan
     elif prior.variance_method == "corollary3":
-        var_new = sigma2 / vv_new
+        var_new = sigma2 / (v_new @ v_new)
     else:
         var_new = sigma2 / denom
-    k_prior = prior.deflator_gram.size
+    k_prior = prior.n_units - 1
     cov = np.full((k_prior + 1, k_prior + 1), np.nan)
     if prior.cov_deflators is not None:
         cov[:k_prior, :k_prior] = prior.cov_deflators
@@ -144,8 +143,6 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         sigma2=sigma2, variance_method=prior.variance_method,
         cov_deflators=cov,
-        deflator_gram=np.append(prior.deflator_gram, vv_new),
-        lam11=None, covariance_stale=True,
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

@@ -191,11 +191,12 @@ def test_c06_regression_fixture():
     est = estimate_deflators(panel)
     assert abs(est.deflators[1] - 0.44) <= 1e-12
     assert abs(est.sigma2 - 0.08) <= 1e-12
-    cor3 = deflator_covariance(est, "corollary3")
-    full = deflator_covariance(est, "full_partition")
+    cor3_est = estimate_deflators(panel, variance_method="corollary3")
+    cor3 = deflator_covariance(cor3_est)
+    full = deflator_covariance(est)
     assert abs(cor3[0, 0] - 0.0032) <= 1e-12
     assert abs(full[0, 0] - 0.0064) <= 1e-12
-    var = index_variance(est, "corollary3")
+    var = index_variance(cor3_est)
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,6 +281,56 @@ def test_usage_errors_exit_3(run, tmp_path):
     code, _, err = run()
     assert code == 3
     assert "usage error" in err
+
+
+F3_CSV = HEADER + "a,t1,1,1\nb,t1,2,1\na,t2,3,1\nb,t2,4,1\na,t3,2,1\nb,t3,5,1\n"
+
+# (command, flags) pairs that must be refused with one line on stderr; add
+# a case here for every flag that takes a number
+BAD_FLAGS = [
+    *((command, ["--k", k])
+      for command in ("mpl", "tpd", "update-unit", "update-period", "simulate")
+      for k in ("-3", "0", "nan", "inf")),
+    ("simulate", ["--noise-sd-max", "nan"]),
+    ("simulate", ["--noise-sd-max", "inf"]),
+    ("simulate", ["--noise-mean", "inf"]),
+    ("simulate", ["--noise-mean", "nan"]),
+    ("simulate", ["--seed", "-1"]),
+    ("mpl", ["--k", "three"]),
+]
+
+
+def bad_flag_argv(tmp_path, command, flags):
+    argv = [command, "--input", write(tmp_path, "f3.csv", F3_CSV)]
+    if command.startswith("update-"):
+        argv += ["--new", write(tmp_path, "new.csv", HEADER + "a,t4,3,1\nb,t4,3,2\n")]
+    if command == "simulate":
+        argv += ["--reps", "2", "--noise-sd-max", "0.1"]
+    return argv + flags  # the last occurrence of a flag wins
+
+
+@pytest.mark.parametrize("command, flags", BAD_FLAGS,
+                         ids=[" ".join([c, *f]) for c, f in BAD_FLAGS])
+def test_bad_flag_is_refused(run, tmp_path, command, flags):
+    code, out, err = run(*bad_flag_argv(tmp_path, command, flags))
+    assert out == ""
+    if flags[1] == "three":
+        assert code == 3 and err.startswith("usage error:")
+    else:
+        assert code == 1
+        assert err.startswith(f"validation error: {flags[0][2:].replace('-', '_')} must")
+
+
+def test_bad_flags_never_print_a_traceback(tmp_path):
+    argvs = [bad_flag_argv(tmp_path, command, flags) for command, flags in BAD_FLAGS]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda argv: run_module(*argv), argvs))
+    for argv, proc in zip(argvs, procs):
+        assert proc.returncode in (1, 3), (argv, proc.stderr)
+        assert proc.stdout == "", argv
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), \
+            (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 def test_bilateral_command(run, tmp_path):

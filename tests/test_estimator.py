@@ -18,7 +18,6 @@ from mplindex import (
     index_variance,
     pseudo_reciprocal,
     to_index_series,
-    with_variance_method,
 )
 from helpers import random_panel
 from oracles import build_design_system, ols_fit
@@ -59,9 +58,9 @@ def test_two_unit_regression_values():
     assert abs(est.sigma2 - 0.08) <= 1e-12
     # full partition: scalar Schur complement 25 - 12.5 = 12.5
     assert_allclose(est.cov_deflators, [[0.0064]], rtol=0, atol=1e-14)
-    assert_allclose(deflator_covariance(est, "corollary3"), [[0.0032]],
-                    rtol=0, atol=1e-14)
-    var = index_variance(est, "corollary3")
+    cor3 = estimate_deflators(F3, variance_method="corollary3")
+    assert_allclose(deflator_covariance(cor3), [[0.0032]], rtol=0, atol=1e-14)
+    var = index_variance(cor3)
     assert var[0] == 0.0
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
 
@@ -86,9 +85,10 @@ def test_matches_dense_ols_on_random_panels():
         nb = list(est.nonbase_indices)
         assert_allclose(est.deflators[nb], fit.beta[:t - 1], rtol=1e-10)
         assert_allclose(est.ref_prices, fit.beta[t - 1:], rtol=1e-10)
-        if est.sigma2 is not None:
-            assert est.sigma2 == pytest.approx(fit.sigma2, rel=1e-9)
-        assert_allclose(est.lam11, fit.blocks.lam11, rtol=1e-8, atol=1e-13)
+        # dof = (n-1)(t-1) >= 1, so the noise scale is always defined
+        assert est.sigma2 == pytest.approx(fit.sigma2, rel=1e-9)
+        assert_allclose(est.cov_deflators, est.sigma2 * fit.blocks.lam11,
+                        rtol=1e-8, atol=1e-13)
         assert est.deflators[panel.base_unit] == 1.0
         assert est.indexes[panel.base_unit] == 1.0
 
@@ -141,14 +141,31 @@ def test_undefined_variance_when_no_dof():
 
 
 def test_variance_method_switch():
-    est = estimate_deflators(F3, variance_method="corollary3")
-    assert_allclose(est.cov_deflators, [[0.0032]], atol=1e-14)
-    switched = with_variance_method(est, "full_partition")
-    assert switched.variance_method == "full_partition"
-    assert_allclose(switched.cov_deflators, [[0.0064]], atol=1e-14)
-    assert_array_equal(switched.deflators, est.deflators)
-    assert_allclose(deflator_covariance(est, "full_partition"),
-                    switched.cov_deflators, rtol=0, atol=0)
+    cor3 = estimate_deflators(F3, variance_method="corollary3")
+    full = estimate_deflators(F3, variance_method="full_partition")
+    assert (cor3.variance_method, full.variance_method) == \
+        ("corollary3", "full_partition")
+    assert_allclose(cor3.cov_deflators, [[0.0032]], rtol=0, atol=1e-14)
+    assert_allclose(full.cov_deflators, [[0.0064]], rtol=0, atol=1e-14)
+    for field in ("deflators", "indexes", "ref_prices", "ssr", "sigma2"):
+        assert_array_equal(getattr(cor3, field), getattr(full, field),
+                           err_msg=field)
+
+
+def test_corollary3_fit_forms_no_inverse(monkeypatch):
+    def forbidden(chol):
+        raise AssertionError("triangular inverse formed")
+
+    monkeypatch.setattr("mplindex.estimator._tri_inv", forbidden)
+    rng = np.random.default_rng(8)
+    panel = random_panel(rng, 6, 5, missing=0.1)
+    est = estimate_deflators(panel, variance_method="corollary3")
+    gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
+    assert_allclose(np.diag(est.cov_deflators), est.sigma2 / gram, rtol=1e-14)
+    series = to_index_series(est)
+    assert np.isfinite(series.se).all()
+    with pytest.raises(AssertionError, match="triangular inverse"):
+        estimate_deflators(panel, variance_method="full_partition")
 
 
 def test_index_variance_identity_at_unit_deflator():
@@ -172,8 +189,7 @@ def test_index_series_bounds_and_pct():
     est = estimate_deflators(F1)
     # rig the covariance so the index standard error is exactly 0.1
     rigged = dataclasses.replace(
-        est, sigma2=1.0, lam11=np.array([[0.000625]]),
-        cov_deflators=np.array([[0.000625]]),
+        est, sigma2=1.0, cov_deflators=np.array([[0.000625]]),
         variance_method="full_partition",
     )
     series = to_index_series(rigged, k=3.0)
@@ -184,6 +200,12 @@ def test_index_series_bounds_and_pct():
     assert series.pct_change[1] == pytest.approx(100.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-3.0, 0.0, float("nan"), float("inf")])
+def test_index_series_rejects_bad_k(k):
+    with pytest.raises(ValidationError, match="^k must be finite and positive"):
+        to_index_series(estimate_deflators(F3), k=k)
+
+
 def test_index_series_pct_change_chain():
     levels = np.array([1.0, 1.1, 1.21])
     est = DeflatorEstimate(
@@ -191,7 +213,6 @@ def test_index_series_pct_change_chain():
         deflators=pseudo_reciprocal(levels), indexes=levels,
         ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper", sigma2=None,
         variance_method="full_partition", cov_deflators=None,
-        deflator_gram=np.ones(2), lam11=np.eye(2),
     )
     series = to_index_series(est)
     assert np.isnan(series.pct_change[0])
@@ -216,18 +237,6 @@ def test_nonzero_base_unit():
     assert est.deflators[1] == 1.0
     assert est.indexes[1] == 1.0
     assert_allclose(est.indexes[0], 0.5, rtol=0, atol=1e-13)
-
-
-def test_trivial_single_unit_estimate():
-    v = np.array([[15.0], [8.0]])
-    q = np.array([[5.0], [2.0]])
-    panel = Panel.from_arrays(("a", "b"), ("t1",), v, q)
-    est = DeflatorEstimate.trivial(panel)
-    assert_array_equal(est.ref_prices, [3.0, 4.0])
-    assert_array_equal(est.deflators, [1.0])
-    assert est.sigma2 is None
-    with pytest.raises(InvalidDimension):
-        DeflatorEstimate.trivial(F1)
 
 
 def test_disconnected_panel_raises_instead_of_zero_deflators():

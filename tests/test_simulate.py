@@ -29,6 +29,17 @@ def test_config_validation():
         SimulationConfig(k=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", float("nan")), ("k", float("inf")),
+    ("noise_sd_max", float("nan")), ("noise_sd_max", float("inf")),
+    ("noise_mean", float("inf")), ("noise_mean", float("nan")),
+    ("seed", -1),
+])
+def test_config_rejects_values_numpy_would_choke_on(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        SimulationConfig(**{field: value})
+
+
 def test_zero_noise_centers_on_point_estimate():
     panel = random_panel(np.random.default_rng(1), 5, 4, missing=0.1)
     config = SimulationConfig(replications=8, noise_mean=0.0, noise_sd_max=0.0,

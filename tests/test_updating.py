@@ -12,7 +12,6 @@ from mplindex import (
     to_index_series,
     update_multilateral,
     update_multiperiod,
-    with_variance_method,
 )
 from helpers import random_panel
 
@@ -74,8 +73,8 @@ def test_matches_fresh_estimation_with_missing_cells():
             quantities[0] = 0.0
         result = update_multilateral(panel, ("new", values, quantities))
         fresh = estimate_deflators(panel.with_unit("new", values, quantities))
-        for field in ("deflators", "indexes", "ref_prices", "lam11",
-                      "cov_deflators", "ssr", "sigma2"):
+        for field in ("deflators", "indexes", "ref_prices", "cov_deflators",
+                      "ssr", "sigma2"):
             assert_array_equal(getattr(result.estimate, field),
                                getattr(fresh, field), err_msg=field)
 
@@ -147,7 +146,6 @@ def test_period_update_scalar_fixture_is_exact():
     assert_array_equal(est.deflators[:2], prior.deflators)
     assert_array_equal(est.indexes[:2], prior.indexes)
     assert_array_equal(result.changed_mask, [False, False, True])
-    assert est.covariance_stale
 
 
 def test_period_update_matches_constrained_oracle():
@@ -183,7 +181,6 @@ def test_period_update_covariance_blocks():
     values = rng.uniform(0.5, 8.0, 4)
     quantities = rng.uniform(0.5, 8.0, 4)
     est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
-    assert est.covariance_stale
     cov = est.cov_deflators
     assert_array_equal(cov[:2, :2], prior.cov_deflators)
     assert np.isnan(cov[2, :2]).all() and np.isnan(cov[:2, 2]).all()
@@ -228,21 +225,6 @@ def test_period_update_keeps_published_standard_errors(variance_method):
     assert_array_equal(deflator_covariance(est)[:3, :3], prior.cov_deflators)
 
 
-def test_stale_covariance_cannot_switch_method():
-    rng = np.random.default_rng(3)
-    panel = random_panel(rng, 6, 4)
-    prior = estimate_deflators(panel)
-    est = update_multiperiod(
-        prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
-    ).estimate
-    with pytest.raises(ValidationError):
-        with_variance_method(est, "corollary3")
-    with pytest.raises(ValidationError):
-        with_variance_method(est, "full_partition")
-    with pytest.raises(ValidationError):
-        deflator_covariance(est, "corollary3")
-
-
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
 def test_period_update_stores_no_schur_inverse(variance_method):
     rng = np.random.default_rng(9)
@@ -251,7 +233,6 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     est = update_multiperiod(
         prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
     ).estimate
-    assert est.lam11 is None
     # what is published comes from the carried covariance alone
     cov = deflator_covariance(est)
     assert_array_equal(cov, est.cov_deflators)
@@ -261,11 +242,6 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     series = to_index_series(est)
     assert_array_equal(series.se, se)
     assert_array_equal(series.lower, est.indexes - 3.0 * se)
-    other = {"full_partition": "corollary3", "corollary3": "full_partition"}
-    with pytest.raises(ValidationError):
-        with_variance_method(est, other[variance_method])
-    with pytest.raises(ValidationError):
-        deflator_covariance(est, other[variance_method])
 
 
 def test_period_update_requires_matching_prior():
