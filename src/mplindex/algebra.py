@@ -17,7 +17,8 @@ system and the TPD/CPD dummy regression alike.  The Schur complement left
 after absorbing the items is the only matrix it factors.  The kit for it
 runs on numpy alone: np.linalg.cholesky for the factor, and two recursive
 blocked routines on BLAS-3 products, _tri_solve for triangular solves and
-_tri_inv for the triangular inverse, which callers use for covariances.
+_tri_inv for the triangular inverse.  Callers need only the variances of
+the unit effects, diag(S^{-1}), which _inv_diag takes from that inverse.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .panel import Panel
 PIVOT_RTOL = 1e-12
 # triangular blocks of at most this order are inverted by LAPACK in one call
 _BLOCK = 64
+OVERFLOW_MESSAGE = ("Gram blocks overflow: values or quantities are too large "
+                    "or too small in magnitude")
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,7 @@ def _tri_inv(chol):
     zero multipliers, so it returns the block itself exactly, and
     np.linalg.inv reduces to LAPACK's triangular back substitution, which
     multiplies by reciprocal pivots as BLAS trsm does (a 1x1 block gives
-    exactly 1/l).  For the Cholesky factor of S, S^{-1} = X'X and
-    diag(S^{-1}) is the column sums of squares of X.
+    exactly 1/l).
     """
     n = chol.shape[0]
     if n <= _BLOCK:
@@ -112,6 +114,12 @@ def _tri_inv(chol):
     x22 = out[h:, h:] = _tri_inv(chol[h:, h:])
     out[h:, :h] = -(x22 @ (chol[h:, :h] @ x11))
     return out
+
+
+def _inv_diag(chol):
+    """diag(S^{-1}) for S = LL': the column sums of squares of L^{-1}."""
+    chol_inv = _tri_inv(chol)
+    return (chol_inv * chol_inv).sum(axis=0)
 
 
 def _first_failed_minor(a):
@@ -169,8 +177,7 @@ def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
     # an infinite item pivot would silently zero its column of C^{-1}B
     if not (np.isfinite(schur).all() and np.isfinite(item_diag).all()
             and np.isfinite(c_inv).all()):
-        raise EstimationError("Gram blocks overflow: values or quantities "
-                              "are too large or too small in magnitude")
+        raise EstimationError(OVERFLOW_MESSAGE)
     try:
         chol = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:

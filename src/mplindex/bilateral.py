@@ -132,7 +132,7 @@ def bilateral_from_panel(panel: Panel) -> BilateralInput:
         raise ValidationError("bilateral adapter needs exactly two units")
     if not panel.present.all():
         raise ValidationError("bilateral formulas need every cell present")
-    prices = implied_prices(panel).prices
+    prices = implied_prices(panel)
     b = panel.base_unit
     o = 1 - b
     return BilateralInput(p1=prices[:, b], p2=prices[:, o],

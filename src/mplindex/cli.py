@@ -300,13 +300,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_io_flags(p, variance=True):
+def _add_io_flags(p, variance=True, bounds=True):
     p.add_argument("--input", required=True, help="long CSV panel (item_id,unit_id,value,quantity)")
     p.add_argument("--mode", choices=["time", "space"], default="time")
     p.add_argument("--base", default=None, help="base unit label or index (default: first)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None, help="write report here instead of stdout")
-    p.add_argument("--k", type=float, default=3.0, help="half-width of bands in standard errors")
+    if bounds:
+        p.add_argument("--k", type=float, default=3.0,
+                       help="half-width of bands in standard errors")
     if variance:
         p.add_argument("--variance", choices=["corollary3", "full"], default="full")
         p.add_argument("--dof", choices=["paper", "observed"], default="paper")
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a panel and report basket decisions")
-    _add_io_flags(p, variance=False)
+    _add_io_flags(p, variance=False, bounds=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("mpl", help="estimate the multi-period/multilateral index")
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mpl)
 
     p = sub.add_parser("bilateral", help="classical two-unit indexes plus the two-period closed form")
-    _add_io_flags(p, variance=False)
+    _add_io_flags(p, variance=False, bounds=False)
     p.set_defaults(func=_cmd_bilateral)
 
     p = sub.add_parser("tpd", help="time/country-product dummy baseline")

@@ -11,8 +11,8 @@ as the cross block and a diagonal unit block (per-unit weight sums).  The
 item effects are absorbed by the shared two-way solve (algebra.solve_two_way),
 so a fit costs O(NT^2 + T^3) time and O(NT) memory and never forms the
 dummy design.  The standard errors of the unit effects come from the
-triangular inverse of its Schur factor (algebra._tri_inv); connectivity is
-checked with boolean frontier sweeps.
+diagonal of the inverse Schur complement (algebra._inv_diag), as the MPL
+deflator variances do; connectivity is checked with boolean frontier sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _tri_inv, solve_two_way
+from .algebra import _inv_diag, solve_two_way
 from .errors import InvalidPrice, UnidentifiedModel
 from .panel import Panel, implied_prices
 
@@ -125,7 +125,7 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     require_connected(panel)
 
     present = panel.present
-    prices = implied_prices(panel).prices
+    prices = implied_prices(panel)
     p_obs = prices[present]
     if (p_obs <= 0).any() or not np.isfinite(p_obs).all():
         ii, tt = np.nonzero(present)
@@ -159,14 +159,12 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     dof = int(present.sum()) - (n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    # S^{-1} is exactly the unit block of the full inverse Gram matrix, and
-    # its diagonal is the column sums of squares of L^{-1}
+    # S^{-1} is exactly the unit block of the full inverse Gram matrix
     se = np.zeros(t)
     if sigma2 is None:
         se[nonbase] = np.nan
     else:
-        chol_inv = _tri_inv(chol)
-        se[nonbase] = np.sqrt(sigma2 * (chol_inv * chol_inv).sum(axis=0))
+        se[nonbase] = np.sqrt(sigma2 * _inv_diag(chol))
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         log_unit_effects=log_effects, indexes=np.exp(log_effects),

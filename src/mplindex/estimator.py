@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _tri_inv, gram_blocks, solve_two_way
+from .algebra import _inv_diag, gram_blocks, solve_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -42,9 +42,10 @@ class DeflatorEstimate:
     """Joint fit of unit deflators and reference prices on one panel.
 
     deflators and indexes have length T in panel unit order with the base
-    entry pinned to 1.  cov_deflators covers the non-base units only (same
-    order) and is None when sigma2 is undefined.  It is computed once, under
-    variance_method; refit to get the other convention.
+    entry pinned to 1.  var_deflators holds the deflator variances in the
+    same order with 0 at the base; a fit without sigma2 leaves it None.  They
+    are computed once, under variance_method; refit to get the other
+    convention.  No covariance between deflators is kept.
     """
 
     units: tuple[str, ...]
@@ -59,7 +60,7 @@ class DeflatorEstimate:
     dof_rule: str
     sigma2: float | None
     variance_method: str
-    cov_deflators: np.ndarray | None
+    var_deflators: np.ndarray | None
 
     @property
     def n_units(self) -> int:
@@ -102,9 +103,9 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
                        dof_rule: str = "paper") -> DeflatorEstimate:
     """Estimate all unit deflators and reference prices in closed form.
 
-    variance_method picks the deflator covariance: "corollary3" uses the
-    diagonal sigma2 / (v_t'v_t) approximation, "full_partition" uses sigma2
-    times the exact Schur-complement inverse.  dof_rule "paper" divides the
+    variance_method picks the deflator variances: "corollary3" uses the
+    approximation sigma2 / (v_t'v_t), "full_partition" uses sigma2 times the
+    diagonal of the exact Schur-complement inverse.  dof_rule "paper" divides the
     SSR by N*T - (N+T-1); "observed" counts only present cells (absent cells
     have identically zero residuals, so only the divisor changes).
     Raises UnidentifiedModel when the presence graph is disconnected.
@@ -134,51 +135,37 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     dof = _dof(panel, dof_rule, n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    if sigma2 is None:
-        cov = None
-    elif variance_method == "corollary3":
-        cov = sigma2 * np.diag(1.0 / blocks.deflator_gram)
-    else:
-        # S^{-1} = L^{-T} L^{-1}; numpy computes X'X as one symmetric product
-        chol_inv = _tri_inv(chol)
-        cov = sigma2 * (chol_inv.T @ chol_inv)
+    var = None
+    if sigma2 is not None:
+        var = np.zeros(t)
+        if variance_method == "corollary3":
+            var[nonbase] = sigma2 * (1.0 / blocks.deflator_gram)
+        else:
+            var[nonbase] = sigma2 * _inv_diag(chol)
     return DeflatorEstimate(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, deflators=deflators,
         indexes=pseudo_reciprocal(deflators), ref_prices=prices,
         ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
-        variance_method=variance_method, cov_deflators=cov,
+        variance_method=variance_method, var_deflators=var,
     )
 
 
-def deflator_covariance(estimate: DeflatorEstimate) -> np.ndarray:
-    """Read-only view of the non-base deflator covariance.
+def index_variance(estimate: DeflatorEstimate) -> np.ndarray:
+    """Delta-method variance of the index: var(d_t) / d_t^4, base entry 0.
 
-    It is the covariance computed under the estimate's variance_method at
-    fit time; after a period update, the prior periods' published block.
-    Raises UndefinedVariance when the noise scale is undefined.
+    Raises UndefinedVariance when the noise scale is undefined and
+    DegenerateDeflator when a deflator is zero.
     """
     if estimate.sigma2 is None:
         raise UndefinedVariance("noise scale is undefined (no residual dof)")
-    cov = estimate.cov_deflators.view()
-    cov.flags.writeable = False
-    return cov
-
-
-def index_variance(estimate: DeflatorEstimate) -> np.ndarray:
-    """Delta-method variance of the index: var(d_t) / d_t^4, base entry 0."""
-    cov = deflator_covariance(estimate)
-    nonbase = estimate.nonbase_indices
-    delta_nb = estimate.deflators[list(nonbase)]
-    if (delta_nb == 0).any():
-        t = nonbase[int(np.argmin(delta_nb != 0))]
+    zero = np.flatnonzero(estimate.deflators == 0)
+    if zero.size:
         raise DegenerateDeflator(
-            f"deflator for unit {estimate.units[t]!r} is zero; "
+            f"deflator for unit {estimate.units[zero[0]]!r} is zero; "
             "index variance undefined"
         )
-    out = np.zeros(estimate.n_units)
-    out[list(nonbase)] = np.diag(cov) / delta_nb**4
-    return out
+    return estimate.var_deflators / estimate.deflators**4
 
 
 @dataclass(frozen=True)

@@ -149,16 +149,6 @@ class Panel:
         )
 
 
-@dataclass(frozen=True)
-class PriceMatrix:
-    """Implied unit values v/q on present cells, exact zeros elsewhere."""
-
-    prices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "prices", _as_readonly(self.prices, np.float64))
-
-
 class PairOverlaps(Mapping):
     """Read-only map (unit_a, unit_b) -> items present in both units.
 
@@ -511,8 +501,8 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     return restricted, BasketReport(dropped, overlaps, base_absent)
 
 
-def implied_prices(panel: Panel) -> PriceMatrix:
-    """Unit values v/q on present cells, exact zeros on absent cells.
+def implied_prices(panel: Panel) -> np.ndarray:
+    """Read-only N x T unit values v/q on present cells, exact zeros elsewhere.
 
     Overflow to inf is tolerated here; consumers that need finite prices
     check and raise with a pointer to the offending cell.
@@ -520,4 +510,5 @@ def implied_prices(panel: Panel) -> PriceMatrix:
     prices = np.zeros_like(panel.values)
     with np.errstate(over="ignore"):
         np.divide(panel.values, panel.quantities, out=prices, where=panel.present)
-    return PriceMatrix(prices)
+    prices.flags.writeable = False
+    return prices

@@ -10,12 +10,15 @@ never revises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import OVERFLOW_MESSAGE
 from .errors import (
     DegenerateDeflator,
+    EstimationError,
     MplIndexError,
     SingularSystem,
     ValidationError,
@@ -84,8 +87,8 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
-    The prior covariance block is carried unchanged and the cross terms
-    with the new period are NaN, since the frozen fit does not know them.
+    The prior deflator variances are carried unchanged (NaN when the prior
+    had no sigma2).  Raises EstimationError when the scalar system overflows.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -96,28 +99,32 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
 
     v_new = extended.values[:, -1]
     q_new = extended.quantities[:, -1]
-    qv = q_new * v_new
+    # overflow to inf or NaN is reported as EstimationError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        qv = q_new * v_new
+        # per-item quantity energy, split into the prior-panel part e and
+        # the total d; the prior-fit signal m is (Q * V) applied to the
+        # frozen deflator vector (base entry 1)
+        e = (panel.quantities**2).sum(axis=1)
+        d = e + q_new * q_new
+        if (d <= 0).any():
+            i = int(np.argmin(d))
+            raise SingularSystem("an item has zero quantity everywhere",
+                                 column=f"ref_price[{extended.items[i]}]")
+        m = (panel.quantities * panel.values) @ prior.deflators
 
-    # per-item quantity energy, split into the prior-panel part e and the
-    # total d; the prior-fit signal m is (Q * V) applied to the frozen
-    # deflator vector (base entry 1)
-    e = (panel.quantities**2).sum(axis=1)
-    d = e + q_new * q_new
-    if (d <= 0).any():
-        i = int(np.argmin(d))
-        raise SingularSystem("an item has zero quantity everywhere",
-                             column=f"ref_price[{extended.items[i]}]")
-    m = (panel.quantities * panel.values) @ prior.deflators
-
-    # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed
-    # positive form v_i^2 e_i / d_i, which avoids cancellation
-    denom = float(np.sum(v_new * v_new * e / d))
-    if denom <= 0:
-        raise DegenerateDeflator(
-            "scalar Schur complement for the new period is not positive"
-        )
-    delta_new = float(np.sum(qv * m / d)) / denom
-    prices = (m + qv * delta_new) / d
+        # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed
+        # positive form v_i^2 e_i / d_i, which avoids cancellation
+        denom = float(np.sum(v_new * v_new * e / d))
+        if denom <= 0:
+            raise DegenerateDeflator(
+                "scalar Schur complement for the new period is not positive"
+            )
+        delta_new = float(np.sum(qv * m / d)) / denom
+        prices = (m + qv * delta_new) / d
+    if not (math.isfinite(denom) and math.isfinite(delta_new)
+            and np.isfinite(prices).all()):
+        raise EstimationError(OVERFLOW_MESSAGE)
 
     deflators = np.append(prior.deflators, delta_new)
     ssr = _stacked_ssr(extended, deflators, prices)
@@ -130,11 +137,10 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         var_new = sigma2 / (v_new @ v_new)
     else:
         var_new = sigma2 / denom
-    k_prior = prior.n_units - 1
-    cov = np.full((k_prior + 1, k_prior + 1), np.nan)
-    if prior.cov_deflators is not None:
-        cov[:k_prior, :k_prior] = prior.cov_deflators
-    cov[k_prior, k_prior] = var_new
+    prior_var = prior.var_deflators
+    if prior_var is None:
+        prior_var = np.full(prior.n_units, np.nan)
+        prior_var[prior.base_unit] = 0.0
 
     indexes = np.append(prior.indexes, pseudo_reciprocal([delta_new])[0])
     estimate = DeflatorEstimate(
@@ -142,7 +148,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         mode=extended.mode, deflators=deflators, indexes=indexes,
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         sigma2=sigma2, variance_method=prior.variance_method,
-        cov_deflators=cov,
+        var_deflators=np.append(prior_var, var_new),
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

@@ -173,7 +173,7 @@ def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:
     positive finite prices.
     """
     n, t = panel.n_items, panel.n_units
-    prices = implied_prices(panel).prices
+    prices = implied_prices(panel)
     ii, tt = np.nonzero(panel.present)
     logp = np.log(prices[ii, tt])
 

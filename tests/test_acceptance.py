@@ -18,7 +18,6 @@ from mplindex import (
     Panel,
     SimulationConfig,
     classical_form_matrix,
-    deflator_covariance,
     estimate_deflators,
     fit_dummy_index,
     index_variance,
@@ -192,10 +191,8 @@ def test_c06_regression_fixture():
     assert abs(est.deflators[1] - 0.44) <= 1e-12
     assert abs(est.sigma2 - 0.08) <= 1e-12
     cor3_est = estimate_deflators(panel, variance_method="corollary3")
-    cor3 = deflator_covariance(cor3_est)
-    full = deflator_covariance(est)
-    assert abs(cor3[0, 0] - 0.0032) <= 1e-12
-    assert abs(full[0, 0] - 0.0064) <= 1e-12
+    assert abs(cor3_est.var_deflators[1] - 0.0032) <= 1e-12
+    assert abs(est.var_deflators[1] - 0.0064) <= 1e-12
     var = index_variance(cor3_est)
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
 

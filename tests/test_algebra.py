@@ -6,7 +6,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from mplindex import InvalidDimension, Panel, SingularSystem, gram_blocks
-from mplindex.algebra import _first_failed_minor, _tri_inv, _tri_solve, solve_two_way
+from mplindex.algebra import (
+    _first_failed_minor,
+    _inv_diag,
+    _tri_inv,
+    _tri_solve,
+    solve_two_way,
+)
 from mplindex.dummy import presence_components
 from helpers import random_panel
 from oracles import (
@@ -297,8 +303,9 @@ def test_triangular_kit_matches_scipy(n, cols):
         assert_array_equal(np.triu(inv, 1), 0.0)
         assert_allclose(inv, solve_triangular(chol, np.eye(n), lower=True),
                         rtol=1e-12, atol=1e-13)
-        assert_allclose(inv.T @ inv, cho_solve((chol, True), np.eye(n)),
-                        rtol=1e-12, atol=1e-13)
+        s_inv = cho_solve((chol, True), np.eye(n))
+        assert_allclose(inv.T @ inv, s_inv, rtol=1e-12, atol=1e-13)
+        assert_allclose(_inv_diag(chol), np.diag(s_inv), rtol=1e-12)
 
 
 def test_one_by_one_solve_multiplies_by_reciprocal_pivot():

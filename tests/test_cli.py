@@ -198,12 +198,16 @@ def test_update_unit_on_split_panel_exits_1(run, tmp_path):
 
 
 def run_python(*argv):
-    """Run ``python *argv`` in a child process with the package importable."""
+    """Run ``python *argv`` in a child process with the package importable.
+
+    The child turns the same warnings into errors as the in-process tests.
+    """
     package_root = os.path.dirname(os.path.dirname(mplindex.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *argv],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -263,6 +267,21 @@ def test_overflowing_values_exit_2(run, tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_overflowing_new_period_exits_2(run, tmp_path):
+    src = write(tmp_path, "panel.csv", HEADER + "".join(
+        f"{item},t{t},{v},1\n"
+        for item, row in (("a", (1, 2, 3)), ("b", (2, 3, 5)), ("c", (3, 4, 2)))
+        for t, v in enumerate(row)))
+    new = write(tmp_path, "new.csv", HEADER + "a,t3,2e160,1\nb,t3,3e160,2\nc,t3,5e160,1\n")
+    code, out, err = run("update-period", "--input", src, "--new", new)
+    assert (code, out) == (2, "")
+    proc = run_module("update-period", "--input", src, "--new", new)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == err == ("estimation error: Gram blocks overflow: values "
+                                  "or quantities are too large or too small in "
+                                  "magnitude\n")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = write(tmp_path, "f1.csv", F1_CSV)
     proc = run_module("mpl", "--input", src)
@@ -297,6 +316,9 @@ BAD_FLAGS = [
     ("simulate", ["--noise-mean", "nan"]),
     ("simulate", ["--seed", "-1"]),
     ("mpl", ["--k", "three"]),
+    # commands that print no bounds take no --k
+    ("validate", ["--k", "3"]),
+    ("bilateral", ["--k", "3"]),
 ]
 
 
@@ -314,7 +336,7 @@ def bad_flag_argv(tmp_path, command, flags):
 def test_bad_flag_is_refused(run, tmp_path, command, flags):
     code, out, err = run(*bad_flag_argv(tmp_path, command, flags))
     assert out == ""
-    if flags[1] == "three":
+    if flags[1] == "three" or command in ("validate", "bilateral"):
         assert code == 3 and err.startswith("usage error:")
     else:
         assert code == 1

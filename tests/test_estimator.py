@@ -13,7 +13,6 @@ from mplindex import (
     UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
-    deflator_covariance,
     estimate_deflators,
     index_variance,
     pseudo_reciprocal,
@@ -57,9 +56,9 @@ def test_two_unit_regression_values():
     assert est.dof == 1
     assert abs(est.sigma2 - 0.08) <= 1e-12
     # full partition: scalar Schur complement 25 - 12.5 = 12.5
-    assert_allclose(est.cov_deflators, [[0.0064]], rtol=0, atol=1e-14)
+    assert_allclose(est.var_deflators, [0.0, 0.0064], rtol=0, atol=1e-14)
     cor3 = estimate_deflators(F3, variance_method="corollary3")
-    assert_allclose(deflator_covariance(cor3), [[0.0032]], rtol=0, atol=1e-14)
+    assert_allclose(cor3.var_deflators, [0.0, 0.0032], rtol=0, atol=1e-14)
     var = index_variance(cor3)
     assert var[0] == 0.0
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
@@ -87,8 +86,10 @@ def test_matches_dense_ols_on_random_panels():
         assert_allclose(est.ref_prices, fit.beta[t - 1:], rtol=1e-10)
         # dof = (n-1)(t-1) >= 1, so the noise scale is always defined
         assert est.sigma2 == pytest.approx(fit.sigma2, rel=1e-9)
-        assert_allclose(est.cov_deflators, est.sigma2 * fit.blocks.lam11,
+        assert_allclose(est.var_deflators[nb],
+                        est.sigma2 * np.diag(fit.blocks.lam11),
                         rtol=1e-8, atol=1e-13)
+        assert est.var_deflators[panel.base_unit] == 0.0
         assert est.deflators[panel.base_unit] == 1.0
         assert est.indexes[panel.base_unit] == 1.0
 
@@ -135,9 +136,9 @@ def test_undefined_variance_when_no_dof():
                               np.array([[2.0, 3.0]]), np.array([[1.0, 1.0]]))
     est = estimate_deflators(panel)
     assert est.sigma2 is None
-    assert est.cov_deflators is None
+    assert est.var_deflators is None
     with pytest.raises(UndefinedVariance):
-        deflator_covariance(est)
+        index_variance(est)
 
 
 def test_variance_method_switch():
@@ -145,8 +146,8 @@ def test_variance_method_switch():
     full = estimate_deflators(F3, variance_method="full_partition")
     assert (cor3.variance_method, full.variance_method) == \
         ("corollary3", "full_partition")
-    assert_allclose(cor3.cov_deflators, [[0.0032]], rtol=0, atol=1e-14)
-    assert_allclose(full.cov_deflators, [[0.0064]], rtol=0, atol=1e-14)
+    assert_allclose(cor3.var_deflators[1], 0.0032, rtol=0, atol=1e-14)
+    assert_allclose(full.var_deflators[1], 0.0064, rtol=0, atol=1e-14)
     for field in ("deflators", "indexes", "ref_prices", "ssr", "sigma2"):
         assert_array_equal(getattr(cor3, field), getattr(full, field),
                            err_msg=field)
@@ -156,12 +157,13 @@ def test_corollary3_fit_forms_no_inverse(monkeypatch):
     def forbidden(chol):
         raise AssertionError("triangular inverse formed")
 
-    monkeypatch.setattr("mplindex.estimator._tri_inv", forbidden)
+    monkeypatch.setattr("mplindex.estimator._inv_diag", forbidden)
     rng = np.random.default_rng(8)
     panel = random_panel(rng, 6, 5, missing=0.1)
     est = estimate_deflators(panel, variance_method="corollary3")
     gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
-    assert_allclose(np.diag(est.cov_deflators), est.sigma2 / gram, rtol=1e-14)
+    nb = list(est.nonbase_indices)
+    assert_allclose(est.var_deflators[nb], est.sigma2 / gram, rtol=1e-14)
     series = to_index_series(est)
     assert np.isfinite(series.se).all()
     with pytest.raises(AssertionError, match="triangular inverse"):
@@ -172,7 +174,7 @@ def test_index_variance_identity_at_unit_deflator():
     est = estimate_deflators(F3)
     forced = dataclasses.replace(est, deflators=np.array([1.0, 1.0]))
     var = index_variance(forced)
-    assert var[1] == pytest.approx(float(est.cov_deflators[0, 0]), rel=1e-15)
+    assert var[1] == pytest.approx(est.var_deflators[1], rel=1e-15)
 
 
 def test_index_variance_degenerate_deflator():
@@ -187,9 +189,9 @@ def test_index_variance_degenerate_deflator():
 
 def test_index_series_bounds_and_pct():
     est = estimate_deflators(F1)
-    # rig the covariance so the index standard error is exactly 0.1
+    # rig the variance so the index standard error is exactly 0.1
     rigged = dataclasses.replace(
-        est, sigma2=1.0, cov_deflators=np.array([[0.000625]]),
+        est, sigma2=1.0, var_deflators=np.array([0.0, 0.000625]),
         variance_method="full_partition",
     )
     series = to_index_series(rigged, k=3.0)
@@ -212,7 +214,7 @@ def test_index_series_pct_change_chain():
         units=("t1", "t2", "t3"), items=("a",), base_unit=0, mode="time",
         deflators=pseudo_reciprocal(levels), indexes=levels,
         ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper", sigma2=None,
-        variance_method="full_partition", cov_deflators=None,
+        variance_method="full_partition", var_deflators=None,
     )
     series = to_index_series(est)
     assert np.isnan(series.pct_change[0])

@@ -328,10 +328,11 @@ def test_basket_rejects_unit_left_empty():
 def test_implied_prices_values_and_absences():
     panel = load_panel(csv("a,t1,15,5", "a,t2,8,2", "b,t1,6,3", "b,t2,9,3"))
     result = implied_prices(panel)
-    assert_array_equal(result.prices, [[3.0, 4.0], [2.0, 3.0]])
+    assert_array_equal(result, [[3.0, 4.0], [2.0, 3.0]])
+    assert not result.flags.writeable
     rng = np.random.default_rng(3)
     sparse = random_panel(rng, 8, 5, missing=0.3)
-    prices = implied_prices(sparse).prices
+    prices = implied_prices(sparse)
     assert np.isfinite(prices).all()
     assert_array_equal(prices[~sparse.present], 0.0)
 

@@ -75,7 +75,7 @@ def test_item_quantity_rescaling_leaves_indexes_unchanged():
 
 def test_unit_permutation_permutes_results():
     """Reordering the unit columns permutes deflators, indexes and the
-    covariance accordingly (base followed along)."""
+    deflator variances accordingly (base followed along)."""
     rng = np.random.default_rng(606)
     for _ in range(10):
         t = int(rng.integers(3, 7))
@@ -92,6 +92,7 @@ def test_unit_permutation_permutes_results():
         b = estimate_deflators(shuffled)
         assert_allclose(b.indexes, a.indexes[perm], rtol=1e-10)
         assert_allclose(b.ref_prices, a.ref_prices, rtol=1e-10)
+        assert_allclose(b.var_deflators, a.var_deflators[perm], rtol=1e-9)
 
 
 def test_absent_cells_and_explicit_zero_cells_agree():

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
     BasketViolation,
+    EstimationError,
     Panel,
     UnidentifiedModel,
     ValidationError,
-    deflator_covariance,
     estimate_deflators,
     to_index_series,
     update_multilateral,
@@ -73,7 +73,7 @@ def test_matches_fresh_estimation_with_missing_cells():
             quantities[0] = 0.0
         result = update_multilateral(panel, ("new", values, quantities))
         fresh = estimate_deflators(panel.with_unit("new", values, quantities))
-        for field in ("deflators", "indexes", "ref_prices", "cov_deflators",
+        for field in ("deflators", "indexes", "ref_prices", "var_deflators",
                       "ssr", "sigma2"):
             assert_array_equal(getattr(result.estimate, field),
                                getattr(fresh, field), err_msg=field)
@@ -174,20 +174,39 @@ def test_period_update_matches_constrained_oracle():
         assert not result.changed_mask[:-1].any()
 
 
-def test_period_update_covariance_blocks():
+def test_period_update_carries_prior_variances():
     rng = np.random.default_rng(5)
     panel = random_panel(rng, 4, 3, missing=0.1)
     prior = estimate_deflators(panel)
     values = rng.uniform(0.5, 8.0, 4)
     quantities = rng.uniform(0.5, 8.0, 4)
     est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
-    cov = est.cov_deflators
-    assert_array_equal(cov[:2, :2], prior.cov_deflators)
-    assert np.isnan(cov[2, :2]).all() and np.isnan(cov[:2, 2]).all()
+    assert_array_equal(est.var_deflators[:3], prior.var_deflators)
     e = (panel.quantities**2).sum(axis=1)
     d = e + quantities**2
     denom = float(np.sum(values * values * e / d))
-    assert cov[2, 2] == pytest.approx(est.sigma2 / denom, rel=1e-12)
+    assert est.var_deflators[3] == pytest.approx(est.sigma2 / denom, rel=1e-12)
+
+
+def test_period_update_without_prior_noise_scale():
+    # one item in two units leaves the prior fit no residual dof
+    panel = Panel.from_arrays(("a",), ("t1", "t2"), np.array([[2.0, 3.0]]),
+                              np.ones((1, 2)))
+    prior = estimate_deflators(panel)
+    assert prior.var_deflators is None
+    est = update_multiperiod(prior, panel,
+                             ("t3", np.array([4.0]), np.ones(1))).estimate
+    assert est.sigma2 is not None
+    assert est.var_deflators[0] == 0.0 and np.isnan(est.var_deflators[1])
+    assert np.isfinite(est.var_deflators[2])
+
+
+def test_period_update_overflow_is_refused():
+    panel = random_panel(np.random.default_rng(2), 3, 3)
+    huge = np.array([2.0, 3.0, 5.0]) * 1e160
+    with pytest.raises(EstimationError, match="^Gram blocks overflow"):
+        update_multiperiod(estimate_deflators(panel), panel,
+                           ("new", huge, np.array([1.0, 2.0, 1.0])))
 
 
 @pytest.mark.parametrize("dof_rule", ["paper", "observed"])
@@ -209,7 +228,7 @@ def test_period_update_reports_what_it_computed(dof_rule, variance_method):
     d = e + quantities**2
     basis = {"full_partition": float(np.sum(values * values * e / d)),
              "corollary3": float(values @ values)}[variance_method]
-    assert est.cov_deflators[-1, -1] == pytest.approx(est.sigma2 / basis, rel=1e-12)
+    assert est.var_deflators[-1] == pytest.approx(est.sigma2 / basis, rel=1e-12)
 
 
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
@@ -222,7 +241,7 @@ def test_period_update_keeps_published_standard_errors(variance_method):
     est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
     published = to_index_series(prior).se
     assert_array_equal(to_index_series(est).se[:-1], published)
-    assert_array_equal(deflator_covariance(est)[:3, :3], prior.cov_deflators)
+    assert_array_equal(est.var_deflators[:4], prior.var_deflators)
 
 
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
@@ -233,12 +252,8 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     est = update_multiperiod(
         prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
     ).estimate
-    # what is published comes from the carried covariance alone
-    cov = deflator_covariance(est)
-    assert_array_equal(cov, est.cov_deflators)
-    nonbase = list(est.nonbase_indices)
-    se = np.zeros(est.n_units)
-    se[nonbase] = np.sqrt(np.diag(est.cov_deflators) / est.deflators[nonbase] ** 4)
+    # what is published comes from the carried variances alone
+    se = np.sqrt(est.var_deflators / est.deflators ** 4)
     series = to_index_series(est)
     assert_array_equal(series.se, se)
     assert_array_equal(series.lower, est.indexes - 3.0 * se)
