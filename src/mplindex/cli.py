@@ -35,9 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    """17-significant-digit text for a float; empty for undefined."""
-    if x is None:
-        return ""
+    """17-significant-digit text for a float; empty for NaN."""
     x = float(x)
     if math.isnan(x):
         return ""
@@ -47,8 +45,6 @@ def _fmt(x) -> str:
 def _json_scalar(x) -> str:
     if x is None:
         return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, str):
         return json.dumps(x)
     if isinstance(x, (int, np.integer)):
@@ -69,18 +65,19 @@ def _json_value(obj) -> str:
 
 
 def _series_rows(series: IndexSeries):
-    for t, unit in enumerate(series.units):
-        pct = None
-        if series.pct_change is not None and not math.isnan(series.pct_change[t]):
-            pct = float(series.pct_change[t])
-        se = None if math.isnan(series.se[t]) else float(series.se[t])
-        lo = None if math.isnan(series.lower[t]) else float(series.lower[t])
-        hi = None if math.isnan(series.upper[t]) else float(series.upper[t])
-        yield unit, float(series.index[t]), se, lo, hi, pct
+    """(unit, index, se, lo, hi, pct_change) per unit; pct_change NaN in space mode."""
+    pct = series.pct_change
+    if pct is None:
+        pct = np.full(len(series.units), np.nan)
+    return zip(series.units, series.index, series.se, series.lower, series.upper, pct)
 
 
 def emit_report(result, fmt: str, meta: dict | None = None) -> str:
-    """Serialize an index series or a simulation report to csv or json text."""
+    """Serialize an index series, a simulation report or a bilateral table.
+
+    An index series carries its own JSON meta; the other reports take mode
+    and base from ``meta``.
+    """
     meta = meta or {}
     if isinstance(result, IndexSeries):
         if fmt == "csv":
@@ -93,13 +90,13 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
         doc_meta = {
             "mode": result.mode,
             "base": result.units[result.base_unit],
-            "variance_method": meta.get("variance_method"),
-            "dof_rule": meta.get("dof_rule"),
+            "variance_method": result.variance_method,
+            "dof_rule": result.dof_rule,
         }
         rows = []
         for unit, index, se, lo, hi, pct in _series_rows(result):
             row = {"unit": unit, "index": index, "se": se, "lo": lo, "hi": hi}
-            if pct is not None:
+            if not math.isnan(pct):
                 row["pct_change"] = pct
             rows.append(row)
         return _json_value({"meta": doc_meta, "series": rows}) + "\n"
@@ -206,10 +203,9 @@ def _new_unit_from_file(path: str, panel: Panel):
     return addition.units[0], values, quantities
 
 
-def _write_series(args, series: IndexSeries, variance_method: str, dof_rule: str) -> int:
-    """Write an index series and its meta to --output or stdout."""
-    meta = {"variance_method": variance_method, "dof_rule": dof_rule}
-    _write(emit_report(series, args.format, meta), args.output)
+def _write_series(args, fit) -> int:
+    """Publish a fit's index series with --k bounds to --output or stdout."""
+    _write(emit_report(to_index_series(fit, k=args.k), args.format), args.output)
     return 0
 
 
@@ -233,8 +229,7 @@ def _cmd_mpl(args) -> int:
     panel = _prepare(args)
     est = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                              dof_rule=args.dof)
-    return _write_series(args, to_index_series(est, k=args.k),
-                         est.variance_method, est.dof_rule)
+    return _write_series(args, est)
 
 
 def _cmd_bilateral(args) -> int:
@@ -250,11 +245,7 @@ def _cmd_bilateral(args) -> int:
 
 
 def _cmd_tpd(args) -> int:
-    fit = fit_dummy_index(_prepare(args), weighted=args.weighted)
-    series = IndexSeries.from_index(fit.units, fit.base_unit, args.mode,
-                                    fit.indexes, fit.index_se, args.k)
-    return _write_series(args, series, "dummy_wls" if args.weighted else "dummy_ols",
-                         "observed")
+    return _write_series(args, fit_dummy_index(_prepare(args), weighted=args.weighted))
 
 
 def _cmd_update_unit(args) -> int:
@@ -263,9 +254,8 @@ def _cmd_update_unit(args) -> int:
     result = update_multilateral(panel, new_unit,
                                  variance_method=_VARIANCE_FLAG[args.variance],
                                  dof_rule=args.dof)
-    est = result.estimate
-    _write_series(args, to_index_series(est, k=args.k), est.variance_method, est.dof_rule)
-    changed = [u for u, c in zip(est.units, result.changed_mask) if c]
+    _write_series(args, result.estimate)
+    changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
     sys.stderr.write("revised units: " + (", ".join(changed) or "none") + "\n")
     return 0
 
@@ -275,9 +265,7 @@ def _cmd_update_period(args) -> int:
     prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                                dof_rule=args.dof)
     new_period = _new_unit_from_file(args.new, panel)
-    est = update_multiperiod(prior, panel, new_period).estimate
-    return _write_series(args, to_index_series(est, k=args.k),
-                         est.variance_method, est.dof_rule)
+    return _write_series(args, update_multiperiod(prior, panel, new_period).estimate)
 
 
 def _cmd_simulate(args) -> int:
@@ -338,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("update-unit", help="admit one new unit (area), re-estimating jointly")
     _add_io_flags(p)
-    p.add_argument("--new", required=True, help="long CSV with the new unit's rows")
+    p.add_argument("--new", "--new-unit", required=True,
+                   help="long CSV with the new unit's rows")
     p.set_defaults(func=_cmd_update_unit)
 
     p = sub.add_parser("update-period", help="admit one new period, freezing published deflators")
     _add_io_flags(p)
-    p.add_argument("--new", required=True, help="long CSV with the new period's rows")
+    p.add_argument("--new", "--new-period", required=True,
+                   help="long CSV with the new period's rows")
     p.set_defaults(func=_cmd_update_period)
 
     p = sub.add_parser("simulate", help="noise-replication comparison of estimators")

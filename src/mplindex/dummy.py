@@ -32,11 +32,14 @@ class DummyFit:
 
     log_unit_effects and se have length T with zeros at the base unit;
     indexes = exp(log_unit_effects).  item_effects are the N item dummies.
+    variance_method and dof_rule label its standard errors: weighted or
+    ordinary least squares, dof counted on the present cells.
     """
 
     units: tuple[str, ...]
     items: tuple[str, ...]
     base_unit: int
+    mode: str
     log_unit_effects: np.ndarray
     indexes: np.ndarray
     item_effects: np.ndarray
@@ -49,6 +52,14 @@ class DummyFit:
     def index_se(self) -> np.ndarray:
         """Delta-method standard errors on the index scale."""
         return self.indexes * self.se
+
+    @property
+    def variance_method(self) -> str:
+        return "dummy_wls" if self.weighted else "dummy_ols"
+
+    @property
+    def dof_rule(self) -> str:
+        return "observed"
 
 
 def _reach(present, items, units):
@@ -167,7 +178,7 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
         se[nonbase] = np.sqrt(sigma2 * _inv_diag(chol))
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
-        log_unit_effects=log_effects, indexes=np.exp(log_effects),
+        mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
         item_effects=item_effects, se=se, weighted=weighted,
         sigma2=sigma2, dof=dof,
     )

@@ -67,8 +67,18 @@ class DeflatorEstimate:
         return len(self.units)
 
     @property
-    def nonbase_indices(self) -> tuple[int, ...]:
-        return tuple(t for t in range(len(self.units)) if t != self.base_unit)
+    def index_se(self) -> np.ndarray:
+        """Delta-method standard errors on the index scale, 0 at the base.
+
+        NaN off the base when the variance is undefined: no residual dof or
+        a zero deflator (see index_variance).
+        """
+        try:
+            return np.sqrt(index_variance(self))
+        except (UndefinedVariance, DegenerateDeflator):
+            se = np.full(self.n_units, np.nan)
+            se[self.base_unit] = 0.0
+            return se
 
 
 def _check_basket(panel: Panel):
@@ -165,12 +175,19 @@ def index_variance(estimate: DeflatorEstimate) -> np.ndarray:
             f"deflator for unit {estimate.units[zero[0]]!r} is zero; "
             "index variance undefined"
         )
-    return estimate.var_deflators / estimate.deflators**4
+    # with d = mant * 2**exp, var / d**4 = (var * 2**(-4 exp)) / mant**4; the
+    # power-of-two scaling is exact, and nothing under- or overflows where
+    # the result does not
+    mant, exp = np.frexp(estimate.deflators)
+    return np.ldexp(estimate.var_deflators, -4 * exp) / mant**4
 
 
 @dataclass(frozen=True)
 class IndexSeries:
-    """Publishable index table: one row per unit, symmetric k-sigma bounds."""
+    """Publishable index table: one row per unit, symmetric k-sigma bounds.
+
+    variance_method and dof_rule are the labels of the fit it came from.
+    """
 
     units: tuple[str, ...]
     base_unit: int
@@ -181,42 +198,27 @@ class IndexSeries:
     upper: np.ndarray
     k: float
     pct_change: np.ndarray | None
-
-    @classmethod
-    def from_index(cls, units, base_unit, mode, index, se, k) -> "IndexSeries":
-        """Series with bounds index -/+ k*se, from any estimator's indexes.
-
-        pct_change is period-over-period in time mode (first entry NaN) and
-        None in space mode.  Raises ValidationError unless k is finite and
-        positive.
-        """
-        if not (math.isfinite(k) and k > 0):
-            raise ValidationError(f"k must be finite and positive, got {k}")
-        pct = None
-        if mode == "time":
-            pct = np.full(len(units), np.nan)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
-        return cls(units=units, base_unit=base_unit, mode=mode,
-                   index=index.copy(), se=se, lower=index - k * se,
-                   upper=index + k * se, k=float(k), pct_change=pct)
+    variance_method: str
+    dof_rule: str
 
 
-def to_index_series(estimate: DeflatorEstimate, k: float = 3.0) -> IndexSeries:
-    """Index, standard errors and k-sigma bounds.
+def to_index_series(fit, k: float = 3.0) -> IndexSeries:
+    """Index, standard errors and k-sigma bounds of a DeflatorEstimate or DummyFit.
 
-    When the noise scale is undefined the non-base standard errors and
-    bounds are NaN.  Raises only on a bad k (see IndexSeries.from_index).
+    se is the fit's index_se, so it is NaN off the base where the variance
+    is undefined, and so are the bounds.  pct_change is period-over-period in
+    time mode (first entry NaN) and None in space mode.  Raises
+    ValidationError unless k is finite and positive.
     """
-    t = estimate.n_units
-    se = np.zeros(t)
-    if estimate.sigma2 is None:
-        se[list(estimate.nonbase_indices)] = np.nan
-    else:
-        try:
-            se = np.sqrt(index_variance(estimate))
-        except DegenerateDeflator:
-            se = np.full(t, np.nan)
-            se[estimate.base_unit] = 0.0
-    return IndexSeries.from_index(estimate.units, estimate.base_unit,
-                                  estimate.mode, estimate.indexes, se, k)
+    if not (math.isfinite(k) and k > 0):
+        raise ValidationError(f"k must be finite and positive, got {k}")
+    index, se = fit.indexes, fit.index_se
+    pct = None
+    if fit.mode == "time":
+        pct = np.full(len(fit.units), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
+    return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,
+                       index=index.copy(), se=se, lower=index - k * se,
+                       upper=index + k * se, k=float(k), pct_change=pct,
+                       variance_method=fit.variance_method, dof_rule=fit.dof_rule)

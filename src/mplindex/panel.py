@@ -27,6 +27,8 @@ from .errors import (
 )
 
 CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
+# accepted headers: CSV_HEADER, which emit_panel writes, and the paper's
+_HEADERS = (CSV_HEADER, ("item", "unit", "value", "quantity"))
 MODES = ("time", "space")
 # characters per readlines() batch of the columnar parser: big enough that
 # per-batch overhead vanishes, small enough that a batch's field strings
@@ -231,6 +233,7 @@ def _resolve_base(units: tuple[str, ...], base_unit) -> int:
 def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     """Read a long-format CSV (item_id,unit_id,value,quantity) into a Panel.
 
+    The header may also read item,unit,value,quantity, as in the paper.
     ``source`` is a path (read as UTF-8) or an open text stream.  Rows with
     value = 0 and quantity = 0 mark explicit absence; any other mix of signs
     is rejected.  ``units`` optionally fixes the unit ordering (default:
@@ -240,20 +243,18 @@ def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     Plain input (LF line ends; no quote, CR or NUL; three commas on every
     line) is parsed column by column, a few hundred kB at a time.  Anything
     else, and any input a columnar check rejects, goes to the csv row parser
-    from the start: a path is reopened, a stream's lines already read are
-    replayed.  Both parsers give the same panel, and every error comes from
-    the row parser.  Text that does not decode and csv faults such as an
-    oversized field raise FormatError.
+    from the start of the same handle (a stream is first read into memory,
+    so the handle can seek).  Both parsers give the same panel, and every
+    error comes from the row parser.  Text that does not decode and csv
+    faults such as an oversized field raise FormatError.
     """
     is_stream = hasattr(source, "read")
     try:
         if is_stream:
-            replay: list[str] = []
-            parsed = _parse_columns(source, replay)
-            if parsed is None:
-                parsed = _parse_rows(itertools.chain(replay, source))
+            parsed = _parse(io.StringIO(source.read()))
         else:
-            parsed = _parse_path(os.fspath(source))
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                parsed = _parse(fh)
     except UnicodeDecodeError as exc:
         line = None if is_stream else _undecodable_line(os.fspath(source))
         raise FormatError(f"input is not {exc.encoding} text ({exc.reason})",
@@ -261,17 +262,16 @@ def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     return _assemble(*parsed, mode, base_unit, units)
 
 
-def _parse_path(path):
-    """Columnar parse of the file, else the row parser on a fresh open."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            parsed = _parse_columns(fh)
-        except UnicodeDecodeError:
-            parsed = None
-    if parsed is not None:
-        return parsed
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_rows(fh)
+def _parse(fh):
+    """Columnar parse of a seekable text handle, else the row parser from its start."""
+    try:
+        parsed = _parse_columns(fh)
+    except UnicodeDecodeError:
+        parsed = None
+    if parsed is None:
+        fh.seek(0)
+        parsed = _parse_rows(fh)
+    return parsed
 
 
 def _undecodable_line(path) -> int | None:
@@ -307,12 +307,11 @@ class _Codes(dict):
         return code
 
 
-def _parse_columns(stream, replay=None):
+def _parse_columns(stream):
     """Columnar parse of plain input; None where the row parser must decide.
 
-    Appends every line it reads to ``replay`` when given.  Returns what
-    _parse_rows returns for the same text, or None on a header other than
-    CSV_HEADER, a batch that is not plain text (see _plain_text), an
+    Returns what _parse_rows returns for the same text, or None on a header
+    outside _HEADERS, a batch that is not plain text (see _plain_text), an
     unparseable, non-finite or sign-inconsistent number, an empty label, a
     duplicate cell or no data rows.
     """
@@ -320,17 +319,13 @@ def _parse_columns(stream, replay=None):
     header = stream.readline()
     if not header:
         return None
-    if replay is not None:
-        replay.append(header)
     text = _plain_text([header], limit)
-    if text is None or tuple(h.strip() for h in text.rstrip("\n").split(",")) != CSV_HEADER:
+    if text is None or tuple(h.strip() for h in text.rstrip("\n").split(",")) not in _HEADERS:
         return None
 
     item_code, unit_code = _Codes(), _Codes()
     batches = []
     while lines := stream.readlines(_CHUNK_CHARS):
-        if replay is not None:
-            replay.extend(lines)
         text = _plain_text(lines, limit)
         if text is None:
             return None
@@ -384,7 +379,7 @@ def _parse_rows(lines):
         header = next(records)
     except StopIteration:
         raise FormatError("empty input", line=1) from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
+    if tuple(h.strip() for h in header) not in _HEADERS:
         raise FormatError(
             f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}", line=1
         )

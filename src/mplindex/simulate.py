@@ -1,11 +1,12 @@
 """Noise-replication harness comparing estimators on a common panel.
 
 Each replication perturbs the value matrix (quantities stay fixed), re-runs
-the requested estimators and records their index vectors and model-based
-standard errors.  Replication r draws from its own child of the root seed
-sequence, so results are bit-identical for any execution order or worker
-count.  Nonpositive perturbed values are redrawn; persistent failure to
-stay positive aborts the whole run.
+the requested estimators and records each fit's indexes and index_se (NaN
+off the base where the fit has no residual dof); a replication fails only
+when the fit raises.  Replication r draws from its own child of the root
+seed sequence, so results are bit-identical for any execution order or
+worker count.  Nonpositive perturbed values are redrawn; persistent failure
+to stay positive aborts the whole run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dummy import fit_dummy_index
 from .errors import EstimationError, RedrawExhausted, ValidationError
-from .estimator import estimate_deflators, index_variance
+from .estimator import estimate_deflators
 from .panel import Panel
 
 SCHEMES = ("additive_on_base", "random_walk")
@@ -138,22 +139,12 @@ def _perturb_values(panel: Panel, config: SimulationConfig, rng) -> np.ndarray:
     return values
 
 
-def _run_mpl(panel: Panel, config: SimulationConfig):
-    est = estimate_deflators(panel, variance_method=config.variance_method,
-                             dof_rule=config.dof_rule)
-    se = np.sqrt(index_variance(est))
-    return est.indexes, se
-
-
-def _run_tpd(panel: Panel, config: SimulationConfig, weighted: bool):
-    fit = fit_dummy_index(panel, weighted=weighted)
-    return fit.indexes, fit.index_se
-
-
+# name -> callable(panel, config) returning the fit
 _ESTIMATOR_FUNCS = {
-    "mpl": _run_mpl,
-    "tpd": lambda panel, config: _run_tpd(panel, config, False),
-    "tpd_weighted": lambda panel, config: _run_tpd(panel, config, True),
+    "mpl": lambda panel, config: estimate_deflators(
+        panel, variance_method=config.variance_method, dof_rule=config.dof_rule),
+    "tpd": lambda panel, config: fit_dummy_index(panel, weighted=False),
+    "tpd_weighted": lambda panel, config: fit_dummy_index(panel, weighted=True),
 }
 
 
@@ -173,12 +164,12 @@ def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
                           mode=panel.mode)
         for name in config.estimators:
             try:
-                index, se = _ESTIMATOR_FUNCS[name](sim_panel, config)
+                fit = _ESTIMATOR_FUNCS[name](sim_panel, config)
             except EstimationError:
                 failed[name].append(r)
                 continue
-            draws[name].append(index)
-            ses[name].append(se)
+            draws[name].append(fit.indexes)
+            ses[name].append(fit.index_se)
 
     summaries = {}
     for name in config.estimators:

@@ -217,7 +217,7 @@ def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:
         se[u] = np.sqrt(sigma2 * cov_diag[j]) if sigma2 is not None else np.nan
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
-        log_unit_effects=log_effects, indexes=np.exp(log_effects),
+        mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
         item_effects=beta[t - 1:], se=se, weighted=weighted,
         sigma2=sigma2, dof=dof,
     )

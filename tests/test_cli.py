@@ -588,9 +588,9 @@ def test_damaged_input_gets_a_documented_exit_code(run, tmp_path):
     assert {0, 1} <= seen
 
 
-def readme_block(heading, fence):
-    """The first fenced block opening with ``fence`` after ``heading`` in README.md."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+def readme_block(heading, fence, doc="README.md"):
+    """The first fenced block opening with ``fence`` after ``heading`` in ``doc``."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, doc)
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     start = text.index(fence + "\n", text.index(heading)) + len(fence) + 1
@@ -606,3 +606,53 @@ def test_readme_input_and_json_examples_are_real(run, tmp_path):
     code, out, _ = run("mpl", "--input", src)
     assert code == 0
     assert out == readme_block("JSON output for an index series", "```json")
+
+
+def test_paper_header_and_update_flags_are_accepted(run, tmp_path):
+    csv_text = readme_block("## Input format", "```", doc="PAPER.md")
+    assert csv_text.startswith("item,unit,value,quantity\n")
+    panel = mplindex.load_panel(io.StringIO(csv_text))
+    assert panel.items == ("apples", "pears")
+    assert panel.units == ("t1", "t2")
+    src = write(tmp_path, "panel.csv", csv_text)
+    new = write(tmp_path, "t3.csv", "item,unit,value,quantity\napples,t3,3.0,1.0\n"
+                                    "pears,t3,5.0,1.0\n")
+    for command, flag in (("update-unit", "--new-unit"), ("update-period", "--new-period")):
+        code, out, err = run(command, "--input", src, flag, new)
+        assert code == 0, err
+        assert (code, out, err) == run(command, "--input", src, "--new", new)
+        assert [row["unit"] for row in json.loads(out)["series"]] == ["t1", "t2", "t3"]
+
+
+# a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
+TREE_CSV = HEADER + "a,t1,1,1\na,t2,2,1\nb,t2,3,1\nb,t3,4,1\n"
+
+
+def test_simulate_mpl_without_residual_dof_prints_null_se(run, tmp_path):
+    src = write(tmp_path, "tree.csv", TREE_CSV)
+    code, out, err = run("simulate", "--input", src, "--dof", "observed",
+                         "--estimators", "mpl", "--reps", "5", "--noise-sd-max", "0.1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["meta"]["failures"] == {"mpl": 0}
+    assert [row["se"] for row in doc["series"]] == [0.0, None, None]
+    assert all(math.isfinite(row["index"]) for row in doc["series"])
+
+
+def test_update_period_se_at_large_magnitudes(tmp_path):
+    rows = (("a", (1, 2, 3)), ("b", (2, 3, 5)), ("c", (3, 4, 2)))
+    text = HEADER + "".join(f"{item},t{t},{v},1\n" for item, row in rows
+                            for t, v in enumerate(row))
+    src = write(tmp_path, "panel.csv", text)
+    new = write(tmp_path, "new.csv", HEADER + "a,t3,2e150,1\nb,t3,3e150,2\nc,t3,5e150,1\n")
+    proc = run_module("update-period", "--input", src, "--new", new)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    se = json.loads(proc.stdout)["series"][-1]["se"]
+    # the new deflator is about 6e-151, so d**4 is below the float range
+    panel = mplindex.load_panel(src)
+    new_period = ("t3", np.array([2e150, 3e150, 5e150]), np.array([1.0, 2.0, 1.0]))
+    est = mplindex.update_multiperiod(estimate_deflators(panel), panel, new_period).estimate
+    d = np.longdouble(est.deflators[-1])
+    reference = np.sqrt(np.longdouble(est.var_deflators[-1])) / (d * d)
+    assert math.isfinite(se)
+    assert abs(np.longdouble(se) - reference) <= 1e-15 * reference

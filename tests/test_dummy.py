@@ -14,6 +14,7 @@ from mplindex import (
     fit_dummy_index,
     load_panel,
     presence_components,
+    to_index_series,
 )
 from helpers import random_panel
 from oracles import dense_dummy_fit
@@ -149,6 +150,17 @@ def test_zero_dof_leaves_sigma2_undefined():
     assert fit.dof == 0
     assert np.isnan(fit.se[1])
     assert fit.se[0] == 0.0
+
+
+def test_index_series_of_a_dummy_fit():
+    panel = random_panel(np.random.default_rng(4), 5, 4, missing=0.1)
+    fit = fit_dummy_index(panel, weighted=True)
+    series = to_index_series(fit)
+    assert (series.variance_method, series.dof_rule) == ("dummy_wls", "observed")
+    assert series.mode == "time"
+    assert_array_equal(series.index, fit.indexes)
+    assert_array_equal(series.se, fit.index_se)
+    assert to_index_series(fit_dummy_index(panel)).variance_method == "dummy_ols"
 
 
 def test_nonzero_base_unit():

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -23,3 +25,33 @@ def test_runtime_depends_on_numpy_only():
     assert project["dependencies"] == ["numpy>=1.24"]
     test_extra = project["optional-dependencies"]["test"]
     assert {"pytest>=7", "hypothesis", "scipy>=1.10"} <= set(test_extra)
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, loaded from its file without installing anything."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve(tmp_path):
+    # a rename here would leave the benchmark's --trace 1 pass without spans
+    spans = _perfbench_spans()
+    for layer, func, _ in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"mplindex.{layer}"), func, None)), \
+            f"mplindex.{layer}.{func}"
+    # the CLI must reach the traced functions through the rebound names
+    src = tmp_path / "panel.csv"
+    src.write_text("item_id,unit_id,value,quantity\na,t1,1,1\nb,t1,2,1\na,t2,2,1\nb,t2,3,1\n")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = importlib.import_module("mplindex.cli").run_cli(
+            ["mpl", "--input", str(src), "--output", str(tmp_path / "out.json")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    assert {"cli.run", "panel.load", "estimator.fit", "estimator.series",
+            "cli.emit"} <= {span["name"] for span in tracer.spans}

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
     EstimationError,
+    Panel,
     RedrawExhausted,
     SimulationConfig,
     ValidationError,
@@ -155,6 +156,20 @@ def test_all_replications_failing_is_an_error(monkeypatch):
                               estimators=("mpl", "tpd"))
     with pytest.raises(EstimationError):
         simulate(panel, config)
+
+
+def test_mpl_without_residual_dof_reports_nan_se():
+    # a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
+    values = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+    panel = Panel.from_arrays(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
+    config = SimulationConfig(replications=5, noise_sd_max=0.1, seed=3,
+                              estimators=("mpl", "tpd"), dof_rule="observed")
+    report = simulate(panel, config)
+    for summary in report.summaries.values():
+        assert summary.failures == 0
+        assert np.isfinite(summary.mean_index).all()
+        assert summary.mean_se[0] == 0.0
+        assert np.isnan(summary.mean_se[1:]).all()
 
 
 def test_bands_use_k_and_mean_se():
