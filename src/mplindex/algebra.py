@@ -13,12 +13,16 @@ cross products, diagonal), which everything downstream exploits; the dense
 design matrix is never assembled.
 
 solve_two_way solves every system of this two-way shape, the deflator
-system and the TPD/CPD dummy regression alike.  The Schur complement left
-after absorbing the items is the only matrix it factors.  The kit for it
-runs on numpy alone: np.linalg.cholesky for the factor, and two recursive
-blocked routines on BLAS-3 products, _tri_solve for triangular solves and
-_tri_inv for the triangular inverse.  Callers need only the variances of
-the unit effects, diag(S^{-1}), which _inv_diag takes from that inverse.
+system and the TPD/CPD dummy regression alike.  It eliminates the smaller
+side and factors the Schur complement left on the other: the (T-1)-sized
+S of the units when there are at least as many items, else the N-sized K
+of the items.  That is the only matrix it factors, at a cost of
+O(NT min(N, T) + min(N, T)^3).  The kit for it runs on numpy alone:
+np.linalg.cholesky for the factor, and two recursive blocked routines on
+BLAS-3 products, _tri_solve for triangular solves and _tri_inv for the
+triangular inverse.  Callers need only the variances of the unit effects,
+diag(S^{-1}), which solve_two_way returns on request; the factor never
+leaves this module.
 """
 
 from __future__ import annotations
@@ -116,10 +120,17 @@ def _tri_inv(chol):
     return out
 
 
-def _inv_diag(chol):
-    """diag(S^{-1}) for S = LL': the column sums of squares of L^{-1}."""
-    chol_inv = _tri_inv(chol)
-    return (chol_inv * chol_inv).sum(axis=0)
+def _inv_diag(chol, right=None):
+    """Column sums of squares of L^{-1} X, with X = right or the identity.
+
+    Without right this is diag(S^{-1}) for S = LL'.  With right = B A^{-1}
+    it is the correction the Woodbury identity adds to diag(A^{-1}) when the
+    units are eliminated (see _eliminate_units).
+    """
+    w = _tri_inv(chol)
+    if right is not None:
+        w = w @ right
+    return (w * w).sum(axis=0)
 
 
 def _first_failed_minor(a):
@@ -150,33 +161,56 @@ def _first_failed_minor(a):
 
 
 def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
-                  item_labels, unit_labels):
+                  item_labels, unit_labels, variances=False):
     """Solve two-way normal equations [[C, B], [B', A]] [b; a] = [r; s].
 
     C = diag(item_diag) is the N-sized item block, B = cross the N x K cross
     block and A = diag(unit_diag) the K-sized unit block; r = item_rhs and
-    s = unit_rhs.  Eliminating the items leaves the Schur complement
-    S = A - B'C^{-1}B, so the (N+K)-sized matrix is never formed:
-    S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).  Returns the unit effects
-    a, the item effects b and the lower Cholesky factor L of S (S = LL').
-    Raises SingularSystem naming the item or unit column when a pivot of C
-    is not positive, S has a leading minor that is not positive definite
-    (the first one is named) or the pivot ratio of S falls below
-    PIVOT_RTOL, and EstimationError when C, its inverse or S is not finite.
+    s = unit_rhs.  The (N+K)-sized matrix is never formed: the smaller side
+    is eliminated and the other side's Schur complement factored, so a solve
+    costs O(NK min(N, K) + min(N, K)^3).  With N >= K the items go, leaving
+    S = A - B'C^{-1}B (_eliminate_items); with N < K the units go, leaving
+    the N-sized K = C - BA^{-1}B' (_eliminate_units).
+
+    Returns the unit effects a, the item effects b and, with variances,
+    diag(S^{-1}), the unit block of the inverse matrix's diagonal (else
+    None).  Raises SingularSystem naming the item column when a pivot of C
+    is not positive, and EstimationError when C or its inverse is not
+    finite.  Every other refusal is decided on S, whichever side was
+    factored: SingularSystem names the unit column when S has a leading
+    minor that is not positive definite (the first one) or its pivot ratio
+    falls below PIVOT_RTOL, and EstimationError is raised when S is not
+    finite.
     """
     if (item_diag <= 0).any():
         i = int(np.argmin(item_diag))
         raise SingularSystem("an item has zero weight in every unit",
                              column=item_labels[i])
-    # a subnormal pivot overflows its reciprocal, an infinite one turns
-    # inf * 0 into NaN; both are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a subnormal pivot overflows its reciprocal; an infinite one would
+    # silently zero its column of C^{-1}B
+    with np.errstate(over="ignore"):
         c_inv = 1.0 / item_diag
+    if not (np.isfinite(item_diag).all() and np.isfinite(c_inv).all()):
+        raise EstimationError(OVERFLOW_MESSAGE)
+    args = (item_diag, cross, unit_diag, item_rhs, unit_rhs, variances)
+    if item_diag.size < unit_diag.size:
+        solved = _eliminate_units(*args)
+        if solved is not None:
+            return solved
+    return _eliminate_items(*args, c_inv=c_inv, unit_labels=unit_labels)
+
+
+def _eliminate_items(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances,
+                     c_inv, unit_labels):
+    """The unit-side solve: S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).
+
+    It decides every refusal solve_two_way leaves to S (see there).
+    """
+    # an infinite product turns inf * 0 into NaN; both are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         bc = cross * c_inv[:, None]
         schur = np.diag(unit_diag) - cross.T @ bc
-    # an infinite item pivot would silently zero its column of C^{-1}B
-    if not (np.isfinite(schur).all() and np.isfinite(item_diag).all()
-            and np.isfinite(c_inv).all()):
+    if not np.isfinite(schur).all():
         raise EstimationError(OVERFLOW_MESSAGE)
     try:
         chol = np.linalg.cholesky(schur)
@@ -192,4 +226,58 @@ def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
     units = _tri_solve(chol, _tri_solve(chol, unit_rhs - bc.T @ item_rhs),
                        trans=True)
     items = (item_rhs - cross @ units) / item_diag
-    return units, items, chol
+    return units, items, _inv_diag(chol) if variances else None
+
+
+def _eliminate_units(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances):
+    """The item-side solve: K b = r - BA^{-1}s, then a = A^{-1}(s - B'b).
+
+    It accepts only a system that _eliminate_items would accept too, and
+    returns None, leaving the decision there, when a unit pivot is not
+    positive or not finite, K is not finite, not positive definite or has
+    a positive off-diagonal entry (B not of one sign), or the bound below
+    cannot rule out a pivot ratio of S under PIVOT_RTOL.  The bound: scaled
+    to unit diagonals, K and S share their smallest eigenvalue lam, so
+    every pivot of S lies in [lam min(A), max(A)]; K is then an M-matrix,
+    K^{-1} >= 0, and lam >= 1 / max(c * K^{-1} c) with c = sqrt(diag(C)).
+
+    One step of refinement follows the solve, on the residual of the whole
+    system taken in np.longdouble: the plain solve is a few times less
+    accurate than _eliminate_items, and the step brings it to the exact
+    solution of the given blocks (where long double is wider than float64;
+    elsewhere it is an ordinary refinement step).  diag(S^{-1}) comes by
+    the Woodbury identity S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: with
+    K = LL' it is diag(A^{-1}) plus the column sums of squares of
+    L^{-1}BA^{-1}.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a_inv = 1.0 / unit_diag
+        ba = cross * a_inv
+        k = np.diag(item_diag) - ba @ cross.T
+    if not ((unit_diag > 0).all() and np.isfinite(unit_diag).all()
+            and np.isfinite(a_inv).all() and np.isfinite(k).all()
+            and (np.triu(k, 1) <= 0).all()):
+        return None
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return None
+
+    def k_solve(r):
+        return _tri_solve(chol, _tri_solve(chol, r), trans=True)
+
+    def solve(r, s):
+        b = k_solve(r - ba @ s)
+        return b, (s - cross.T @ b) / unit_diag
+
+    c = np.sqrt(item_diag)
+    lam = 1.0 / (c * k_solve(c)).max()
+    if not lam * unit_diag.min() >= PIVOT_RTOL * unit_diag.max():
+        return None
+    items, units = solve(item_rhs, unit_rhs)
+    b, a, x = (arr.astype(np.longdouble) for arr in (items, units, cross))
+    d_items, d_units = solve(
+        (item_rhs - item_diag * b - np.einsum("ij,j->i", x, a)).astype(float),
+        (unit_rhs - np.einsum("i,ij->j", b, x) - unit_diag * a).astype(float))
+    return (units + d_units, items + d_items,
+            a_inv + _inv_diag(chol, ba) if variances else None)

@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 1 validation error, 2 estimation or I/O error,
 3 usage error.  Reports go to --output or stdout; all numbers carry 17
-significant digits so a round-trip through text is lossless.
+significant digits so a round-trip through text is lossless.  Notes go
+through the "mplindex" logger, which run_cli points at stderr as bare
+lines; error lines are written to stderr directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 
@@ -23,6 +27,7 @@ from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, s
 from .updating import update_multilateral, update_multiperiod
 
 _VARIANCE_FLAG = {"corollary3": "corollary3", "full": "full_partition"}
+_log = logging.getLogger("mplindex")
 
 
 class _UsageError(Exception):
@@ -175,10 +180,8 @@ def _prepare(args) -> Panel:
     panel = _load(args)
     panel, report = build_reference_basket(panel)
     if report.dropped_items:
-        sys.stderr.write(
-            "note: dropped items outside the reference basket: "
-            + ", ".join(report.dropped_items) + "\n"
-        )
+        _log.info("note: dropped items outside the reference basket: %s",
+                  ", ".join(report.dropped_items))
     return panel
 
 
@@ -256,7 +259,7 @@ def _cmd_update_unit(args) -> int:
                                  dof_rule=args.dof)
     _write_series(args, result.estimate)
     changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
-    sys.stderr.write("revised units: " + (", ".join(changed) or "none") + "\n")
+    _log.info("revised units: %s", ", ".join(changed) or "none")
     return 0
 
 
@@ -284,7 +287,7 @@ def _cmd_simulate(args) -> int:
     _write(text, args.output)
     total_failures = sum(s.failures for s in report.summaries.values())
     if total_failures:
-        sys.stderr.write(f"note: {total_failures} failed replications excluded\n")
+        _log.info("note: %d failed replications excluded", total_failures)
     return 0
 
 
@@ -350,6 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _notes_to_stderr():
+    """Write the package's notes to the current stderr, one bare line each."""
+    handler = logging.StreamHandler(sys.stderr)
+    level = _log.level
+    _log.addHandler(handler)
+    _log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        _log.removeHandler(handler)
+        _log.setLevel(level)
+
+
 def run_cli(argv) -> int:
     parser = build_parser()
     try:
@@ -358,7 +375,8 @@ def run_cli(argv) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 3
     try:
-        return args.func(args)
+        with _notes_to_stderr():
+            return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1

@@ -8,11 +8,12 @@ otherwise relative levels across components are arbitrary.
 The normal equations have the same two-way shape as the deflator system:
 a diagonal item block (per-item weight sums), the N x (T-1) weight matrix
 as the cross block and a diagonal unit block (per-unit weight sums).  The
-item effects are absorbed by the shared two-way solve (algebra.solve_two_way),
-so a fit costs O(NT^2 + T^3) time and O(NT) memory and never forms the
-dummy design.  The standard errors of the unit effects come from the
-diagonal of the inverse Schur complement (algebra._inv_diag), as the MPL
-deflator variances do; connectivity is checked with boolean frontier sweeps.
+shared two-way solve (algebra.solve_two_way) absorbs the smaller of the
+two diagonal blocks, so a fit costs O(NT min(N, T) + min(N, T)^3) time and
+O(NT) memory and never forms the dummy design.  The standard errors of
+the unit effects come from diag(S^{-1}), which the solve returns, as the
+MPL deflator variances do; connectivity is checked with boolean frontier
+sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _inv_diag, solve_two_way
+from .algebra import solve_two_way
 from .errors import InvalidPrice, UnidentifiedModel
 from .panel import Panel, implied_prices
 
@@ -156,26 +157,27 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     wy = w * logp
 
     nonbase = panel.nonbase_units
-    unit_effects, item_effects, chol = solve_two_way(
+    dof = int(present.sum()) - (n + t - 1)
+    # S^{-1} is exactly the unit block of the full inverse Gram matrix
+    unit_effects, item_effects, var = solve_two_way(
         w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase],
         wy.sum(axis=1), wy.sum(axis=0)[nonbase],
         [f"item[{item}]" for item in panel.items],
         [f"unit[{panel.units[u]}]" for u in nonbase],
+        variances=dof > 0,
     )
     log_effects = np.zeros(t)
     log_effects[nonbase] = unit_effects
 
     resid = logp - item_effects[:, None] - log_effects[None, :]
     ssr = float((w * resid * resid).sum())
-    dof = int(present.sum()) - (n + t - 1)
     sigma2 = ssr / dof if dof > 0 else None
 
-    # S^{-1} is exactly the unit block of the full inverse Gram matrix
     se = np.zeros(t)
     if sigma2 is None:
         se[nonbase] = np.nan
     else:
-        se[nonbase] = np.sqrt(sigma2 * _inv_diag(chol))
+        se[nonbase] = np.sqrt(sigma2 * var)
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),

@@ -1,20 +1,24 @@
 """Closed-form estimation of unit deflators and the price index.
 
 The deflators and reference prices solve the structured normal equations
-through algebra.solve_two_way: the reference prices are absorbed through
-the diagonal price block, and the (T-1)-sized Schur complement of the
-deflators is the only matrix factored.  The published index is the
-pseudo-reciprocal of the deflators, so the base unit always reads 1.
+through algebra.solve_two_way, which absorbs the smaller of the diagonal
+price and deflator blocks and factors the Schur complement of the other,
+(T-1)- or N-sized, at O(NT min(N, T) + min(N, T)^3).  The panel is
+rescaled by powers of two before the blocks are formed, so a magnitude
+the whole panel shares neither under- nor overflows, however far from 1.
+The published index is the pseudo-reciprocal of the deflators, so the
+base unit always reads 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _inv_diag, gram_blocks, solve_two_way
+from .algebra import gram_blocks, solve_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -27,6 +31,9 @@ from .panel import Panel
 
 VARIANCE_METHODS = ("corollary3", "full_partition")
 DOF_RULES = ("paper", "observed")
+# magnitudes within 2**±_SAFE_EXPONENT are fitted unscaled: squared and
+# summed, they stay far inside the normal float range
+_SAFE_EXPONENT = 128
 
 
 def pseudo_reciprocal(values) -> np.ndarray:
@@ -92,6 +99,42 @@ def _check_basket(panel: Panel):
         )
 
 
+def _rescaled(panel: Panel) -> tuple[Panel, int, np.ndarray]:
+    """The panel with values times 2^-k and item i's quantities times 2^-k_i.
+
+    k and k_i are the binary exponents of the base unit's largest value
+    and of item i's largest quantity, so both maxima scale into [0.5, 1).
+    Every residual of the stacked system is on the base unit's value
+    scale, so a magnitude the whole panel shares neither under- nor
+    overflows in the fit.  Powers of two scale exactly and every operation
+    of the fit commutes with them: the deflators and their variances come
+    out as from the unscaled panel, bit for bit where that does not under-
+    or overflow, and _unscale moves the reference prices and the SSR back.
+    Exponents within _SAFE_EXPONENT of zero are taken as 0, and a panel
+    with no other is returned as it is.
+    """
+    _, k = np.frexp(panel.values[:, panel.base_unit].max())
+    _, k_items = np.frexp(panel.quantities.max(axis=1))
+    k = int(k) if abs(k) > _SAFE_EXPONENT else 0
+    k_items = np.where(np.abs(k_items) > _SAFE_EXPONENT, k_items, 0)
+    if k == 0 and not k_items.any():
+        return panel, k, k_items
+    # validation catches a present cell that the scaling flushes to zero
+    scaled = dataclasses.replace(
+        panel, values=np.ldexp(panel.values, -k),
+        quantities=np.ldexp(panel.quantities, -k_items[:, None]))
+    return scaled, k, k_items
+
+
+def _unscale(prices: np.ndarray, ssr: float, k: int, k_items: np.ndarray):
+    """Reference prices and SSR of a rescaled panel on the input's scale.
+
+    A magnitude beyond the float range reads inf.
+    """
+    with np.errstate(over="ignore"):
+        return np.ldexp(prices, k - k_items), float(np.ldexp(ssr, 2 * k))
+
+
 def _stacked_ssr(panel: Panel, delta: np.ndarray, prices: np.ndarray) -> float:
     """Sum of squared residuals of the stacked system, absent cells excluded.
 
@@ -130,28 +173,31 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     _check_basket(panel)
     require_connected(panel)
 
-    blocks = gram_blocks(panel)
+    dof = _dof(panel, dof_rule, n + t - 1)
+    scaled, k, k_items = _rescaled(panel)
+    blocks = gram_blocks(scaled)
     nonbase = panel.nonbase_units
-    delta_nb, prices, chol = solve_two_way(
+    delta_nb, prices, var_nb = solve_two_way(
         blocks.price_gram, -blocks.cross, blocks.deflator_gram,
         blocks.rhs, np.zeros(t - 1),
         [f"ref_price[{item}]" for item in panel.items],
-        [f"deflator[{panel.units[u]}]" for u in nonbase])
+        [f"deflator[{panel.units[u]}]" for u in nonbase],
+        variances=variance_method == "full_partition" and dof > 0)
 
     deflators = np.ones(t)
     deflators[nonbase] = delta_nb
 
-    ssr = _stacked_ssr(panel, deflators, prices)
-    dof = _dof(panel, dof_rule, n + t - 1)
-    sigma2 = ssr / dof if dof > 0 else None
-
+    ssr = _stacked_ssr(scaled, deflators, prices)
     var = None
-    if sigma2 is not None:
+    if dof > 0:
+        # scaled sigma2 times scaled diag(S^{-1}): the scalings cancel
         var = np.zeros(t)
         if variance_method == "corollary3":
-            var[nonbase] = sigma2 * (1.0 / blocks.deflator_gram)
+            var[nonbase] = ssr / dof * (1.0 / blocks.deflator_gram)
         else:
-            var[nonbase] = sigma2 * _inv_diag(chol)
+            var[nonbase] = ssr / dof * var_nb
+    prices, ssr = _unscale(prices, ssr, k, k_items)
+    sigma2 = ssr / dof if dof > 0 else None
     return DeflatorEstimate(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, deflators=deflators,

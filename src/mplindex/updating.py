@@ -27,7 +27,9 @@ from .estimator import (
     DeflatorEstimate,
     _check_basket,
     _dof,
+    _rescaled,
     _stacked_ssr,
+    _unscale,
     estimate_deflators,
     pseudo_reciprocal,
 )
@@ -97,21 +99,22 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     extended = panel.with_unit(*new_period)
     _check_basket(extended)
 
-    v_new = extended.values[:, -1]
-    q_new = extended.quantities[:, -1]
+    scaled, k, k_items = _rescaled(extended)
+    q, v = scaled.quantities, scaled.values
+    v_new, q_new = v[:, -1], q[:, -1]
     # overflow to inf or NaN is reported as EstimationError below
     with np.errstate(over="ignore", invalid="ignore"):
         qv = q_new * v_new
         # per-item quantity energy, split into the prior-panel part e and
         # the total d; the prior-fit signal m is (Q * V) applied to the
         # frozen deflator vector (base entry 1)
-        e = (panel.quantities**2).sum(axis=1)
+        e = (q[:, :-1]**2).sum(axis=1)
         d = e + q_new * q_new
         if (d <= 0).any():
             i = int(np.argmin(d))
             raise SingularSystem("an item has zero quantity everywhere",
                                  column=f"ref_price[{extended.items[i]}]")
-        m = (panel.quantities * panel.values) @ prior.deflators
+        m = (q[:, :-1] * v[:, :-1]) @ prior.deflators
 
         # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed
         # positive form v_i^2 e_i / d_i, which avoids cancellation
@@ -127,16 +130,18 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         raise EstimationError(OVERFLOW_MESSAGE)
 
     deflators = np.append(prior.deflators, delta_new)
-    ssr = _stacked_ssr(extended, deflators, prices)
+    ssr = _stacked_ssr(scaled, deflators, prices)
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
-    sigma2 = ssr / dof if dof > 0 else None
 
-    if sigma2 is None:
+    # scaled sigma2 over a scaled Gram: the scalings cancel
+    if dof <= 0:
         var_new = np.nan
     elif prior.variance_method == "corollary3":
-        var_new = sigma2 / (v_new @ v_new)
+        var_new = ssr / dof / (v_new @ v_new)
     else:
-        var_new = sigma2 / denom
+        var_new = ssr / dof / denom
+    prices, ssr = _unscale(prices, ssr, k, k_items)
+    sigma2 = ssr / dof if dof > 0 else None
     prior_var = prior.var_deflators
     if prior_var is None:
         prior_var = np.full(prior.n_units, np.nan)

@@ -22,7 +22,7 @@ from mplindex import (
     gram_blocks,
     implied_prices,
 )
-from mplindex.algebra import PIVOT_RTOL
+from mplindex.algebra import PIVOT_RTOL, solve_two_way
 
 
 def transition_matrix(n: int) -> np.ndarray:
@@ -221,3 +221,32 @@ def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:
         item_effects=beta[t - 1:], se=se, weighted=weighted,
         sigma2=sigma2, dof=dof,
     )
+
+
+def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.ndarray:
+    """Non-base deflators of the normal equations, refined in np.longdouble.
+
+    The blocks are formed from the panel in long double unless float64
+    blocks are given, whose exact solution is then returned.  solve_two_way
+    supplies the corrections of the refinement steps, which converge as
+    long as its relative error is well below one.
+    """
+    wide = np.longdouble
+    if blocks is None:
+        v, q = panel.values.astype(wide), panel.quantities.astype(wide)
+        nb = panel.nonbase_units
+        c, cross = (q * q).sum(axis=1), q[:, nb] * v[:, nb]
+        a, r = (v[:, nb] ** 2).sum(axis=0), q[:, panel.base_unit] * v[:, panel.base_unit]
+    else:
+        c, cross, a, r = (x.astype(wide) for x in (blocks.price_gram, blocks.cross,
+                                                    blocks.deflator_gram, blocks.rhs))
+    args = [x.astype(float) for x in (c, -cross, a)]
+    labels = ([f"i{i}" for i in range(c.size)], [f"u{j}" for j in range(a.size)])
+    prices, deflators = np.zeros(c.size, dtype=wide), np.zeros(a.size, dtype=wide)
+    for _ in range(4):
+        item_res = r - c * prices + cross @ deflators
+        unit_res = prices @ cross - a * deflators
+        step_d, step_p, _ = solve_two_way(*args, item_res.astype(float),
+                                          unit_res.astype(float), *labels)
+        prices, deflators = prices + step_p, deflators + step_d
+    return deflators

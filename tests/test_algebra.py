@@ -5,7 +5,15 @@ from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from mplindex import InvalidDimension, Panel, SingularSystem, gram_blocks
+from mplindex import (
+    InvalidDimension,
+    MplIndexError,
+    Panel,
+    SingularSystem,
+    estimate_deflators,
+    fit_dummy_index,
+    gram_blocks,
+)
 from mplindex.algebra import (
     _first_failed_minor,
     _inv_diag,
@@ -235,10 +243,13 @@ def test_schur_rejects_zero_quantity_item():
     assert exc.value.column == "ref_price[b]"
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (40, 70), (90, 130)])
-def test_solve_two_way_matches_dense_solve(n, k):
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (40, 70), (90, 130),
+                                 (64, 65), (65, 65), (66, 65)])
+def test_solve_two_way_matches_dense_solve(n, k, solve_side):
     # negative cross block and nonzero right-hand sides on both sides; the
-    # unit block makes S diagonally dominant, so positive definite
+    # unit block makes S diagonally dominant, so positive definite.  With
+    # n < k the units are eliminated, otherwise the items
+    verdicts = solve_side()
     rng = np.random.default_rng(10 * n + k)
     item_diag = rng.uniform(0.5, 3.0, n)
     cross = -rng.uniform(0.0, 2.0, (n, k))
@@ -248,14 +259,21 @@ def test_solve_two_way_matches_dense_solve(n, k):
     unit_rhs = rng.normal(size=k)
     dense = np.block([[np.diag(item_diag), cross], [cross.T, np.diag(unit_diag)]])
     expected = np.linalg.solve(dense, np.concatenate([item_rhs, unit_rhs]))
-    units, items, chol = solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
-                                       [f"i{j}" for j in range(n)],
-                                       [f"u{j}" for j in range(k)])
+    args = (item_diag, cross, unit_diag, item_rhs, unit_rhs,
+            [f"i{j}" for j in range(n)], [f"u{j}" for j in range(k)])
+    units, items, var = solve_two_way(*args, variances=True)
     scale = np.abs(expected).max()
     assert_allclose(items, expected[:n], rtol=0, atol=1e-12 * scale)
     assert_allclose(units, expected[n:], rtol=0, atol=1e-12 * scale)
+    # diag(S^{-1}) is the unit block of the inverse's diagonal
     schur = np.diag(unit_diag) - absorbed
-    assert_allclose(chol @ chol.T, schur, rtol=1e-13, atol=1e-13 * np.abs(schur).max())
+    assert_allclose(var, np.diag(np.linalg.inv(schur)), rtol=1e-12)
+    assert_allclose(var, np.diag(np.linalg.inv(dense))[n:], rtol=1e-12)
+    no_var = solve_two_way(*args)
+    assert no_var[2] is None
+    assert_array_equal(no_var[0], units)
+    assert_array_equal(no_var[1], items)
+    assert verdicts == ([True, True] if n < k else [])
 
 
 def test_blocks_invert_the_normal_matrix():
@@ -298,7 +316,11 @@ def test_triangular_kit_matches_scipy(n, cols):
                     rtol=1e-12, atol=1e-12)
     assert_allclose(_tri_solve(chol, x, trans=True), cho_solve((chol, True), rhs),
                     rtol=1e-12, atol=1e-12)
-    if cols is None:
+    if cols is not None:
+        assert_allclose(_inv_diag(chol, rhs),
+                        (solve_triangular(chol, rhs, lower=True) ** 2).sum(axis=0),
+                        rtol=1e-12)
+    else:
         inv = _tri_inv(chol)
         assert_array_equal(np.triu(inv, 1), 0.0)
         assert_allclose(inv, solve_triangular(chol, np.eye(n), lower=True),
@@ -372,12 +394,65 @@ def test_schur_factor_names_the_failed_unit_column():
         solve_two_way(np.ones(2), np.zeros((2, 4)), np.array([1.0, 2.0, -1.0, 3.0]),
                       np.zeros(2), np.zeros(4), ["i0", "i1"], ["u0", "u1", "u2", "u3"])
     assert exc.value.column == "u2"
-    units, items, chol = solve_two_way(
-        np.ones(2), np.zeros((2, 3)), np.array([4.0, 1.0, 9.0]),
-        np.array([3.0, 5.0]), np.array([8.0, 2.0, 18.0]), ["i0", "i1"], ["u0", "u1", "u2"])
-    assert_array_equal(chol, np.diag([2.0, 1.0, 3.0]))
-    assert_array_equal(units, [2.0, 2.0, 2.0])
-    assert_array_equal(items, [3.0, 5.0])
+    # S = diag(4, 1, 9): with three items the units' factor diag(2, 1, 3)
+    # is inverted, with two the units are eliminated and A^{-1} is exact
+    for n, var_last in ((3, (1.0 / 3.0) ** 2), (2, 1.0 / 9.0)):
+        units, items, var = solve_two_way(
+            np.ones(n), np.zeros((n, 3)), np.array([4.0, 1.0, 9.0]),
+            np.arange(3.0, 3.0 + 2 * n, 2), np.array([8.0, 2.0, 18.0]),
+            [f"i{j}" for j in range(n)], ["u0", "u1", "u2"], variances=True)
+        assert_array_equal(var, [0.25, 1.0, var_last])
+        assert_array_equal(units, [2.0, 2.0, 2.0])
+        assert_array_equal(items, np.arange(3.0, 3.0 + 2 * n, 2))
+
+
+def weakly_linked_panels(count):
+    """Seeded panels whose last two units reach the rest only through one
+    item's tiny value in the last unit, spread across the point where the
+    Schur complement turns numerically singular.  They have more items
+    than non-base units and fewer, so both sides of solve_two_way are met.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n, t = int(rng.integers(3, 12)), int(rng.integers(4, 16))
+        values = rng.uniform(0.5, 8.0, (n, t))
+        quantities = rng.uniform(0.5, 8.0, (n, t))
+        values[:, -2:] = quantities[:, -2:] = 0.0
+        values[-1] = quantities[-1] = 0.0
+        values[-1, -2:] = rng.uniform(1.0, 2.0, 2)
+        quantities[-1, -2:] = rng.uniform(0.5, 2.0, 2)
+        values[0, -1] = 10.0 ** rng.uniform(-20.0, -3.0)
+        quantities[0, -1] = rng.uniform(0.5, 2.0)
+        yield Panel.from_arrays([f"i{k}" for k in range(n)], [f"u{k}" for k in range(t)],
+                                values, quantities)
+
+
+def fit_outcome(fit, panel):
+    try:
+        return "ok", fit(panel).indexes
+    except MplIndexError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "column", None)
+
+
+def test_item_side_decides_as_the_unit_side(solve_side):
+    fits = (estimate_deflators, lambda panel: fit_dummy_index(panel, weighted=True))
+    decisions = []
+    for panel in weakly_linked_panels(200):
+        for fit in fits:
+            solve_side("units")
+            expected = fit_outcome(fit, panel)
+            verdicts = solve_side("items")
+            verdicts.clear()
+            got = fit_outcome(fit, panel)
+            # an accepted system near the threshold is ill-conditioned, and
+            # its weakly linked indexes differ between the sides by up to
+            # about 1e-4; only the decision is compared
+            assert got[0] == expected[0], (panel.values, expected, got)
+            if got[0] != "ok":
+                assert got == expected
+            decisions.append((got[0], verdicts[0]))
+    # refusals, and acceptances on both sides of the bound
+    assert {("SingularSystem", False), ("ok", True), ("ok", False)} <= set(decisions)
 
 
 def split_masks():

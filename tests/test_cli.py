@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import mplindex
 from mplindex import Panel, emit_panel, estimate_deflators, to_index_series
 from mplindex.cli import emit_report, run_cli
+from mplindex.simulate import _ESTIMATOR_FUNCS
 from helpers import random_panel
 
 HEADER = "item_id,unit_id,value,quantity\n"
@@ -250,21 +252,48 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_overflowing_values_exit_2(run, tmp_path):
-    csv_text = HEADER + "".join(
-        f"{item},t{t},{v}e160,1\n"
-        for item, row in (("a", (1, 2, 3)), ("b", (2, 3, 5))) for t, v in enumerate(row))
-    src = write(tmp_path, "huge.csv", csv_text)
-    code, out, err = run("mpl", "--input", src)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("estimation error:")
-    # no numpy warning reaches stderr ahead of the message
-    proc = run_module("mpl", "--input", src)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == err
-    assert proc.stderr.count("\n") == 1
+def test_tiny_link_refused_through_the_item_side(run, tmp_path, solve_side):
+    # the tiny_link panel above: the unit side's factorization fails and
+    # names the failed column; tried first, the item side leaves it there
+    tiny_link = write(tmp_path, "tiny.csv", HEADER + (
+        "a,t0,2,1\na,t1,3,1\na,t2,1e-17,1\nb,t0,1,1\nb,t1,4,1\n"
+        "c,t2,1,1\nc,t3,2,1\nd,t2,3,1\nd,t3,5,1\n"))
+    expected = run("tpd", "--weighted", "--input", tiny_link)
+    assert expected == (2, "", "estimation error: Schur complement is not positive "
+                               "definite (dependent column: unit[t3])\n")
+    verdicts = solve_side("items")
+    assert run("tpd", "--weighted", "--input", tiny_link) == expected
+    assert verdicts == [False]
+
+
+def series_rows(text):
+    return json.loads(text)["series"]
+
+
+def assert_same_figures(rows, expected, scale=1.0):
+    """Same units; index and se equal to scale times expected's, to 1e-12."""
+    assert [row["unit"] for row in rows] == [row["unit"] for row in expected]
+    for row, want in zip(rows, expected):
+        for key in ("index", "se"):
+            assert math.isfinite(row[key]), row
+            assert row[key] == pytest.approx(scale * want[key], rel=1e-12, abs=0)
+
+
+def test_huge_values_fit_as_unscaled(run, tmp_path):
+    # values x 1e160: v * v used to overflow and exit 2; the index is
+    # invariant to a global value scale
+    def panel(scale):
+        return write(tmp_path, f"panel{scale}.csv", HEADER + "".join(
+            f"{item},t{t},{v}{scale},1\n"
+            for item, row in (("a", (1, 2, 3)), ("b", (2, 3, 5))) for t, v in enumerate(row)))
+
+    code, out, err = run("mpl", "--input", panel(""))
+    assert (code, err) == (0, "")
+    huge = panel("e160")
+    proc = run_module("mpl", "--input", huge)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run("mpl", "--input", huge) == (0, proc.stdout, "")
+    assert_same_figures(series_rows(proc.stdout), series_rows(out))
 
 
 def test_overflowing_new_period_exits_2(run, tmp_path):
@@ -521,17 +550,37 @@ def test_dropped_item_note_goes_to_stderr(run, tmp_path):
 
 
 @pytest.mark.parametrize("scale", ["e-160", "e155"])
-def test_extreme_scales_print_one_line(tmp_path, scale):
-    csv_text = HEADER + "".join(
-        f"{item},t{t},{v}{scale},{q}{scale}\n"
-        for item, vs, qs in (("a", (1, 2, 3), (1, 2, 1)), ("b", (2, 3, 5), (1, 1, 2)))
-        for t, (v, q) in enumerate(zip(vs, qs)))
-    src = write(tmp_path, "extreme.csv", csv_text)
-    proc = run_module("mpl", "--input", src)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("estimation error: Gram blocks overflow: values or "
-                           "quantities are too large or too small in magnitude\n")
+def test_extreme_scales_print_one_line(run, tmp_path, scale):
+    # values and quantities at one extreme scale: one JSON line with the
+    # unscaled figures, nothing on stderr
+    def panel(scale):
+        return write(tmp_path, f"extreme{scale}.csv", HEADER + "".join(
+            f"{item},t{t},{v}{scale},{q}{scale}\n"
+            for item, vs, qs in (("a", (1, 2, 3), (1, 2, 1)), ("b", (2, 3, 5), (1, 1, 2)))
+            for t, (v, q) in enumerate(zip(vs, qs))))
+
+    code, out, err = run("mpl", "--input", panel(""))
+    assert (code, err) == (0, "")
+    proc = run_module("mpl", "--input", panel(scale))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.count("\n") == 1
+    assert_same_figures(series_rows(proc.stdout), series_rows(out))
+
+
+def test_tiny_values_publish_the_unscaled_index(run, tmp_path):
+    rng = np.random.default_rng(0)
+    values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
+
+    def panel(factor):
+        return write(tmp_path, f"panel{factor}.csv", HEADER + "".join(
+            f"i{i},t{t},{values[i, t] * factor:.17g},{quantities[i, t]:.17g}\n"
+            for t in range(6) for i in range(30)))
+
+    code, out, err = run("mpl", "--input", panel(1.0))
+    assert (code, err) == (0, "")
+    proc = run_module("mpl", "--input", panel(1e-160))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert_same_figures(series_rows(proc.stdout), series_rows(out))
 
 
 @pytest.mark.parametrize("encoding, line, reason", [
@@ -656,3 +705,37 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
     reference = np.sqrt(np.longdouble(est.var_deflators[-1])) / (d * d)
     assert math.isfinite(se)
     assert abs(np.longdouble(se) - reference) <= 1e-15 * reference
+
+
+def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("mplindex")
+    logger.addHandler(handler)
+    try:
+        # item c is present in one unit only, so the basket drops it
+        src = write(tmp_path, "panel.csv", F1_CSV + "c,t1,1,1\n")
+        new = write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nb,t3,5,2\n")
+        assert run("update-unit", "--input", src, "--new", new)[2] == (
+            "note: dropped items outside the reference basket: c\nrevised units: t2, t3\n")
+        calls = iter(range(10))
+
+        def flaky(sim_panel, config):
+            if next(calls) == 1:
+                raise mplindex.EstimationError("synthetic failure")
+            return estimate_deflators(sim_panel)
+
+        monkeypatch.setitem(_ESTIMATOR_FUNCS, "mpl", flaky)
+        code, _, err = run("simulate", "--input", src, "--estimators", "mpl",
+                           "--reps", "3", "--noise-sd-max", "0.1")
+    finally:
+        logger.removeHandler(handler)
+    assert (code, err) == (0, "note: dropped items outside the reference basket: c\n"
+                              "note: 1 failed replications excluded\n")
+    assert [record.getMessage() for record in records] == [
+        "note: dropped items outside the reference basket: c", "revised units: t2, t3",
+        "note: dropped items outside the reference basket: c",
+        "note: 1 failed replications excluded"]
+    # run_cli took its stderr handler away again
+    assert logger.handlers == []

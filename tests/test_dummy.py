@@ -231,6 +231,20 @@ def test_numerically_singular_schur_complement(share):
     assert exc.value.column == "unit[t2]"
 
 
+@pytest.mark.parametrize("share", [1e-15, 1e-17])
+def test_numerically_singular_schur_complement_through_the_item_side(share, solve_side):
+    values = np.array([[2.0, 3.0, share],
+                       [1.0, 4.0, 0.0],
+                       [0.0, 0.0, 1.0]])
+    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                              np.where(values > 0, 1.0, 0.0))
+    verdicts = solve_side("items")
+    with pytest.raises(SingularSystem) as exc:
+        fit_dummy_index(panel, weighted=True)
+    assert exc.value.column == "unit[t2]"
+    assert verdicts == [False]
+
+
 def test_large_sparse_fit_never_builds_the_design():
     # the dense design would need n_obs * (N + T - 1) * 8 bytes, about 8.5 GB
     rng = np.random.default_rng(97)

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,13 +17,29 @@ from mplindex import (
     UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
+    build_reference_basket,
     estimate_deflators,
+    gram_blocks,
     index_variance,
+    load_panel,
     pseudo_reciprocal,
     to_index_series,
 )
+from mplindex.algebra import solve_two_way
+from mplindex.estimator import _stacked_ssr
 from helpers import random_panel
-from oracles import build_design_system, ols_fit
+from oracles import build_design_system, long_double_deflators, ols_fit
+
+
+def perfbench_gen():
+    """perfbench/gen.py, loaded from its file without installing anything."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def ones_panel(*columns, base=0, mode="time"):
@@ -154,20 +174,73 @@ def test_variance_method_switch():
 
 
 def test_corollary3_fit_forms_no_inverse(monkeypatch):
-    def forbidden(chol):
+    def forbidden(chol, right=None):
         raise AssertionError("triangular inverse formed")
 
-    monkeypatch.setattr("mplindex.estimator._inv_diag", forbidden)
+    monkeypatch.setattr("mplindex.algebra._inv_diag", forbidden)
     rng = np.random.default_rng(8)
-    panel = random_panel(rng, 6, 5, missing=0.1)
-    est = estimate_deflators(panel, variance_method="corollary3")
-    gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
+    # 6 items over 4 non-base units eliminate the items, 3 over 7 the units
+    for n, t in ((6, 5), (3, 8)):
+        panel = random_panel(rng, n, t, missing=0.1)
+        est = estimate_deflators(panel, variance_method="corollary3")
+        gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
+        nb = panel.nonbase_units
+        assert_allclose(est.var_deflators[nb], est.sigma2 / gram, rtol=1e-14)
+        series = to_index_series(est)
+        assert np.isfinite(series.se).all()
+        with pytest.raises(AssertionError, match="triangular inverse"):
+            estimate_deflators(panel, variance_method="full_partition")
+
+
+def test_rescaled_fit_is_bit_identical_to_the_plain_solve():
+    panel = random_panel(np.random.default_rng(12), 7, 5, missing=0.15)
     nb = panel.nonbase_units
-    assert_allclose(est.var_deflators[nb], est.sigma2 / gram, rtol=1e-14)
-    series = to_index_series(est)
-    assert np.isfinite(series.se).all()
-    with pytest.raises(AssertionError, match="triangular inverse"):
-        estimate_deflators(panel, variance_method="full_partition")
+    est = estimate_deflators(panel)
+    blocks = gram_blocks(panel)
+    deflators, prices, var = solve_two_way(
+        blocks.price_gram, -blocks.cross, blocks.deflator_gram, blocks.rhs,
+        np.zeros(len(nb)), list(panel.items), [panel.units[u] for u in nb],
+        variances=True)
+    assert_array_equal(est.deflators[nb], deflators)
+    assert_array_equal(est.ref_prices, prices)
+    assert est.ssr == _stacked_ssr(panel, est.deflators, prices)
+    assert_array_equal(est.var_deflators[nb], est.sigma2 * var)
+    # powers of two far outside the unscaled range: the fit scales them
+    # away exactly and back where they belong
+    g = np.arange(panel.n_items) - 300
+    shifted = Panel(panel.items, panel.units, np.ldexp(panel.values, 300),
+                    np.ldexp(panel.quantities, g[:, None]), panel.present)
+    far = estimate_deflators(shifted)
+    assert_array_equal(far.deflators, est.deflators)
+    assert_array_equal(far.var_deflators, est.var_deflators)
+    assert_array_equal(far.ref_prices, np.ldexp(est.ref_prices, 300 - g))
+    assert far.ssr == math.ldexp(est.ssr, 600)
+    assert far.sigma2 == math.ldexp(est.sigma2, 600)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("seed", [1, 2])
+def test_many_units_indexes_against_long_double(seed, tmp_path):
+    # perfbench's many_units panel as the CLI loads it: 150 items over 1199
+    # non-base outlets, so the units are eliminated.  The float64 Gram
+    # blocks carry an error of their own: their exact solution is 2.0e-15
+    # and 2.5e-15 off in the index on these seeds.  The solve adds at most
+    # 2.5e-16 to that.  Eliminating the items read 2.2e-15 and 1.4e-15,
+    # the second below the blocks' own error through cancellation
+    gen = perfbench_gen()
+    inputs = gen.generate(gen.Shape("space", 150, 1200, 0.3, True), seed, str(tmp_path))
+    panel, _ = build_reference_basket(load_panel(inputs.panel_path, mode="space"))
+    nb = panel.nonbase_units
+    reference = 1 / long_double_deflators(panel)
+    floor = 1 / long_double_deflators(panel, gram_blocks(panel))
+
+    def worst(index):
+        return float(np.max(np.abs(index - reference) / reference))
+
+    error = worst(estimate_deflators(panel).indexes[nb])
+    assert error <= worst(floor) + 2.5e-16
+    assert error <= 2.6e-15
 
 
 def test_index_variance_identity_at_unit_deflator():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -55,3 +56,18 @@ def test_traced_functions_resolve(tmp_path):
     assert code == 0
     assert {"cli.run", "panel.load", "estimator.fit", "estimator.series",
             "cli.emit"} <= {span["name"] for span in tracer.spans}
+
+
+def test_only_algebra_touches_the_factor():
+    # the Cholesky factor and its kit stay inside algebra: other modules
+    # get the unit variances from solve_two_way
+    kit = {"_tri_inv", "_tri_solve", "_inv_diag", "_first_failed_minor"}
+    package = pathlib.Path(mplindex.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not used & kit, (path.name, sorted(used & kit))

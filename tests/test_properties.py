@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import axiom_checks as ax
-from mplindex import Panel, estimate_deflators
+from mplindex import MplIndexError, Panel, estimate_deflators
 from helpers import random_panel
 
 N_DRAWS = 200
@@ -105,3 +107,60 @@ def test_absent_cells_and_explicit_zero_cells_agree():
     b = estimate_deflators(rebuilt)
     assert_array_equal(a.deflators, b.deflators)
     assert_array_equal(a.ref_prices, b.ref_prices)
+
+
+def scaled_panel(panel, value_exp, quantity_exps, perm=None):
+    """Values times 10**value_exp and item i's quantities times
+    10**quantity_exps[i]; units reordered by perm with the base following.
+    The presence mask is passed explicitly, so absent cells are zeros the
+    mask marks absent rather than zeros found in the arrays."""
+    perm = np.arange(panel.n_units) if perm is None else perm
+    g = 10.0 ** np.asarray(quantity_exps[:panel.n_items], dtype=float)
+    return Panel(panel.items, tuple(panel.units[j] for j in perm),
+                 (panel.values * 10.0 ** value_exp)[:, perm],
+                 (panel.quantities * g[:, None])[:, perm], panel.present[:, perm],
+                 base_unit=int(np.flatnonzero(perm == panel.base_unit)[0]))
+
+
+extreme_scales = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), t=st.integers(2, 6),
+    missing=st.floats(0.0, 0.3), value_exp=st.integers(-300, 300),
+    quantity_exps=st.lists(st.integers(-300, 300), min_size=7, max_size=7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**extreme_scales)
+def test_indexes_are_invariant_to_extreme_scales(seed, n, t, missing, value_exp,
+                                                 quantity_exps):
+    """A global value scale and per-item quantity scales anywhere in
+    10**[-300, 300] leave the indexes as they are, or fail with a typed
+    error; they never drift."""
+    panel = random_panel(np.random.default_rng(seed), n, t, missing=missing)
+    expected = estimate_deflators(panel).indexes
+    try:
+        got = estimate_deflators(scaled_panel(panel, value_exp, quantity_exps)).indexes
+    except MplIndexError:
+        return
+    assert_allclose(got, expected, rtol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_seed=st.integers(0, 2**32 - 1), **extreme_scales)
+def test_permutation_and_absent_cells_at_extreme_scales(seed, n, t, missing, value_exp,
+                                                        quantity_exps, perm_seed):
+    panel = random_panel(np.random.default_rng(seed), n, t, missing=missing)
+    expected = estimate_deflators(panel)
+    perm = np.random.default_rng(perm_seed).permutation(t)
+    scaled = scaled_panel(panel, value_exp, quantity_exps, perm)
+    try:
+        got = estimate_deflators(scaled)
+    except MplIndexError:
+        return
+    assert_allclose(got.indexes, expected.indexes[perm], rtol=1e-12)
+    # the same cells with absences found from the zeros
+    implied = Panel.from_arrays(scaled.items, scaled.units, scaled.values,
+                                scaled.quantities, base_unit=scaled.base_unit)
+    again = estimate_deflators(implied)
+    assert_array_equal(again.deflators, got.deflators)
+    assert_array_equal(again.ref_prices, got.ref_prices)
+    assert_array_equal(again.var_deflators, got.var_deflators)

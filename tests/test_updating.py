@@ -310,3 +310,20 @@ def test_chained_unit_updates_match_batch():
     ).estimate
     batch = estimate_deflators(panel)
     assert_allclose(final.deflators, batch.deflators, rtol=1e-10)
+
+
+def test_period_update_rescales_shared_extreme_magnitudes():
+    # values x 2^-540 square below the float range; rescaled by exact
+    # powers of two, the update gives the unscaled figures bit for bit
+    panel = random_panel(np.random.default_rng(4), 5, 4)
+    new = ("new", np.array([3.0, 1.5, 2.0, 4.0, 2.5]), np.array([1.0, 2.0, 1.5, 1.0, 3.0]))
+    plain = update_multiperiod(estimate_deflators(panel), panel, new).estimate
+    g = 3 * np.arange(5) - 200
+    far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, -540),
+                      np.ldexp(panel.quantities, g[:, None]), panel.present)
+    far_new = ("new", np.ldexp(new[1], -540), np.ldexp(new[2], g))
+    far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new).estimate
+    assert_array_equal(far.deflators, plain.deflators)
+    assert_array_equal(far.indexes, plain.indexes)
+    assert_array_equal(far.var_deflators, plain.var_deflators)
+    assert_array_equal(far.ref_prices, np.ldexp(plain.ref_prices, -540 - g))
