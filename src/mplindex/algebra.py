@@ -12,17 +12,20 @@ The Gram matrix of this design has a closed block form (diagonal, Hadamard
 cross products, diagonal), which everything downstream exploits; the dense
 design matrix is never assembled.
 
-solve_two_way solves every system of this two-way shape, the deflator
-system and the TPD/CPD dummy regression alike.  It eliminates the smaller
-side and factors the Schur complement left on the other: the (T-1)-sized
-S of the units when there are at least as many items, else the N-sized K
-of the items.  That is the only matrix it factors, at a cost of
-O(NT min(N, T) + min(N, T)^3).  The kit for it runs on numpy alone:
+factor_two_way factors every system of this two-way shape, the deflator
+system and the TPD/CPD dummy regression alike, and solve_two_way solves
+one right-hand side through it.  It eliminates the smaller side and
+factors the Schur complement left on the other: the (T-1)-sized S of the
+units when there are at least as many items, else the N-sized K of the
+items.  That is the only matrix it factors, at a cost of
+O(NT min(N, T) + min(N, T)^3), and a factor solves any number of
+right-hand sides, so a fit that only changes them (an unweighted TPD fit
+of redrawn values) factors once.  The kit for it runs on numpy alone:
 np.linalg.cholesky for the factor, and two recursive blocked routines on
 BLAS-3 products, _tri_solve for triangular solves and _tri_inv for the
 triangular inverse.  Callers need only the variances of the unit effects,
-diag(S^{-1}), which solve_two_way returns on request; the factor never
-leaves this module.
+diag(S^{-1}), which the factor returns; the Cholesky factor never leaves
+this module.
 """
 
 from __future__ import annotations
@@ -120,14 +123,14 @@ def _tri_inv(chol):
     return out
 
 
-def _inv_diag(chol, right=None):
+def _inv_diag(chol, right=None, inv=None):
     """Column sums of squares of L^{-1} X, with X = right or the identity.
 
     Without right this is diag(S^{-1}) for S = LL'.  With right = B A^{-1}
     it is the correction the Woodbury identity adds to diag(A^{-1}) when the
-    units are eliminated (see _eliminate_units).
+    units are eliminated (see _ItemSide).  inv is L^{-1}, when already formed.
     """
-    w = _tri_inv(chol)
+    w = _tri_inv(chol) if inv is None else inv
     if right is not None:
         w = w @ right
     return (w * w).sum(axis=0)
@@ -160,27 +163,101 @@ def _first_failed_minor(a):
     return int(np.argmin(np.diagonal(chol)))
 
 
-def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
-                  item_labels, unit_labels, variances=False):
-    """Solve two-way normal equations [[C, B], [B', A]] [b; a] = [r; s].
+class _Factor:
+    """Cholesky factor L of the Schur complement left on one side.
+
+    A factor of order at most _BLOCK keeps L^{-1}, which _tri_solve would
+    form anew on every call, so the solves multiply by the same matrix.
+    """
+
+    def __init__(self, chol):
+        self._chol = chol
+        self._inv = _tri_inv(chol) if chol.shape[0] <= _BLOCK else None
+
+    def _chol_solve(self, rhs):
+        """x with LL' x = rhs."""
+        if self._inv is None:
+            return _tri_solve(self._chol, _tri_solve(self._chol, rhs), trans=True)
+        return self._inv.T @ (self._inv @ rhs)
+
+
+class _UnitSide(_Factor):
+    """The items eliminated: S = A - B'C^{-1}B = LL'.
+
+    solve gives S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).
+    """
+
+    def __init__(self, chol, item_diag, cross, bc):
+        super().__init__(chol)
+        self._item_diag, self._cross, self._bc = item_diag, cross, bc
+
+    def solve(self, item_rhs, unit_rhs):
+        """The unit effects a and the item effects b for r = item_rhs, s = unit_rhs."""
+        units = self._chol_solve(unit_rhs - self._bc.T @ item_rhs)
+        return units, (item_rhs - self._cross @ units) / self._item_diag
+
+    def unit_variances(self):
+        """diag(S^{-1}), the unit block of the inverse matrix's diagonal."""
+        return _inv_diag(self._chol, inv=self._inv)
+
+
+class _ItemSide(_Factor):
+    """The units eliminated: K = C - BA^{-1}B' = LL'.
+
+    solve gives K b = r - BA^{-1}s, then a = A^{-1}(s - B'b), and refines
+    that once on the residual of the whole system taken in np.longdouble:
+    the plain solve is a few times less accurate than the unit side's, and
+    the step brings it to the exact solution of the given blocks (where
+    long double is wider than float64; elsewhere it is an ordinary
+    refinement step).  diag(S^{-1}) comes by the Woodbury identity
+    S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: it is diag(A^{-1}) plus the
+    column sums of squares of L^{-1}BA^{-1}.
+    """
+
+    def __init__(self, chol, item_diag, cross, unit_diag, a_inv, ba):
+        super().__init__(chol)
+        self._item_diag, self._cross, self._unit_diag = item_diag, cross, unit_diag
+        self._a_inv, self._ba = a_inv, ba
+
+    def _plain_solve(self, r, s):
+        b = self._chol_solve(r - self._ba @ s)
+        return b, (s - self._cross.T @ b) / self._unit_diag
+
+    def solve(self, item_rhs, unit_rhs):
+        """The unit effects a and the item effects b for r = item_rhs, s = unit_rhs."""
+        items, units = self._plain_solve(item_rhs, unit_rhs)
+        b, a, x = (arr.astype(np.longdouble) for arr in (items, units, self._cross))
+        d_items, d_units = self._plain_solve(
+            (item_rhs - self._item_diag * b - np.einsum("ij,j->i", x, a)).astype(float),
+            (unit_rhs - np.einsum("i,ij->j", b, x) - self._unit_diag * a).astype(float))
+        return units + d_units, items + d_items
+
+    def unit_variances(self):
+        """diag(S^{-1}), the unit block of the inverse matrix's diagonal."""
+        return self._a_inv + _inv_diag(self._chol, self._ba, self._inv)
+
+
+def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
+    """Factor two-way normal equations [[C, B], [B', A]] for any right-hand side.
 
     C = diag(item_diag) is the N-sized item block, B = cross the N x K cross
-    block and A = diag(unit_diag) the K-sized unit block; r = item_rhs and
-    s = unit_rhs.  The (N+K)-sized matrix is never formed: the smaller side
-    is eliminated and the other side's Schur complement factored, so a solve
-    costs O(NK min(N, K) + min(N, K)^3).  With N >= K the items go, leaving
-    S = A - B'C^{-1}B (_eliminate_items); with N < K the units go, leaving
-    the N-sized K = C - BA^{-1}B' (_eliminate_units).
+    block and A = diag(unit_diag) the K-sized unit block.  The (N+K)-sized
+    matrix is never formed: the smaller side is eliminated and the other
+    side's Schur complement factored, at O(NK min(N, K) + min(N, K)^3).
+    With N >= K the items go, leaving S = A - B'C^{-1}B (_eliminate_items);
+    with N < K the units go, leaving the N-sized K = C - BA^{-1}B'
+    (_eliminate_units).
 
-    Returns the unit effects a, the item effects b and, with variances,
-    diag(S^{-1}), the unit block of the inverse matrix's diagonal (else
-    None).  Raises SingularSystem naming the item column when a pivot of C
-    is not positive, and EstimationError when C or its inverse is not
-    finite.  Every other refusal is decided on S, whichever side was
-    factored: SingularSystem names the unit column when S has a leading
-    minor that is not positive definite (the first one) or its pivot ratio
-    falls below PIVOT_RTOL, and EstimationError is raised when S is not
-    finite.
+    The factor's solve(r, s) returns the unit effects a and the item
+    effects b of [[C, B], [B', A]] [b; a] = [r; s], and unit_variances()
+    returns diag(S^{-1}), the unit block of the inverse matrix's diagonal.
+    Every refusal is decided here.  SingularSystem names the item column
+    when a pivot of C is not positive, and EstimationError is raised when C
+    or its inverse is not finite.  Every other refusal is decided on S,
+    whichever side is factored: SingularSystem names the unit column when S
+    has a leading minor that is not positive definite (the first one) or
+    its pivot ratio falls below PIVOT_RTOL, and EstimationError is raised
+    when S is not finite.
     """
     if (item_diag <= 0).any():
         i = int(np.argmin(item_diag))
@@ -192,20 +269,29 @@ def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
         c_inv = 1.0 / item_diag
     if not (np.isfinite(item_diag).all() and np.isfinite(c_inv).all()):
         raise EstimationError(OVERFLOW_MESSAGE)
-    args = (item_diag, cross, unit_diag, item_rhs, unit_rhs, variances)
+    args = (item_diag, cross, unit_diag)
     if item_diag.size < unit_diag.size:
-        solved = _eliminate_units(*args)
-        if solved is not None:
-            return solved
+        factor = _eliminate_units(*args)
+        if factor is not None:
+            return factor
     return _eliminate_items(*args, c_inv=c_inv, unit_labels=unit_labels)
 
 
-def _eliminate_items(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances,
-                     c_inv, unit_labels):
-    """The unit-side solve: S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).
+def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
+                  item_labels, unit_labels, variances=False):
+    """Solve [[C, B], [B', A]] [b; a] = [r; s] with r = item_rhs, s = unit_rhs.
 
-    It decides every refusal solve_two_way leaves to S (see there).
+    The blocks are as in factor_two_way, which decides every refusal.
+    Returns the unit effects a, the item effects b and, with variances,
+    diag(S^{-1}) (else None).
     """
+    factor = factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels)
+    units, items = factor.solve(item_rhs, unit_rhs)
+    return units, items, factor.unit_variances() if variances else None
+
+
+def _eliminate_items(item_diag, cross, unit_diag, c_inv, unit_labels):
+    """The unit-side factor, deciding every refusal factor_two_way leaves to S."""
     # an infinite product turns inf * 0 into NaN; both are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         bc = cross * c_inv[:, None]
@@ -223,32 +309,20 @@ def _eliminate_items(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances,
         j = int(np.argmin(pivots))
         raise SingularSystem("Schur complement is numerically singular",
                              column=unit_labels[j])
-    units = _tri_solve(chol, _tri_solve(chol, unit_rhs - bc.T @ item_rhs),
-                       trans=True)
-    items = (item_rhs - cross @ units) / item_diag
-    return units, items, _inv_diag(chol) if variances else None
+    return _UnitSide(chol, item_diag, cross, bc)
 
 
-def _eliminate_units(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances):
-    """The item-side solve: K b = r - BA^{-1}s, then a = A^{-1}(s - B'b).
+def _eliminate_units(item_diag, cross, unit_diag):
+    """The item-side factor, or None to leave the decision to _eliminate_items.
 
     It accepts only a system that _eliminate_items would accept too, and
-    returns None, leaving the decision there, when a unit pivot is not
-    positive or not finite, K is not finite, not positive definite or has
-    a positive off-diagonal entry (B not of one sign), or the bound below
-    cannot rule out a pivot ratio of S under PIVOT_RTOL.  The bound: scaled
-    to unit diagonals, K and S share their smallest eigenvalue lam, so
-    every pivot of S lies in [lam min(A), max(A)]; K is then an M-matrix,
-    K^{-1} >= 0, and lam >= 1 / max(c * K^{-1} c) with c = sqrt(diag(C)).
-
-    One step of refinement follows the solve, on the residual of the whole
-    system taken in np.longdouble: the plain solve is a few times less
-    accurate than _eliminate_items, and the step brings it to the exact
-    solution of the given blocks (where long double is wider than float64;
-    elsewhere it is an ordinary refinement step).  diag(S^{-1}) comes by
-    the Woodbury identity S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: with
-    K = LL' it is diag(A^{-1}) plus the column sums of squares of
-    L^{-1}BA^{-1}.
+    returns None when a unit pivot is not positive or not finite, K is not
+    finite, not positive definite or has a positive off-diagonal entry (B
+    not of one sign), or the bound below cannot rule out a pivot ratio of
+    S under PIVOT_RTOL.  The bound: scaled to unit diagonals, K and S share
+    their smallest eigenvalue lam, so every pivot of S lies in
+    [lam min(A), max(A)]; K is then an M-matrix, K^{-1} >= 0, and
+    lam >= 1 / max(c * K^{-1} c) with c = sqrt(diag(C)).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a_inv = 1.0 / unit_diag
@@ -259,25 +333,11 @@ def _eliminate_units(item_diag, cross, unit_diag, item_rhs, unit_rhs, variances)
             and (np.triu(k, 1) <= 0).all()):
         return None
     try:
-        chol = np.linalg.cholesky(k)
+        factor = _ItemSide(np.linalg.cholesky(k), item_diag, cross, unit_diag, a_inv, ba)
     except np.linalg.LinAlgError:
         return None
-
-    def k_solve(r):
-        return _tri_solve(chol, _tri_solve(chol, r), trans=True)
-
-    def solve(r, s):
-        b = k_solve(r - ba @ s)
-        return b, (s - cross.T @ b) / unit_diag
-
     c = np.sqrt(item_diag)
-    lam = 1.0 / (c * k_solve(c)).max()
+    lam = 1.0 / (c * factor._chol_solve(c)).max()
     if not lam * unit_diag.min() >= PIVOT_RTOL * unit_diag.max():
         return None
-    items, units = solve(item_rhs, unit_rhs)
-    b, a, x = (arr.astype(np.longdouble) for arr in (items, units, cross))
-    d_items, d_units = solve(
-        (item_rhs - item_diag * b - np.einsum("ij,j->i", x, a)).astype(float),
-        (unit_rhs - np.einsum("i,ij->j", b, x) - unit_diag * a).astype(float))
-    return (units + d_units, items + d_items,
-            a_inv + _inv_diag(chol, ba) if variances else None)
+    return factor

@@ -8,12 +8,13 @@ otherwise relative levels across components are arbitrary.
 The normal equations have the same two-way shape as the deflator system:
 a diagonal item block (per-item weight sums), the N x (T-1) weight matrix
 as the cross block and a diagonal unit block (per-unit weight sums).  The
-shared two-way solve (algebra.solve_two_way) absorbs the smaller of the
+shared two-way factor (algebra.factor_two_way) absorbs the smaller of the
 two diagonal blocks, so a fit costs O(NT min(N, T) + min(N, T)^3) time and
 O(NT) memory and never forms the dummy design.  The standard errors of
-the unit effects come from diag(S^{-1}), which the solve returns, as the
+the unit effects come from diag(S^{-1}), which the factor returns, as the
 MPL deflator variances do; connectivity is checked with boolean frontier
-sweeps.
+sweeps.  The log prices are taken as log v - log q where v / q leaves the
+normal float range, so no present cell's price is out of reach.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import solve_two_way
-from .errors import InvalidPrice, UnidentifiedModel
-from .panel import Panel, implied_prices
+from .algebra import factor_two_way, solve_two_way
+from .errors import UnidentifiedModel
+from .panel import Panel
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,101 @@ def require_connected(panel: Panel) -> None:
     )
 
 
+def _log_prices(values: np.ndarray, quantities: np.ndarray) -> tuple[np.ndarray, bool]:
+    """log(v / q), or log v - log q where the quotient is not a positive normal float.
+
+    The difference of logs neither under- nor overflows, so values near
+    1e300 over quantities near 1e-300 (or the reverse) fit as well; every
+    other cell keeps the bits of log(v / q).  Also returns whether any cell
+    took the difference.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        prices = values / quantities
+        odd = ~(np.isfinite(prices) & (prices >= np.finfo(np.float64).tiny))
+        out = np.log(prices, out=prices)
+    extreme = bool(odd.any())
+    if extreme:
+        out[odd] = np.log(values[odd]) - np.log(quantities[odd])
+    return out, extreme
+
+
+def dummy_fitter(panel: Panel, weighted: bool = False):
+    """Prepare the dummy fit of the panel's presence and quantities.
+
+    Returns fit(values) -> DummyFit for an N x T value matrix that is
+    positive exactly where the panel is present; fit_dummy_index is
+    fit(panel.values).  The connectivity check, the dof and the labels are
+    done here once.  Unweighted, the cell weights are the presence mask, so
+    the factor of the normal equations and diag(S^{-1}) are too, and a fit
+    is only the log prices, two right-hand sides, one solve and the SSR.
+    """
+    n, t = panel.n_items, panel.n_units
+    require_connected(panel)
+    present = panel.present
+    # flat indexes of the present cells, in the order of present's True cells
+    cells = np.flatnonzero(present)
+    q_obs = panel.quantities.take(cells)
+    nonbase = np.array(panel.nonbase_units, dtype=np.intp)
+    dof = int(present.sum()) - (n + t - 1)
+    labels = ([f"item[{item}]" for item in panel.items],
+              [f"unit[{panel.units[u]}]" for u in nonbase])
+
+    # W holds the cell weights, exact zeros on absent cells
+    def blocks(w):
+        return w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase]
+
+    if not weighted:
+        fixed = factor_two_way(*blocks(present.astype(np.float64)), *labels)
+        # S^{-1} is exactly the unit block of the full inverse Gram matrix
+        fixed_var = fixed.unit_variances() if dof > 0 else None
+
+    def fit(values: np.ndarray) -> DummyFit:
+        logp = np.zeros((n, t))
+        logp.ravel()[cells], extreme = _log_prices(values.take(cells), q_obs)
+        if extreme:
+            # log prices near +-700 would make the sums below lose the
+            # digits the unit effects live in; the item effects absorb a
+            # per-item shift exactly, so each item's mean is taken out
+            shift = logp.sum(axis=1) / present.sum(axis=1)
+            logp -= shift[:, None] * present
+        if weighted:
+            w = values / values.sum(axis=0)
+            wy = w * logp
+            unit_effects, item_effects, var = solve_two_way(
+                *blocks(w), wy.sum(axis=1), wy.sum(axis=0)[nonbase], *labels,
+                variances=dof > 0)
+        else:
+            # W is the 0/1 presence mask and logp is 0 where W is, so
+            # W * logp is logp
+            w, var = present, fixed_var
+            unit_effects, item_effects = fixed.solve(logp.sum(axis=1),
+                                                     logp.sum(axis=0)[nonbase])
+        log_effects = np.zeros(t)
+        log_effects[nonbase] = unit_effects
+
+        # the residuals, in place of the log prices
+        logp -= item_effects[:, None]
+        logp -= log_effects[None, :]
+        ssr = float((w * logp * logp).sum())
+        sigma2 = ssr / dof if dof > 0 else None
+        if extreme:
+            item_effects = item_effects + shift
+
+        se = np.zeros(t)
+        if sigma2 is None:
+            se[nonbase] = np.nan
+        else:
+            se[nonbase] = np.sqrt(sigma2 * var)
+        return DummyFit(
+            units=panel.units, items=panel.items, base_unit=panel.base_unit,
+            mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
+            item_effects=item_effects, se=se, weighted=weighted,
+            sigma2=sigma2, dof=dof,
+        )
+
+    return fit
+
+
 def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     """Fit the two-way log-price dummy model and return per-unit indexes.
 
@@ -133,54 +229,4 @@ def fit_dummy_index(panel: Panel, weighted: bool = False) -> DummyFit:
     weighted-least-squares covariance with the noise scale estimated on
     (number of present cells) - (N + T - 1) degrees of freedom.
     """
-    n, t = panel.n_items, panel.n_units
-    require_connected(panel)
-
-    present = panel.present
-    prices = implied_prices(panel)
-    p_obs = prices[present]
-    if (p_obs <= 0).any() or not np.isfinite(p_obs).all():
-        ii, tt = np.nonzero(present)
-        k = int(np.flatnonzero((p_obs <= 0) | ~np.isfinite(p_obs))[0])
-        raise InvalidPrice(
-            f"nonpositive or non-finite price for item {panel.items[ii[k]]!r} "
-            f"in unit {panel.units[tt[k]]!r}"
-        )
-    logp = np.zeros((n, t))
-    logp[present] = np.log(p_obs)
-
-    # W holds the cell weights, exact zeros on absent cells
-    if weighted:
-        w = panel.values / panel.values.sum(axis=0)
-    else:
-        w = present.astype(np.float64)
-    wy = w * logp
-
-    nonbase = panel.nonbase_units
-    dof = int(present.sum()) - (n + t - 1)
-    # S^{-1} is exactly the unit block of the full inverse Gram matrix
-    unit_effects, item_effects, var = solve_two_way(
-        w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase],
-        wy.sum(axis=1), wy.sum(axis=0)[nonbase],
-        [f"item[{item}]" for item in panel.items],
-        [f"unit[{panel.units[u]}]" for u in nonbase],
-        variances=dof > 0,
-    )
-    log_effects = np.zeros(t)
-    log_effects[nonbase] = unit_effects
-
-    resid = logp - item_effects[:, None] - log_effects[None, :]
-    ssr = float((w * resid * resid).sum())
-    sigma2 = ssr / dof if dof > 0 else None
-
-    se = np.zeros(t)
-    if sigma2 is None:
-        se[nonbase] = np.nan
-    else:
-        se[nonbase] = np.sqrt(sigma2 * var)
-    return DummyFit(
-        units=panel.units, items=panel.items, base_unit=panel.base_unit,
-        mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
-        item_effects=item_effects, se=se, weighted=weighted,
-        sigma2=sigma2, dof=dof,
-    )
+    return dummy_fitter(panel, weighted)(panel.values)

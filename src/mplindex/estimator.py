@@ -7,7 +7,9 @@ price and deflator blocks and factors the Schur complement of the other,
 rescaled by powers of two before the blocks are formed, so a magnitude
 the whole panel shares neither under- nor overflows, however far from 1.
 The published index is the pseudo-reciprocal of the deflators, so the
-base unit always reads 1.
+base unit always reads 1.  deflator_fitter does the part of a fit that
+depends on presence and quantities alone once, so redrawn values (the
+replication harness) fit without repeating it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import gram_blocks, solve_two_way
+from .algebra import solve_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -99,31 +101,34 @@ def _check_basket(panel: Panel):
         )
 
 
-def _rescaled(panel: Panel) -> tuple[Panel, int, np.ndarray]:
-    """The panel with values times 2^-k and item i's quantities times 2^-k_i.
+def _exponent(x):
+    """Binary exponents of x, taken as 0 within _SAFE_EXPONENT of zero."""
+    _, k = np.frexp(x)
+    return np.where(np.abs(k) > _SAFE_EXPONENT, k, 0)
 
-    k and k_i are the binary exponents of the base unit's largest value
-    and of item i's largest quantity, so both maxima scale into [0.5, 1).
-    Every residual of the stacked system is on the base unit's value
-    scale, so a magnitude the whole panel shares neither under- nor
-    overflows in the fit.  Powers of two scale exactly and every operation
-    of the fit commutes with them: the deflators and their variances come
-    out as from the unscaled panel, bit for bit where that does not under-
-    or overflow, and _unscale moves the reference prices and the SSR back.
-    Exponents within _SAFE_EXPONENT of zero are taken as 0, and a panel
-    with no other is returned as it is.
+
+def _rescaled(panel: Panel, values: np.ndarray, k_items: np.ndarray):
+    """values times 2^-k and item i's quantities times 2^-k_i, and k.
+
+    values are the panel's or a redraw of its present cells, k is the
+    _exponent of their largest base-unit entry and k_items the _exponent of
+    each item's largest quantity, so both maxima scale into [0.5, 1) where
+    they are far from 1.  Every residual of the stacked system is on the
+    base unit's value scale, so a magnitude the whole panel shares neither
+    under- nor overflows in the fit.  Powers of two scale exactly and every
+    operation of the fit commutes with them: the deflators and their
+    variances come out as from the unscaled panel, bit for bit where that
+    does not under- or overflow, and _unscale moves the reference prices
+    and the SSR back.  Without a scale the arrays are returned as they are.
     """
-    _, k = np.frexp(panel.values[:, panel.base_unit].max())
-    _, k_items = np.frexp(panel.quantities.max(axis=1))
-    k = int(k) if abs(k) > _SAFE_EXPONENT else 0
-    k_items = np.where(np.abs(k_items) > _SAFE_EXPONENT, k_items, 0)
+    k = int(_exponent(values[:, panel.base_unit].max()))
     if k == 0 and not k_items.any():
-        return panel, k, k_items
+        return values, panel.quantities, k
     # validation catches a present cell that the scaling flushes to zero
     scaled = dataclasses.replace(
-        panel, values=np.ldexp(panel.values, -k),
+        panel, values=np.ldexp(values, -k),
         quantities=np.ldexp(panel.quantities, -k_items[:, None]))
-    return scaled, k, k_items
+    return scaled.values, scaled.quantities, k
 
 
 def _unscale(prices: np.ndarray, ssr: float, k: int, k_items: np.ndarray):
@@ -135,13 +140,14 @@ def _unscale(prices: np.ndarray, ssr: float, k: int, k_items: np.ndarray):
         return np.ldexp(prices, k - k_items), float(np.ldexp(ssr, 2 * k))
 
 
-def _stacked_ssr(panel: Panel, delta: np.ndarray, prices: np.ndarray) -> float:
+def _stacked_ssr(quantities: np.ndarray, values: np.ndarray, delta: np.ndarray,
+                 prices: np.ndarray) -> float:
     """Sum of squared residuals of the stacked system, absent cells excluded.
 
     Absent cells have exact zero value and quantity, so their residuals
     vanish identically and summing over the full grid is equivalent.
     """
-    resid = panel.quantities * prices[:, None] - panel.values * delta[None, :]
+    resid = quantities * prices[:, None] - values * delta[None, :]
     return float((resid * resid).sum())
 
 
@@ -150,6 +156,81 @@ def _dof(panel: Panel, dof_rule: str, n_params: int) -> int:
     if dof_rule == "paper":
         return panel.n_items * panel.n_units - n_params
     return int(panel.present.sum()) - n_params
+
+
+def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
+                    dof_rule: str = "paper"):
+    """Prepare the deflator fit of the panel's presence and quantities.
+
+    Returns fit(values) -> DeflatorEstimate for an N x T C-ordered value
+    matrix that is positive exactly where the panel is present, with the
+    base unit's column left as it is; estimate_deflators is
+    fit(panel.values).  The checks and everything that depends on presence
+    and quantities alone are done here once: the argument, basket and
+    connectivity checks, the dof, the labels and the quantity parts of the
+    Gram blocks (see algebra.gram_blocks).  S depends on the values, so
+    each fit factors it.
+    """
+    if variance_method not in VARIANCE_METHODS:
+        raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
+    if dof_rule not in DOF_RULES:
+        raise ValidationError(f"dof_rule must be one of {DOF_RULES}")
+    n, t = panel.n_items, panel.n_units
+    if t < 2:
+        raise InvalidDimension(f"estimation needs at least two units, got T={t}")
+    _check_basket(panel)
+    require_connected(panel)
+
+    dof = _dof(panel, dof_rule, n + t - 1)
+    variances = variance_method == "full_partition" and dof > 0
+    base, nonbase = panel.base_unit, np.array(panel.nonbase_units, dtype=np.intp)
+    labels = ([f"ref_price[{item}]" for item in panel.items],
+              [f"deflator[{panel.units[u]}]" for u in nonbase])
+    k_items = _exponent(panel.quantities.max(axis=1))
+    # the quantities as _rescaled scales them
+    scaled_q = (np.ldexp(panel.quantities, -k_items[:, None]) if k_items.any()
+                else panel.quantities)
+    neg_q_nb, q_base = np.negative(scaled_q[:, nonbase]), scaled_q[:, base]
+    unit_rhs = np.zeros(t - 1)
+    # overflow to inf is reported as EstimationError by solve_two_way
+    with np.errstate(over="ignore", invalid="ignore"):
+        price_gram = (scaled_q * scaled_q).sum(axis=1)
+
+    def fit(values: np.ndarray) -> DeflatorEstimate:
+        v, q, k = _rescaled(panel, values, k_items)
+        v_nb = v[:, nonbase]
+        with np.errstate(over="ignore", invalid="ignore"):
+            deflator_gram = (v_nb * v_nb).sum(axis=0)
+            rhs = q_base * v[:, base]
+            # X'X holds the negative of the cross block q * v; formed in
+            # place, so no second N x (T-1) array is live in the solve
+            neg_cross = np.multiply(v_nb, neg_q_nb, out=v_nb)
+        delta_nb, prices, var_nb = solve_two_way(
+            price_gram, neg_cross, deflator_gram, rhs, unit_rhs, *labels,
+            variances=variances)
+
+        deflators = np.ones(t)
+        deflators[nonbase] = delta_nb
+        ssr = _stacked_ssr(q, v, deflators, prices)
+        var = None
+        if dof > 0:
+            # scaled sigma2 times scaled diag(S^{-1}): the scalings cancel
+            var = np.zeros(t)
+            if variance_method == "corollary3":
+                var[nonbase] = ssr / dof * (1.0 / deflator_gram)
+            else:
+                var[nonbase] = ssr / dof * var_nb
+        prices, ssr = _unscale(prices, ssr, k, k_items)
+        sigma2 = ssr / dof if dof > 0 else None
+        return DeflatorEstimate(
+            units=panel.units, items=panel.items, base_unit=base,
+            mode=panel.mode, deflators=deflators,
+            indexes=pseudo_reciprocal(deflators), ref_prices=prices,
+            ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
+            variance_method=variance_method, var_deflators=var,
+        )
+
+    return fit
 
 
 def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
@@ -163,48 +244,7 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
     have identically zero residuals, so only the divisor changes).
     Raises UnidentifiedModel when the presence graph is disconnected.
     """
-    if variance_method not in VARIANCE_METHODS:
-        raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
-    if dof_rule not in DOF_RULES:
-        raise ValidationError(f"dof_rule must be one of {DOF_RULES}")
-    n, t = panel.n_items, panel.n_units
-    if t < 2:
-        raise InvalidDimension(f"estimation needs at least two units, got T={t}")
-    _check_basket(panel)
-    require_connected(panel)
-
-    dof = _dof(panel, dof_rule, n + t - 1)
-    scaled, k, k_items = _rescaled(panel)
-    blocks = gram_blocks(scaled)
-    nonbase = panel.nonbase_units
-    delta_nb, prices, var_nb = solve_two_way(
-        blocks.price_gram, -blocks.cross, blocks.deflator_gram,
-        blocks.rhs, np.zeros(t - 1),
-        [f"ref_price[{item}]" for item in panel.items],
-        [f"deflator[{panel.units[u]}]" for u in nonbase],
-        variances=variance_method == "full_partition" and dof > 0)
-
-    deflators = np.ones(t)
-    deflators[nonbase] = delta_nb
-
-    ssr = _stacked_ssr(scaled, deflators, prices)
-    var = None
-    if dof > 0:
-        # scaled sigma2 times scaled diag(S^{-1}): the scalings cancel
-        var = np.zeros(t)
-        if variance_method == "corollary3":
-            var[nonbase] = ssr / dof * (1.0 / blocks.deflator_gram)
-        else:
-            var[nonbase] = ssr / dof * var_nb
-    prices, ssr = _unscale(prices, ssr, k, k_items)
-    sigma2 = ssr / dof if dof > 0 else None
-    return DeflatorEstimate(
-        units=panel.units, items=panel.items, base_unit=panel.base_unit,
-        mode=panel.mode, deflators=deflators,
-        indexes=pseudo_reciprocal(deflators), ref_prices=prices,
-        ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
-        variance_method=variance_method, var_deflators=var,
-    )
+    return deflator_fitter(panel, variance_method, dof_rule)(panel.values)
 
 
 def index_variance(estimate: DeflatorEstimate) -> np.ndarray:

@@ -3,10 +3,13 @@
 Each replication perturbs the value matrix (quantities stay fixed), re-runs
 the requested estimators and records each fit's indexes and index_se (NaN
 off the base where the fit has no residual dof); a replication fails only
-when the fit raises.  Replication r draws from its own child of the root
-seed sequence, so results are bit-identical for any execution order or
-worker count.  Nonpositive perturbed values are redrawn; persistent failure
-to stay positive aborts the whole run.
+when the fit raises.  Presence and quantities never change, so what depends
+on them alone is done once per run: each estimator is prepared once
+(deflator_fitter, dummy_fitter) and no panel is rebuilt per replication.
+Replication r draws from its own child of the root seed sequence, so
+results are bit-identical for any execution order or worker count.
+Nonpositive perturbed values are redrawn; persistent failure to stay
+positive aborts the whole run.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dummy import fit_dummy_index
+from .dummy import dummy_fitter
 from .errors import EstimationError, RedrawExhausted, ValidationError
-from .estimator import estimate_deflators
+from .estimator import deflator_fitter
 from .panel import Panel
 
 SCHEMES = ("additive_on_base", "random_walk")
@@ -105,10 +108,15 @@ def _draw_positive(rng, base: np.ndarray, mean: float, sd: float) -> np.ndarray:
     )
 
 
-def _perturb_values(panel: Panel, config: SimulationConfig, rng) -> np.ndarray:
-    """One replication's value matrix; quantities and presence are untouched."""
+def _perturb_values(panel: Panel, config: SimulationConfig, rng,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """One replication's value matrix; quantities and presence are untouched.
+
+    The draws go unit by unit.  out, when given, is written in place: it
+    must hold the panel's values on the base unit and zeros where absent.
+    """
     sd = rng.uniform(0.0, config.noise_sd_max)
-    values = panel.values.copy()
+    values = panel.values.copy() if out is None else out
     base = panel.base_unit
     if config.scheme == "additive_on_base":
         for t in range(panel.n_units):
@@ -139,32 +147,80 @@ def _perturb_values(panel: Panel, config: SimulationConfig, rng) -> np.ndarray:
     return values
 
 
-# name -> callable(panel, config) returning the fit
+def _value_draws(panel: Panel, config: SimulationConfig):
+    """Prepare the replications' value draws; returns draw(seed) -> values.
+
+    Every replication's values go to one buffer, which draw returns.  The
+    drawn cells are the present cells off the base unit, as flat indexes in
+    unit-major order: the order _perturb_values draws them.  So under
+    additive_on_base one normal call over all of them gives the values the
+    per-unit loop gives, unless a draw is not positive and needs redrawing.
+    Then the replication is drawn again through the loop from a fresh
+    generator on its seed; random_walk always goes through the loop.  draw
+    raises what Panel raises for drawn values that are not finite and
+    positive, as building the replication's panel would.
+    """
+    units, items = np.nonzero(panel.present.T)
+    off_base = units != panel.base_unit
+    cells = items[off_base] * panel.n_units + units[off_base]
+    start = panel.values.take(cells)
+    values = panel.values.copy()
+
+    def draw(seed) -> np.ndarray:
+        drawn = None
+        if config.scheme == "additive_on_base":
+            rng = np.random.default_rng(seed)
+            sd = rng.uniform(0.0, config.noise_sd_max)
+            drawn = start + rng.normal(config.noise_mean, sd, size=start.size)
+            if (drawn <= 0).any():
+                drawn = None
+            else:
+                values.ravel()[cells] = drawn
+        if drawn is None:
+            _perturb_values(panel, config, np.random.default_rng(seed), out=values)
+            drawn = values.take(cells)
+        if not (np.isfinite(drawn) & (drawn > 0)).all():
+            Panel(panel.items, panel.units, values, panel.quantities, panel.present,
+                  base_unit=panel.base_unit, mode=panel.mode)
+        return values
+
+    return draw
+
+
+# name -> callable(panel, config) returning the fit of the panel's presence
+# and quantities to a value matrix: values -> fit (see deflator_fitter)
 _ESTIMATOR_FUNCS = {
-    "mpl": lambda panel, config: estimate_deflators(
+    "mpl": lambda panel, config: deflator_fitter(
         panel, variance_method=config.variance_method, dof_rule=config.dof_rule),
-    "tpd": lambda panel, config: fit_dummy_index(panel, weighted=False),
-    "tpd_weighted": lambda panel, config: fit_dummy_index(panel, weighted=True),
+    "tpd": lambda panel, config: dummy_fitter(panel, weighted=False),
+    "tpd_weighted": lambda panel, config: dummy_fitter(panel, weighted=True),
 }
 
 
 def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
-    """Run the replication study; failed replications are excluded and counted."""
+    """Run the replication study; failed replications are excluded and counted.
+
+    Each estimator is prepared once, on first use, and fits every
+    replication's values; a preparation that raises EstimationError fails
+    its replication and is tried again on the next.  Errors surface in the
+    replication and the order in which per-replication fits of freshly
+    built panels would raise them.
+    """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
     t = panel.n_units
+    draw = _value_draws(panel, config)
+    fitters = {}
     draws = {name: [] for name in config.estimators}
     ses = {name: [] for name in config.estimators}
     failed = {name: [] for name in config.estimators}
 
     for r in range(config.replications):
-        rng = np.random.default_rng(children[r])
-        values = _perturb_values(panel, config, rng)
-        sim_panel = Panel(panel.items, panel.units, values, panel.quantities,
-                          panel.present, base_unit=panel.base_unit,
-                          mode=panel.mode)
+        values = draw(children[r])
         for name in config.estimators:
             try:
-                fit = _ESTIMATOR_FUNCS[name](sim_panel, config)
+                if name not in fitters:
+                    fitters[name] = _ESTIMATOR_FUNCS[name](panel, config)
+                fit = fitters[name](values)
             except EstimationError:
                 failed[name].append(r)
                 continue

@@ -27,6 +27,7 @@ from .estimator import (
     DeflatorEstimate,
     _check_basket,
     _dof,
+    _exponent,
     _rescaled,
     _stacked_ssr,
     _unscale,
@@ -99,8 +100,8 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     extended = panel.with_unit(*new_period)
     _check_basket(extended)
 
-    scaled, k, k_items = _rescaled(extended)
-    q, v = scaled.quantities, scaled.values
+    k_items = _exponent(extended.quantities.max(axis=1))
+    v, q, k = _rescaled(extended, extended.values, k_items)
     v_new, q_new = v[:, -1], q[:, -1]
     # overflow to inf or NaN is reported as EstimationError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,7 +131,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         raise EstimationError(OVERFLOW_MESSAGE)
 
     deflators = np.append(prior.deflators, delta_new)
-    ssr = _stacked_ssr(scaled, deflators, prices)
+    ssr = _stacked_ssr(q, v, deflators, prices)
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
 
     # scaled sigma2 over a scaled Gram: the scalings cancel

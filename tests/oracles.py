@@ -3,7 +3,8 @@
 Nothing in the package imports this module; it keeps the straightforward
 implementations the fast paths replaced, so tests can compare against them:
 the dense stacked deflator design with its pivoted-QR least-squares fit, the
-normal matrix assembled from the closed-form blocks, and the dense dummy fit.
+normal matrix assembled from the closed-form blocks, the dense dummy fit and
+the replication loop that builds and fits a panel per replication.
 """
 
 from __future__ import annotations
@@ -15,14 +16,21 @@ from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
 from mplindex import (
     DummyFit,
+    EstimationError,
+    EstimatorSummary,
     GramBlocks,
     InvalidDimension,
     Panel,
+    SimulationConfig,
+    SimulationReport,
     SingularSystem,
+    estimate_deflators,
+    fit_dummy_index,
     gram_blocks,
     implied_prices,
 )
 from mplindex.algebra import PIVOT_RTOL, solve_two_way
+from mplindex.simulate import _perturb_values
 
 
 def transition_matrix(n: int) -> np.ndarray:
@@ -250,3 +258,48 @@ def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.
                                           unit_res.astype(float), *labels)
         prices, deflators = prices + step_p, deflators + step_d
     return deflators
+
+
+def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationReport:
+    """simulate as a loop of whole fits: per replication, the per-unit draw,
+    a freshly validated Panel and estimate_deflators or fit_dummy_index on it.
+    """
+    fits = {
+        "mpl": lambda p: estimate_deflators(p, variance_method=config.variance_method,
+                                            dof_rule=config.dof_rule),
+        "tpd": lambda p: fit_dummy_index(p, weighted=False),
+        "tpd_weighted": lambda p: fit_dummy_index(p, weighted=True),
+    }
+    children = np.random.SeedSequence(config.seed).spawn(config.replications)
+    draws = {name: [] for name in config.estimators}
+    ses = {name: [] for name in config.estimators}
+    failed = {name: [] for name in config.estimators}
+    for r in range(config.replications):
+        values = _perturb_values(panel, config, np.random.default_rng(children[r]))
+        sim_panel = Panel(panel.items, panel.units, values, panel.quantities,
+                          panel.present, base_unit=panel.base_unit, mode=panel.mode)
+        for name in config.estimators:
+            try:
+                fit = fits[name](sim_panel)
+            except EstimationError:
+                failed[name].append(r)
+                continue
+            draws[name].append(fit.indexes)
+            ses[name].append(fit.index_se)
+
+    summaries = {}
+    for name in config.estimators:
+        if not draws[name]:
+            raise EstimationError(f"estimator {name!r} failed in every replication")
+        arr = np.vstack(draws[name])
+        mean_index = arr.mean(axis=0)
+        emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(panel.n_units)
+        mean_se = np.vstack(ses[name]).mean(axis=0)
+        summaries[name] = EstimatorSummary(
+            name=name, mean_index=mean_index, emp_sd=emp_sd, mean_se=mean_se,
+            lo_emp=mean_index - config.k * emp_sd, hi_emp=mean_index + config.k * emp_sd,
+            lo_model=mean_index - config.k * mean_se, hi_model=mean_index + config.k * mean_se,
+            failures=len(failed[name]), failed_replications=tuple(failed[name]),
+            draws=arr if config.dump_draws else None,
+        )
+    return SimulationReport(units=panel.units, config=config, summaries=summaries)

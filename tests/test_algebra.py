@@ -19,6 +19,7 @@ from mplindex.algebra import (
     _inv_diag,
     _tri_inv,
     _tri_solve,
+    factor_two_way,
     solve_two_way,
 )
 from mplindex.dummy import presence_components
@@ -274,6 +275,26 @@ def test_solve_two_way_matches_dense_solve(n, k, solve_side):
     assert_array_equal(no_var[0], units)
     assert_array_equal(no_var[1], items)
     assert verdicts == ([True, True] if n < k else [])
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (130, 90), (40, 70), (90, 130)])
+def test_one_factor_solves_every_right_hand_side(n, k):
+    # a factor serves any number of right-hand sides, each bit for bit as
+    # solve_two_way solves it alone, on both sides and both sizes of factor
+    rng = np.random.default_rng(n + k)
+    item_diag = rng.uniform(0.5, 3.0, n)
+    cross = -rng.uniform(0.0, 2.0, (n, k))
+    unit_diag = 2.0 * np.abs(cross.T @ (cross / item_diag[:, None])).sum(axis=1) + 1.0
+    labels = ([f"i{j}" for j in range(n)], [f"u{j}" for j in range(k)])
+    factor = factor_two_way(item_diag, cross, unit_diag, *labels)
+    for _ in range(3):
+        item_rhs, unit_rhs = rng.normal(size=n), rng.normal(size=k)
+        units, items, var = solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
+                                          *labels, variances=True)
+        got_units, got_items = factor.solve(item_rhs, unit_rhs)
+        assert got_units.tobytes() == units.tobytes()
+        assert got_items.tobytes() == items.tobytes()
+        assert factor.unit_variances().tobytes() == var.tobytes()
 
 
 def test_blocks_invert_the_normal_matrix():

@@ -583,6 +583,27 @@ def test_tiny_values_publish_the_unscaled_index(run, tmp_path):
     assert_same_figures(series_rows(proc.stdout), series_rows(out))
 
 
+@pytest.mark.parametrize("weighted", [(), ("--weighted",)])
+@pytest.mark.parametrize("value_scale, quantity_scale", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_tpd_at_opposite_extremes_publishes_the_unscaled_index(run, tmp_path, weighted,
+                                                               value_scale, quantity_scale):
+    # v / q leaves the float range (1e600 or 1e-600), but log v - log q
+    # does not
+    rng = np.random.default_rng(0)
+    values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
+
+    def panel(v_scale, q_scale):
+        return write(tmp_path, f"panel{v_scale}_{q_scale}.csv", HEADER + "".join(
+            f"i{i},t{t},{values[i, t] * v_scale:.17g},{quantities[i, t] * q_scale:.17g}\n"
+            for t in range(6) for i in range(30)))
+
+    code, out, err = run("tpd", *weighted, "--input", panel(1.0, 1.0))
+    assert (code, err) == (0, "")
+    code, extreme, err = run("tpd", *weighted, "--input", panel(value_scale, quantity_scale))
+    assert (code, err) == (0, "")
+    assert_same_figures(series_rows(extreme), series_rows(out))
+
+
 @pytest.mark.parametrize("encoding, line, reason", [
     ("utf-16", 1, "invalid start byte"),
     ("latin-1", 6, "invalid continuation byte"),
@@ -720,11 +741,17 @@ def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
         assert run("update-unit", "--input", src, "--new", new)[2] == (
             "note: dropped items outside the reference basket: c\nrevised units: t2, t3\n")
         calls = iter(range(10))
+        real = _ESTIMATOR_FUNCS["mpl"]
 
-        def flaky(sim_panel, config):
-            if next(calls) == 1:
-                raise mplindex.EstimationError("synthetic failure")
-            return estimate_deflators(sim_panel)
+        def flaky(panel, config):
+            fit = real(panel, config)
+
+            def fitter(values):
+                if next(calls) == 1:
+                    raise mplindex.EstimationError("synthetic failure")
+                return fit(values)
+
+            return fitter
 
         monkeypatch.setitem(_ESTIMATOR_FUNCS, "mpl", flaky)
         code, _, err = run("simulate", "--input", src, "--estimators", "mpl",

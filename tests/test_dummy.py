@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
-    InvalidPrice,
     Panel,
     SingularSystem,
     UnidentifiedModel,
@@ -135,12 +134,18 @@ def test_connected_panel_has_single_component():
     assert len(presence_components(panel)) == 1
 
 
-def test_overflowing_price_rejected():
+def test_overflowing_price_fits_in_logs():
+    # v / q overflows, but the model needs only log v - log q
     panel = Panel.from_arrays(("a", "b"), ("t0", "t1"),
                               np.array([[1e308, 1.0], [1.0, 1.0]]),
                               np.array([[1e-308, 1.0], [1.0, 1.0]]))
-    with pytest.raises(InvalidPrice):
-        fit_dummy_index(panel)
+    log_price = np.log(1e308) - np.log(1e-308)
+    # unweighted, a_1 averages the items' changes (-L and 0); weighted, item
+    # b weighs 1e-308 in t0, so item a's change decides it
+    for weighted, effect in ((False, -log_price / 2), (True, -log_price)):
+        fit = fit_dummy_index(panel, weighted=weighted)
+        assert fit.log_unit_effects[1] == pytest.approx(effect, rel=1e-15)
+        assert np.isfinite(fit.se).all()
 
 
 def test_zero_dof_leaves_sigma2_undefined():

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,11 +11,17 @@ from mplindex import (
     RedrawExhausted,
     SimulationConfig,
     ValidationError,
+    dummy,
     estimate_deflators,
+    estimator,
     simulate,
 )
 from mplindex.simulate import _ESTIMATOR_FUNCS, _perturb_values
 from helpers import random_panel
+from oracles import simulate_reference
+
+# the package exports the function simulate under the module's name
+simulate_module = importlib.import_module("mplindex.simulate")
 
 
 def test_config_validation():
@@ -127,11 +136,16 @@ def test_estimator_failures_are_counted_and_excluded(monkeypatch):
     calls = {"n": 0}
     real = _ESTIMATOR_FUNCS["mpl"]
 
-    def flaky(sim_panel, config):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise EstimationError("synthetic failure")
-        return real(sim_panel, config)
+    def flaky(panel, config):
+        fit = real(panel, config)
+
+        def fitter(values):
+            calls["n"] += 1
+            if calls["n"] % 3 == 0:
+                raise EstimationError("synthetic failure")
+            return fit(values)
+
+        return fitter
 
     monkeypatch.setitem(_ESTIMATOR_FUNCS, "mpl", flaky)
     config = SimulationConfig(replications=9, noise_mean=0.0, noise_sd_max=0.2,
@@ -193,3 +207,117 @@ def test_noise_sd_is_drawn_per_replication():
     draws = simulate(panel, config).summaries["mpl"].draws
     spread = draws[:, 1:].std(axis=1)
     assert np.unique(np.round(spread, 12)).size > 1
+
+
+def assert_same_report(got, want):
+    """Bit-for-bit equal summaries: the published figures, failures and draws."""
+    assert got.units == want.units
+    assert list(got.summaries) == list(want.summaries)
+    for name, expected in want.summaries.items():
+        summary = got.summaries[name]
+        for field in ("mean_index", "emp_sd", "mean_se", "draws"):
+            a, b = getattr(summary, field), getattr(expected, field)
+            if b is None:
+                assert a is None, (name, field)
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, field)
+        assert summary.failed_replications == expected.failed_replications
+
+
+def zero_dof_panel():
+    # a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
+    values = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+    return Panel.from_arrays(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
+
+
+ALL = ("mpl", "tpd", "tpd_weighted")
+
+
+@pytest.mark.parametrize("panel, options", [
+    (random_panel(np.random.default_rng(31), 9, 6, missing=0.2, base=2),
+     dict(estimators=ALL, noise_mean=0.05, noise_sd_max=0.4)),
+    (random_panel(np.random.default_rng(32), 7, 5, missing=0.1),
+     dict(scheme="random_walk", estimators=ALL, noise_sd_max=0.5)),
+    (random_panel(np.random.default_rng(33), 12, 8, missing=0.3, base=7),
+     dict(estimators=("mpl",), variance_method="corollary3", dof_rule="observed",
+          noise_sd_max=0.3)),
+    (random_panel(np.random.default_rng(34), 6, 9, missing=0.2),
+     dict(estimators=("tpd_weighted", "mpl"), dof_rule="observed", noise_sd_max=0.2)),
+    (random_panel(np.random.default_rng(35), 3, 12, missing=0.1, base=4),
+     dict(estimators=ALL, variance_method="corollary3", noise_sd_max=0.3)),
+    (zero_dof_panel(), dict(estimators=ALL, dof_rule="observed", noise_sd_max=0.1)),
+    (zero_dof_panel(), dict(scheme="random_walk", estimators=ALL, noise_sd_max=0.1)),
+])
+def test_simulate_matches_the_per_replication_fits(panel, options):
+    config = SimulationConfig(replications=25, seed=17, dump_draws=True, **options)
+    assert_same_report(simulate(panel, config), simulate_reference(panel, config))
+
+
+def test_redraws_replay_the_per_unit_loop(monkeypatch):
+    # noise about as large as the values: most replications redraw a cell
+    panel = random_panel(np.random.default_rng(36), 8, 5, missing=0.2, base=1)
+    config = SimulationConfig(replications=30, noise_mean=0.0, noise_sd_max=2.0,
+                              seed=5, estimators=ALL, dump_draws=True)
+    loops = Counter()
+    perturb = simulate_module._perturb_values
+
+    def counted(*args, **kwargs):
+        loops["replayed"] += 1
+        return perturb(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "_perturb_values", counted)
+    report = simulate(panel, config)
+    assert 0 < loops["replayed"] < config.replications
+    monkeypatch.undo()
+    assert_same_report(report, simulate_reference(panel, config))
+
+
+@pytest.mark.parametrize("options, error", [
+    (dict(noise_mean=-1e9, noise_sd_max=1e-6), RedrawExhausted),
+    # draws past the float range read inf, which the panel check refuses
+    (dict(noise_mean=1e308, noise_sd_max=1e308), ValidationError),
+])
+def test_simulate_fails_as_the_per_replication_fits(options, error):
+    panel = random_panel(np.random.default_rng(37), 5, 4)
+    config = SimulationConfig(replications=6, seed=2, **options)
+    with pytest.raises(error) as expected:
+        simulate_reference(panel, config)
+    with pytest.raises(error) as got:
+        simulate(panel, config)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_replications_repeat_no_presence_work(monkeypatch):
+    # checks, panels and the unweighted TPD factor do not scale with the
+    # number of replications
+    panel = random_panel(np.random.default_rng(38), 10, 6, missing=0.2)
+    counts = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(estimator, "require_connected")
+    spy(dummy, "require_connected")
+    spy(dummy, "factor_two_way")
+    post_init = Panel.__post_init__
+
+    def counted_panel(self):
+        counts["Panel"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Panel, "__post_init__", counted_panel)
+
+    def calls(replications):
+        counts.clear()
+        simulate(panel, SimulationConfig(replications=replications, noise_sd_max=0.1,
+                                         seed=1, estimators=("mpl", "tpd")))
+        return dict(counts)
+
+    assert calls(5) == calls(50) == {"require_connected": 2, "factor_two_way": 1}
