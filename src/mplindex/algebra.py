@@ -13,24 +13,24 @@ cross products, diagonal), which everything downstream exploits; the dense
 design matrix is never assembled.
 
 factor_two_way factors every system of this two-way shape, the deflator
-system and the TPD/CPD dummy regression alike, and solve_two_way solves
-one right-hand side through it.  It eliminates the smaller side and
-factors the Schur complement left on the other: the (T-1)-sized S of the
-units when there are at least as many items, else the N-sized K of the
-items.  That is the only matrix it factors, at a cost of
+system and the TPD/CPD dummy regression alike.  It eliminates the smaller
+side and factors the Schur complement left on the other: the (T-1)-sized
+S of the units when there are at least as many items, else the N-sized K
+of the items.  That is the only matrix it factors, at a cost of
 O(NT min(N, T) + min(N, T)^3), and a factor solves any number of
 right-hand sides, so a fit that only changes them (an unweighted TPD fit
 of redrawn values) factors once.  The kit for it runs on numpy alone:
-np.linalg.cholesky for the factor, and two recursive blocked routines on
-BLAS-3 products, _tri_solve for triangular solves and _tri_inv for the
-triangular inverse.  Callers need only the variances of the unit effects,
-diag(S^{-1}), which the factor returns; the Cholesky factor never leaves
-this module.
+np.linalg.cholesky for the factor L and a recursive blocked _tri_inv on
+BLAS-3 products for L^{-1}, which is all a factor keeps; every solve
+multiplies by it.  Callers need only the solve and the variances of the
+unit effects, diag(S^{-1}), which the factor returns; L never leaves this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def gram_blocks(panel: Panel) -> GramBlocks:
     v, q, base = panel.values, panel.quantities, panel.base_unit
     nonbase = panel.nonbase_units
     v_nb = v[:, nonbase]
-    # overflow to inf is reported as EstimationError by solve_two_way
+    # overflow to inf is reported as EstimationError by factor_two_way
     with np.errstate(over="ignore", invalid="ignore"):
         return GramBlocks(
             deflator_gram=(v_nb * v_nb).sum(axis=0),
@@ -76,28 +76,6 @@ def gram_blocks(panel: Panel) -> GramBlocks:
             price_gram=(q * q).sum(axis=1),
             rhs=q[:, base] * v[:, base],
         )
-
-
-def _tri_solve(chol, rhs, trans=False):
-    """Solve L x = rhs, or L' x = rhs with trans, for lower-triangular L.
-
-    rhs is a vector or a matrix of columns.  The order is halved until
-    blocks reach _BLOCK, so all but O(T * _BLOCK) of the work is in matrix
-    products; a block multiplies by its inverse from _tri_inv.
-    """
-    n = chol.shape[0]
-    if n <= _BLOCK:
-        inv = _tri_inv(chol)
-        return (inv.T if trans else inv) @ rhs
-    h = n // 2
-    l11, l21, l22 = chol[:h, :h], chol[h:, :h], chol[h:, h:]
-    if trans:
-        x2 = _tri_solve(l22, rhs[h:], True)
-        x1 = _tri_solve(l11, rhs[:h] - l21.T @ x2, True)
-    else:
-        x1 = _tri_solve(l11, rhs[:h])
-        x2 = _tri_solve(l22, rhs[h:] - l21 @ x1)
-    return np.concatenate([x1, x2])
 
 
 def _tri_inv(chol):
@@ -123,61 +101,48 @@ def _tri_inv(chol):
     return out
 
 
-def _inv_diag(chol, right=None, inv=None):
-    """Column sums of squares of L^{-1} X, with X = right or the identity.
-
-    Without right this is diag(S^{-1}) for S = LL'.  With right = B A^{-1}
-    it is the correction the Woodbury identity adds to diag(A^{-1}) when the
-    units are eliminated (see _ItemSide).  inv is L^{-1}, when already formed.
-    """
-    w = _tri_inv(chol) if inv is None else inv
-    if right is not None:
-        w = w @ right
-    return (w * w).sum(axis=0)
-
-
 def _first_failed_minor(a):
     """Index of the first column whose leading minor of a is not positive definite.
 
     Runs only after np.linalg.cholesky has failed on a, to name the column
     LAPACK potrf reports in its info (info - 1 here).  Blocks of _BLOCK
-    columns are factored left to right; the first block whose Schur
-    complement fails is searched one leading minor at a time.  When rounding
-    lets every block through, the column with the smallest pivot is named.
+    columns are factored left to right, carrying the inverse X of the
+    factored prefix: a block's L21 is A21 X11', and X grows by the split of
+    _tri_inv, X21 = -X22 L21 X11.  The first block whose Schur complement
+    fails is searched one leading minor at a time.  When rounding lets every
+    block through, the column with the smallest pivot is named.
     """
     n = a.shape[0]
-    chol = np.zeros_like(a)
+    inv = np.zeros_like(a)
+    pivots = np.zeros(n)
     for p in range(0, n, _BLOCK):
         q = min(p + _BLOCK, n)
-        l21 = _tri_solve(chol[:p, :p], a[p:q, :p].T).T
+        x11 = inv[:p, :p]
+        l21 = a[p:q, :p] @ x11.T
         s = a[p:q, p:q] - l21 @ l21.T
         try:
-            chol[p:q, p:q] = np.linalg.cholesky(s)
+            l22 = np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
+            # the last leading minor is s itself, so this returns
             for j in range(q - p):
                 try:
                     np.linalg.cholesky(s[:j + 1, :j + 1])
                 except np.linalg.LinAlgError:
                     return p + j
-        chol[p:q, :p] = l21
-    return int(np.argmin(np.diagonal(chol)))
+        pivots[p:q] = np.diagonal(l22)
+        x22 = inv[p:q, p:q] = _tri_inv(l22)
+        inv[p:q, :p] = -(x22 @ (l21 @ x11))
+    return int(np.argmin(pivots))
 
 
 class _Factor:
-    """Cholesky factor L of the Schur complement left on one side.
-
-    A factor of order at most _BLOCK keeps L^{-1}, which _tri_solve would
-    form anew on every call, so the solves multiply by the same matrix.
-    """
+    """L^{-1} for the Cholesky factor L of the Schur complement left on one side."""
 
     def __init__(self, chol):
-        self._chol = chol
-        self._inv = _tri_inv(chol) if chol.shape[0] <= _BLOCK else None
+        self._inv = _tri_inv(chol)
 
     def _chol_solve(self, rhs):
         """x with LL' x = rhs."""
-        if self._inv is None:
-            return _tri_solve(self._chol, _tri_solve(self._chol, rhs), trans=True)
         return self._inv.T @ (self._inv @ rhs)
 
 
@@ -196,9 +161,10 @@ class _UnitSide(_Factor):
         units = self._chol_solve(unit_rhs - self._bc.T @ item_rhs)
         return units, (item_rhs - self._cross @ units) / self._item_diag
 
+    @cached_property
     def unit_variances(self):
-        """diag(S^{-1}), the unit block of the inverse matrix's diagonal."""
-        return _inv_diag(self._chol, inv=self._inv)
+        """diag(S^{-1}), the column sums of squares of L^{-1}."""
+        return (self._inv * self._inv).sum(axis=0)
 
 
 class _ItemSide(_Factor):
@@ -232,9 +198,11 @@ class _ItemSide(_Factor):
             (unit_rhs - np.einsum("i,ij->j", b, x) - self._unit_diag * a).astype(float))
         return units + d_units, items + d_items
 
+    @cached_property
     def unit_variances(self):
         """diag(S^{-1}), the unit block of the inverse matrix's diagonal."""
-        return self._a_inv + _inv_diag(self._chol, self._ba, self._inv)
+        w = self._inv @ self._ba
+        return self._a_inv + (w * w).sum(axis=0)
 
 
 def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
@@ -249,8 +217,9 @@ def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
     (_eliminate_units).
 
     The factor's solve(r, s) returns the unit effects a and the item
-    effects b of [[C, B], [B', A]] [b; a] = [r; s], and unit_variances()
-    returns diag(S^{-1}), the unit block of the inverse matrix's diagonal.
+    effects b of [[C, B], [B', A]] [b; a] = [r; s], and unit_variances is
+    diag(S^{-1}), the unit block of the inverse matrix's diagonal, worked
+    out the first time it is read and then kept.
     Every refusal is decided here.  SingularSystem names the item column
     when a pivot of C is not positive, and EstimationError is raised when C
     or its inverse is not finite.  Every other refusal is decided on S,
@@ -275,19 +244,6 @@ def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
         if factor is not None:
             return factor
     return _eliminate_items(*args, c_inv=c_inv, unit_labels=unit_labels)
-
-
-def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
-                  item_labels, unit_labels, variances=False):
-    """Solve [[C, B], [B', A]] [b; a] = [r; s] with r = item_rhs, s = unit_rhs.
-
-    The blocks are as in factor_two_way, which decides every refusal.
-    Returns the unit effects a, the item effects b and, with variances,
-    diag(S^{-1}) (else None).
-    """
-    factor = factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels)
-    units, items = factor.solve(item_rhs, unit_rhs)
-    return units, items, factor.unit_variances() if variances else None
 
 
 def _eliminate_items(item_diag, cross, unit_diag, c_inv, unit_labels):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import factor_two_way, solve_two_way
+from .algebra import factor_two_way
 from .errors import UnidentifiedModel
 from .panel import Panel
 
@@ -170,9 +170,9 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         return w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase]
 
     if not weighted:
+        # S^{-1} is exactly the unit block of the full inverse Gram matrix,
+        # and the factor keeps its diagonal once worked out
         fixed = factor_two_way(*blocks(present.astype(np.float64)), *labels)
-        # S^{-1} is exactly the unit block of the full inverse Gram matrix
-        fixed_var = fixed.unit_variances() if dof > 0 else None
 
     def fit(values: np.ndarray) -> DummyFit:
         logp = np.zeros((n, t))
@@ -184,17 +184,18 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
             shift = logp.sum(axis=1) / present.sum(axis=1)
             logp -= shift[:, None] * present
         if weighted:
-            w = values / values.sum(axis=0)
+            # each unit's values times 2^-k with 2^k just above its largest,
+            # so the sum cannot overflow; the shares keep their bits
+            _, k = np.frexp(values.max(axis=0))
+            w = np.ldexp(values, -k)
+            w /= w.sum(axis=0)
             wy = w * logp
-            unit_effects, item_effects, var = solve_two_way(
-                *blocks(w), wy.sum(axis=1), wy.sum(axis=0)[nonbase], *labels,
-                variances=dof > 0)
         else:
             # W is the 0/1 presence mask and logp is 0 where W is, so
             # W * logp is logp
-            w, var = present, fixed_var
-            unit_effects, item_effects = fixed.solve(logp.sum(axis=1),
-                                                     logp.sum(axis=0)[nonbase])
+            w, wy = present, logp
+        factor = factor_two_way(*blocks(w), *labels) if weighted else fixed
+        unit_effects, item_effects = factor.solve(wy.sum(axis=1), wy.sum(axis=0)[nonbase])
         log_effects = np.zeros(t)
         log_effects[nonbase] = unit_effects
 
@@ -210,7 +211,7 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         if sigma2 is None:
             se[nonbase] = np.nan
         else:
-            se[nonbase] = np.sqrt(sigma2 * var)
+            se[nonbase] = np.sqrt(sigma2 * factor.unit_variances)
         return DummyFit(
             units=panel.units, items=panel.items, base_unit=panel.base_unit,
             mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),

@@ -46,10 +46,6 @@ class BasketViolation(ValidationError):
     """An item is present in fewer than two units."""
 
 
-class InvalidPrice(ValidationError):
-    """A present cell implies a nonpositive or non-finite price."""
-
-
 class InvalidDimension(ValidationError):
     """A dimension argument is out of range for the requested operation."""
 

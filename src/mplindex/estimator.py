@@ -1,7 +1,7 @@
 """Closed-form estimation of unit deflators and the price index.
 
 The deflators and reference prices solve the structured normal equations
-through algebra.solve_two_way, which absorbs the smaller of the diagonal
+through algebra.factor_two_way, which absorbs the smaller of the diagonal
 price and deflator blocks and factors the Schur complement of the other,
 (T-1)- or N-sized, at O(NT min(N, T) + min(N, T)^3).  The panel is
 rescaled by powers of two before the blocks are formed, so a magnitude
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import solve_two_way
+from .algebra import factor_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
@@ -182,7 +182,6 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
     require_connected(panel)
 
     dof = _dof(panel, dof_rule, n + t - 1)
-    variances = variance_method == "full_partition" and dof > 0
     base, nonbase = panel.base_unit, np.array(panel.nonbase_units, dtype=np.intp)
     labels = ([f"ref_price[{item}]" for item in panel.items],
               [f"deflator[{panel.units[u]}]" for u in nonbase])
@@ -192,7 +191,7 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
                 else panel.quantities)
     neg_q_nb, q_base = np.negative(scaled_q[:, nonbase]), scaled_q[:, base]
     unit_rhs = np.zeros(t - 1)
-    # overflow to inf is reported as EstimationError by solve_two_way
+    # overflow to inf is reported as EstimationError by factor_two_way
     with np.errstate(over="ignore", invalid="ignore"):
         price_gram = (scaled_q * scaled_q).sum(axis=1)
 
@@ -205,9 +204,8 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
             # X'X holds the negative of the cross block q * v; formed in
             # place, so no second N x (T-1) array is live in the solve
             neg_cross = np.multiply(v_nb, neg_q_nb, out=v_nb)
-        delta_nb, prices, var_nb = solve_two_way(
-            price_gram, neg_cross, deflator_gram, rhs, unit_rhs, *labels,
-            variances=variances)
+        factor = factor_two_way(price_gram, neg_cross, deflator_gram, *labels)
+        delta_nb, prices = factor.solve(rhs, unit_rhs)
 
         deflators = np.ones(t)
         deflators[nonbase] = delta_nb
@@ -219,7 +217,7 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
             if variance_method == "corollary3":
                 var[nonbase] = ssr / dof * (1.0 / deflator_gram)
             else:
-                var[nonbase] = ssr / dof * var_nb
+                var[nonbase] = ssr / dof * factor.unit_variances
         prices, ssr = _unscale(prices, ssr, k, k_items)
         sigma2 = ssr / dof if dof > 0 else None
         return DeflatorEstimate(

@@ -1,10 +1,12 @@
-"""Shared generators for the test suite: valid random panels and bilateral inputs."""
+"""Shared generators for the test suite: valid random panels and bilateral inputs,
+and a one-call two-way solve."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from mplindex import BilateralInput, Panel
+from mplindex.algebra import factor_two_way
 
 
 def connected_presence(present: np.ndarray) -> bool:
@@ -76,3 +78,16 @@ def panel_from_bilateral(inp: BilateralInput, mode="time") -> Panel:
     values = np.column_stack([inp.p1 * inp.q1, inp.p2 * inp.q2])
     quantities = np.column_stack([inp.q1, inp.q2])
     return Panel.from_arrays(items, ("b", "c"), values, quantities, mode=mode)
+
+
+def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,
+                  item_labels, unit_labels, variances=False):
+    """Solve [[C, B], [B', A]] [b; a] = [r; s] with r = item_rhs, s = unit_rhs.
+
+    The blocks are as in algebra.factor_two_way, which decides every
+    refusal.  Returns the unit effects a, the item effects b and, with
+    variances, diag(S^{-1}) (else None).
+    """
+    factor = factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels)
+    units, items = factor.solve(item_rhs, unit_rhs)
+    return units, items, factor.unit_variances if variances else None

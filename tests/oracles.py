@@ -29,8 +29,9 @@ from mplindex import (
     gram_blocks,
     implied_prices,
 )
-from mplindex.algebra import PIVOT_RTOL, solve_two_way
+from mplindex.algebra import PIVOT_RTOL
 from mplindex.simulate import _perturb_values
+from helpers import solve_two_way
 
 
 def transition_matrix(n: int) -> np.ndarray:

@@ -14,16 +14,9 @@ from mplindex import (
     fit_dummy_index,
     gram_blocks,
 )
-from mplindex.algebra import (
-    _first_failed_minor,
-    _inv_diag,
-    _tri_inv,
-    _tri_solve,
-    factor_two_way,
-    solve_two_way,
-)
+from mplindex.algebra import _Factor, _first_failed_minor, _tri_inv, factor_two_way
 from mplindex.dummy import presence_components
-from helpers import random_panel
+from helpers import random_panel, solve_two_way
 from oracles import (
     DesignSystem,
     build_design_system,
@@ -280,7 +273,8 @@ def test_solve_two_way_matches_dense_solve(n, k, solve_side):
 @pytest.mark.parametrize("n,k", [(7, 3), (130, 90), (40, 70), (90, 130)])
 def test_one_factor_solves_every_right_hand_side(n, k):
     # a factor serves any number of right-hand sides, each bit for bit as
-    # solve_two_way solves it alone, on both sides and both sizes of factor
+    # solve_two_way solves it alone, on both sides and at orders on both
+    # sides of one LAPACK inverse (_tri_inv's block)
     rng = np.random.default_rng(n + k)
     item_diag = rng.uniform(0.5, 3.0, n)
     cross = -rng.uniform(0.0, 2.0, (n, k))
@@ -294,7 +288,7 @@ def test_one_factor_solves_every_right_hand_side(n, k):
         got_units, got_items = factor.solve(item_rhs, unit_rhs)
         assert got_units.tobytes() == units.tobytes()
         assert got_items.tobytes() == items.tobytes()
-        assert factor.unit_variances().tobytes() == var.tobytes()
+        assert factor.unit_variances.tobytes() == var.tobytes()
 
 
 def test_blocks_invert_the_normal_matrix():
@@ -329,26 +323,21 @@ def test_triangular_kit_matches_scipy(n, cols):
     rng = np.random.default_rng(n)
     chol = np.linalg.cholesky(spd(rng, n))
     rhs = rng.normal(size=n if cols is None else (n, cols))
-    x = _tri_solve(chol, rhs)
+    inv = _tri_inv(chol)
+    x = inv @ rhs
     assert x.shape == rhs.shape
     assert_allclose(x, solve_triangular(chol, rhs, lower=True), rtol=1e-12, atol=1e-12)
-    assert_allclose(_tri_solve(chol, rhs, trans=True),
-                    solve_triangular(chol, rhs, lower=True, trans="T"),
+    assert_allclose(inv.T @ rhs, solve_triangular(chol, rhs, lower=True, trans="T"),
                     rtol=1e-12, atol=1e-12)
-    assert_allclose(_tri_solve(chol, x, trans=True), cho_solve((chol, True), rhs),
-                    rtol=1e-12, atol=1e-12)
-    if cols is not None:
-        assert_allclose(_inv_diag(chol, rhs),
-                        (solve_triangular(chol, rhs, lower=True) ** 2).sum(axis=0),
-                        rtol=1e-12)
-    else:
-        inv = _tri_inv(chol)
+    assert_allclose(inv.T @ x, cho_solve((chol, True), rhs), rtol=1e-12, atol=1e-12)
+    assert_array_equal(_Factor(chol)._chol_solve(rhs), inv.T @ x)
+    if cols is None:
         assert_array_equal(np.triu(inv, 1), 0.0)
         assert_allclose(inv, solve_triangular(chol, np.eye(n), lower=True),
                         rtol=1e-12, atol=1e-13)
         s_inv = cho_solve((chol, True), np.eye(n))
         assert_allclose(inv.T @ inv, s_inv, rtol=1e-12, atol=1e-13)
-        assert_allclose(_inv_diag(chol), np.diag(s_inv), rtol=1e-12)
+        assert_allclose((inv * inv).sum(axis=0), np.diag(s_inv), rtol=1e-12)
 
 
 def test_one_by_one_solve_multiplies_by_reciprocal_pivot():
@@ -359,10 +348,11 @@ def test_one_by_one_solve_multiplies_by_reciprocal_pivot():
     step = 1.0 / chol[0, 0]
     assert rhs[0] * step != rhs[0] / chol[0, 0]
     assert rhs[0] * step * step != rhs[0] / chol[0, 0] / chol[0, 0]
-    assert _tri_solve(chol, rhs)[0] == rhs[0] * step
-    assert _tri_solve(chol, rhs, trans=True)[0] == rhs[0] * step
-    assert _tri_solve(chol, _tri_solve(chol, rhs), trans=True)[0] == rhs[0] * step * step
-    assert _tri_inv(chol)[0, 0] == step
+    inv = _tri_inv(chol)
+    assert inv[0, 0] == step
+    assert (inv @ rhs)[0] == rhs[0] * step
+    assert (inv.T @ rhs)[0] == rhs[0] * step
+    assert _Factor(chol)._chol_solve(rhs)[0] == rhs[0] * step * step
 
 
 def test_small_blocks_are_inverted_without_pivoting():
@@ -379,9 +369,6 @@ def test_small_blocks_are_inverted_without_pivoting():
                       [1160.0, 96.0, 2.0, 4.0, 0.0],
                       [8944.0, 736.0, 11.0, 32.0, 2.0]])
     assert_array_equal(_tri_inv(chol), exact)
-    rhs = np.array([1.0, -2.0, 3.0, 0.5, 4.0])
-    assert_array_equal(_tri_solve(chol, rhs), exact @ rhs)
-    assert_array_equal(_tri_solve(chol, rhs, trans=True), exact.T @ rhs)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 3), (64, 64), (70, 65),
@@ -431,7 +418,7 @@ def weakly_linked_panels(count):
     """Seeded panels whose last two units reach the rest only through one
     item's tiny value in the last unit, spread across the point where the
     Schur complement turns numerically singular.  They have more items
-    than non-base units and fewer, so both sides of solve_two_way are met.
+    than non-base units and fewer, so both sides of factor_two_way are met.
     """
     rng = np.random.default_rng(7)
     for _ in range(count):

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ def test_overflowing_price_fits_in_logs():
         fit = fit_dummy_index(panel, weighted=weighted)
         assert fit.log_unit_effects[1] == pytest.approx(effect, rel=1e-15)
         assert np.isfinite(fit.se).all()
+
+
+def test_weighted_shares_at_the_top_of_the_float_range():
+    # each unit's values sum past the float range, but its shares do not
+    rng = np.random.default_rng(0)
+    values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
+    items, units = [f"i{i}" for i in range(30)], [f"t{t}" for t in range(6)]
+    plain = fit_dummy_index(Panel.from_arrays(items, units, values, quantities),
+                            weighted=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = fit_dummy_index(Panel.from_arrays(items, units, values * 1e307, quantities),
+                              weighted=True)
+    assert_allclose(top.indexes, plain.indexes, rtol=1e-12)
+    assert_allclose(top.index_se, plain.index_se, rtol=1e-12)
 
 
 def test_zero_dof_leaves_sigma2_undefined():

@@ -17,6 +17,7 @@ from mplindex import (
     UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
+    algebra,
     build_reference_basket,
     estimate_deflators,
     gram_blocks,
@@ -25,9 +26,8 @@ from mplindex import (
     pseudo_reciprocal,
     to_index_series,
 )
-from mplindex.algebra import solve_two_way
 from mplindex.estimator import _stacked_ssr
-from helpers import random_panel
+from helpers import random_panel, solve_two_way
 from oracles import build_design_system, long_double_deflators, ols_fit
 
 
@@ -174,13 +174,15 @@ def test_variance_method_switch():
 
 
 def test_corollary3_fit_forms_no_inverse(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("triangular inverse formed")
+    # corollary3 reads no diag(S^{-1}) from either side's factor
+    for side in (algebra._UnitSide, algebra._ItemSide):
+        def forbidden(self, name=side.__name__):
+            raise AssertionError(f"{name} unit variances formed")
 
-    monkeypatch.setattr("mplindex.algebra._inv_diag", forbidden)
+        monkeypatch.setattr(side, "unit_variances", property(forbidden))
     rng = np.random.default_rng(8)
     # 6 items over 4 non-base units eliminate the items, 3 over 7 the units
-    for n, t in ((6, 5), (3, 8)):
+    for (n, t), side in (((6, 5), "_UnitSide"), ((3, 8), "_ItemSide")):
         panel = random_panel(rng, n, t, missing=0.1)
         est = estimate_deflators(panel, variance_method="corollary3")
         gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
@@ -188,7 +190,7 @@ def test_corollary3_fit_forms_no_inverse(monkeypatch):
         assert_allclose(est.var_deflators[nb], est.sigma2 / gram, rtol=1e-14)
         series = to_index_series(est)
         assert np.isfinite(series.se).all()
-        with pytest.raises(AssertionError, match="triangular inverse"):
+        with pytest.raises(AssertionError, match=f"{side} unit variances"):
             estimate_deflators(panel, variance_method="full_partition")
 
 

@@ -59,9 +59,9 @@ def test_traced_functions_resolve(tmp_path):
 
 
 def test_only_algebra_touches_the_factor():
-    # the Cholesky factor and its kit stay inside algebra: other modules
-    # get the unit variances from solve_two_way
-    kit = {"_tri_inv", "_tri_solve", "_inv_diag", "_first_failed_minor"}
+    # the triangular inverse and its kit stay inside algebra: other modules
+    # use only a factor's solve and unit_variances
+    kit = {"_tri_inv", "_first_failed_minor", "_inv", "_chol_solve"}
     package = pathlib.Path(mplindex.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         if path.name == "algebra.py":

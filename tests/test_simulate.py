@@ -11,6 +11,7 @@ from mplindex import (
     RedrawExhausted,
     SimulationConfig,
     ValidationError,
+    algebra,
     dummy,
     estimate_deflators,
     estimator,
@@ -289,8 +290,8 @@ def test_simulate_fails_as_the_per_replication_fits(options, error):
 
 
 def test_replications_repeat_no_presence_work(monkeypatch):
-    # checks, panels and the unweighted TPD factor do not scale with the
-    # number of replications
+    # checks, panels, the unweighted TPD factor and its diag(S^{-1}) do not
+    # scale with the number of replications
     panel = random_panel(np.random.default_rng(38), 10, 6, missing=0.2)
     counts = Counter()
 
@@ -305,7 +306,24 @@ def test_replications_repeat_no_presence_work(monkeypatch):
 
     spy(estimator, "require_connected")
     spy(dummy, "require_connected")
-    spy(dummy, "factor_two_way")
+    tpd_factors = []
+    factor_two_way = dummy.factor_two_way
+
+    def counted_factor(*args):
+        counts["factor_two_way"] += 1
+        tpd_factors.append(factor_two_way(*args))
+        return tpd_factors[-1]
+
+    monkeypatch.setattr(dummy, "factor_two_way", counted_factor)
+    # count the diag(S^{-1}) worked out on the TPD fitter's factors, on
+    # either side, through the property's own caching
+    for side in (algebra._UnitSide, algebra._ItemSide):
+        def counted_variances(factor, compute=side.unit_variances.func):
+            if any(factor is made for made in tpd_factors):
+                counts["unit_variances"] += 1
+            return compute(factor)
+
+        monkeypatch.setattr(side.unit_variances, "func", counted_variances)
     post_init = Panel.__post_init__
 
     def counted_panel(self):
@@ -320,4 +338,5 @@ def test_replications_repeat_no_presence_work(monkeypatch):
                                          seed=1, estimators=("mpl", "tpd")))
         return dict(counts)
 
-    assert calls(5) == calls(50) == {"require_connected": 2, "factor_two_way": 1}
+    assert calls(5) == calls(50) == {"require_connected": 2, "factor_two_way": 1,
+                                     "unit_variances": 1}
