@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 from collections.abc import Mapping
@@ -30,9 +29,9 @@ CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
 # accepted headers: CSV_HEADER, which emit_panel writes, and the paper's
 _HEADERS = (CSV_HEADER, ("item", "unit", "value", "quantity"))
 MODES = ("time", "space")
-# characters per readlines() batch of the columnar parser: big enough that
-# per-batch overhead vanishes, small enough that a batch's field strings
-# stay a few MB
+# bytes per read of the columnar parser (capped at the csv field limit): big
+# enough that per-batch overhead vanishes, small enough that a batch's field
+# bytes stay a few MB
 _CHUNK_CHARS = 1 << 18
 
 
@@ -241,36 +240,41 @@ def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     (default: first unit).
 
     Plain input (LF line ends; no quote, CR or NUL; three commas on every
-    line) is parsed column by column, a few hundred kB at a time.  Anything
-    else, and any input a columnar check rejects, goes to the csv row parser
-    from the start of the same handle (a stream is first read into memory,
-    so the handle can seek).  Both parsers give the same panel, and every
+    line) is parsed column by column from its UTF-8 bytes, at most
+    ``csv.field_size_limit()`` bytes (128 kB by default) at a time: a path
+    is read in binary, a stream's text is encoded once.  Anything else goes
+    to the csv row parser from the start of the input: a stream whose text
+    does not encode (a lone surrogate), a first line in a batch longer than
+    the field limit, a number float() does not take from ASCII bytes (such
+    as Unicode digits or spaces), a label that is not UTF-8, and any input
+    a whole-file check rejects.  Both parsers give the same panel, and every
     error comes from the row parser.  Text that does not decode and csv
     faults such as an oversized field raise FormatError.
     """
-    is_stream = hasattr(source, "read")
     try:
-        if is_stream:
-            parsed = _parse(io.StringIO(source.read()))
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                parsed = _parse(fh)
+        parsed = _parse(source)
     except UnicodeDecodeError as exc:
-        line = None if is_stream else _undecodable_line(os.fspath(source))
+        line = None if hasattr(source, "read") else _undecodable_line(os.fspath(source))
         raise FormatError(f"input is not {exc.encoding} text ({exc.reason})",
                           line=line) from None
     return _assemble(*parsed, mode, base_unit, units)
 
 
-def _parse(fh):
-    """Columnar parse of a seekable text handle, else the row parser from its start."""
-    try:
+def _parse(source):
+    """Columnar parse of the source's UTF-8 bytes, else the row parser on its text."""
+    if hasattr(source, "read"):
+        text = source.read()
+        try:
+            # str.encode: a binary stream's bytes raise TypeError
+            parsed = _parse_columns(io.BytesIO(str.encode(text, "utf-8")))
+        except UnicodeEncodeError:  # a lone surrogate
+            parsed = None
+        return _parse_rows(io.StringIO(text)) if parsed is None else parsed
+    with open(source, "rb") as fh:
         parsed = _parse_columns(fh)
-    except UnicodeDecodeError:
-        parsed = None
     if parsed is None:
-        fh.seek(0)
-        parsed = _parse_rows(fh)
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            parsed = _parse_rows(fh)
     return parsed
 
 
@@ -285,20 +289,6 @@ def _undecodable_line(path) -> int | None:
     return None
 
 
-def _plain_text(lines, limit) -> str | None:
-    """The joined lines when each is an unquoted LF line with three commas.
-
-    On such lines csv.reader splits exactly where str.split(",") does.  A
-    line longer than the csv field limit is left to csv.reader to judge.
-    """
-    text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > limit
-            or set(map(str.count, lines, itertools.repeat(","))) != {3}):
-        return None
-    return text
-
-
 class _Codes(dict):
     """label -> code, numbering labels in order of first lookup."""
 
@@ -307,51 +297,91 @@ class _Codes(dict):
         return code
 
 
-def _parse_columns(stream):
-    """Columnar parse of plain input; None where the row parser must decide.
+def _stripped(raw_codes: _Codes):
+    """Stripped labels in first-appearance order, and the code of each raw label.
+
+    Raw labels that strip to the same text share a code.  Raises
+    UnicodeDecodeError on a label that is not UTF-8.
+    """
+    codes = _Codes()
+    recode = [codes[raw.decode("utf-8").strip()] for raw in raw_codes]
+    return list(codes), np.array(recode, dtype=np.intp)
+
+
+def _parse_columns(fh):
+    """Columnar parse of a binary handle; None where the row parser must decide.
 
     Returns what _parse_rows returns for the same text, or None on a header
-    outside _HEADERS, a batch that is not plain text (see _plain_text), an
-    unparseable, non-finite or sign-inconsistent number, an empty label, a
-    duplicate cell or no data rows.
+    outside _HEADERS; a batch holding a quote, CR or NUL, a first line longer
+    than the csv field limit or a line without exactly four fields; a number
+    float() rejects; a label that is not UTF-8 or is empty once stripped; a
+    non-finite or sign-inconsistent number, a duplicate cell or no data rows.
     """
     limit = csv.field_size_limit()
-    header = stream.readline()
-    if not header:
+    header = fh.readline()
+    try:
+        names = header.decode("utf-8")
+    except UnicodeDecodeError:
         return None
-    text = _plain_text([header], limit)
-    if text is None or tuple(h.strip() for h in text.rstrip("\n").split(",")) not in _HEADERS:
+    # a quote or NUL survives strip(), a CR does not
+    if (len(header) > limit or "\r" in names
+            or tuple(h.strip() for h in names.rstrip("\n").split(",")) not in _HEADERS):
         return None
 
-    item_code, unit_code = _Codes(), _Codes()
+    # labels are coded by their raw bytes and stripped once each at the end
+    raw_items, raw_units = _Codes(), _Codes()
     batches = []
-    while lines := stream.readlines(_CHUNK_CHARS):
-        text = _plain_text(lines, limit)
-        if text is None:
+    size = min(_CHUNK_CHARS, limit)
+    rest = b""
+    while True:
+        block = fh.read(size)
+        if not block:
+            if not rest:
+                break
+            block = b"\n"  # end the last line
+        data = rest + block
+        end = data.rfind(b"\n") + 1
+        data, rest = data[:end], data[end:]
+        # every line but the first lies within one read, so within the limit
+        if len(rest) >= limit or data.find(b"\n") >= limit:
             return None
-        fields = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            fields.pop()
-        count = len(lines)
+        if not data:
+            continue
+        if b'"' in data or b"\r" in data or b"\0" in data:
+            return None
+        count = data.count(b"\n")
+        # each line is four fields and the b"\n" that ended it; the split
+        # leaves one empty field after the last
+        fields = data.replace(b"\n", b",\n,").split(b",")
+        fields.pop()
+        if len(fields) != 5 * count or fields[4::5].count(b"\n") != count:
+            return None
         try:
-            values = np.fromiter(map(float, fields[2::4]), np.float64, count)
-            quantities = np.fromiter(map(float, fields[3::4]), np.float64, count)
+            values = np.fromiter(map(float, fields[2::5]), np.float64, count)
+            quantities = np.fromiter(map(float, fields[3::5]), np.float64, count)
         except ValueError:
             return None
-        codes = [np.fromiter(map(code.__getitem__, map(str.strip, fields[k::4])),
-                             np.intp, count)
-                 for k, code in enumerate((item_code, unit_code))]
+        codes = [np.fromiter(map(code.__getitem__, fields[k::5]), np.intp, count)
+                 for k, code in enumerate((raw_items, raw_units))]
         batches.append((*codes, values, quantities))
-    if not batches or "" in item_code or "" in unit_code:
+    if not batches:
+        return None
+    try:
+        (item_order, item_recode), (unit_order, unit_recode) = map(
+            _stripped, (raw_items, raw_units))
+    except UnicodeDecodeError:
+        return None
+    if "" in item_order or "" in unit_order:
         return None
 
     rows, cols, values, quantities = (np.concatenate(part) for part in zip(*batches))
     del batches
+    rows, cols = item_recode[rows], unit_recode[cols]
     if not (np.isfinite(values).all() and np.isfinite(quantities).all()):
         return None
     if not (((values > 0) & (quantities > 0)) | ((values == 0) & (quantities == 0))).all():
         return None
-    n, t = len(item_code), len(unit_code)
+    n, t = len(item_order), len(unit_order)
     flat = rows * t + cols
     if np.bincount(flat, minlength=n * t).max() > 1:
         return None
@@ -359,7 +389,7 @@ def _parse_columns(stream):
     grid_quantities = np.zeros(n * t)
     grid_values[flat] = values
     grid_quantities[flat] = quantities
-    return (list(item_code), list(unit_code),
+    return (item_order, unit_order,
             grid_values.reshape(n, t), grid_quantities.reshape(n, t))
 
 

@@ -11,6 +11,7 @@ never revises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ def update_multilateral(panel: Panel, new_unit,
     return UpdateResult(estimate=estimate, changed_mask=changed)
 
 
+def _normal(x: float) -> bool:
+    """x is a float at full precision: finite, nonzero and not subnormal."""
+    return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
 def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
                        new_period) -> UpdateResult:
     """Admit a new period while freezing every published deflator.
@@ -91,7 +97,9 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
     The prior deflator variances are carried unchanged (NaN when the prior
-    had no sigma2).  Raises EstimationError when the scalar system overflows.
+    had no sigma2).  Raises EstimationError when the scalar system over- or
+    underflows: a subnormal v_new'v_new or Schur complement has lost its
+    precision, and the new variance would be off or infinite.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -126,8 +134,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
             )
         delta_new = float(np.sum(qv * m / d)) / denom
         prices = (m + qv * delta_new) / d
-    if not (math.isfinite(denom) and math.isfinite(delta_new)
-            and np.isfinite(prices).all()):
+    if not (_normal(denom) and math.isfinite(delta_new) and np.isfinite(prices).all()):
         raise EstimationError(OVERFLOW_MESSAGE)
 
     deflators = np.append(prior.deflators, delta_new)
@@ -137,10 +144,11 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     # scaled sigma2 over a scaled Gram: the scalings cancel
     if dof <= 0:
         var_new = np.nan
-    elif prior.variance_method == "corollary3":
-        var_new = ssr / dof / (v_new @ v_new)
     else:
-        var_new = ssr / dof / denom
+        gram = float(v_new @ v_new) if prior.variance_method == "corollary3" else denom
+        var_new = ssr / dof / gram
+        if not (_normal(gram) and (var_new == 0 or _normal(var_new))):
+            raise EstimationError(OVERFLOW_MESSAGE)
     prices, ssr = _unscale(prices, ssr, k, k_items)
     sigma2 = ssr / dof if dof > 0 else None
     prior_var = prior.var_deflators

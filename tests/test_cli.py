@@ -745,6 +745,39 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
     assert abs(np.longdouble(se) - reference) <= 1e-15 * reference
 
 
+@pytest.mark.parametrize("variance", ["full", "corollary3"])
+def test_update_period_refuses_a_subnormal_new_period(run, tmp_path, variance):
+    rng = np.random.default_rng(3)
+    panel = Panel.from_arrays([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
+                              rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6)))
+    new_values, new_quantities = rng.uniform(1, 10, 30), rng.uniform(1, 10, 30)
+    src = write(tmp_path, "panel.csv", emit_panel(panel))
+    report = tmp_path / "report.json"
+
+    def update(scale):
+        new = write(tmp_path, "new.csv", HEADER + "".join(
+            f"{item},t9,{float(v * scale)!r},{float(q)!r}\n"
+            for item, v, q in zip(panel.items, new_values, new_quantities)))
+        report.unlink(missing_ok=True)
+        code, out, err = run("update-period", "--input", src, "--new", new,
+                             "--variance", variance, "--output", str(report))
+        assert out == ""
+        return code, err
+
+    assert update(1.0) == (0, "")
+    exact = json.loads(report.read_text())["series"][-1]
+    # x1e-160 makes v_new'v_new subnormal: the index came out 1.1e-6 off
+    # with an infinite se, and exit 0
+    code, err = update(1e-160)
+    assert code == 2
+    assert err.startswith("estimation error: ")
+    assert not report.exists()
+    assert update(1e-150) == (0, "")
+    row = json.loads(report.read_text())["series"][-1]
+    assert row["index"] == pytest.approx(exact["index"] * 1e-150, rel=1e-12)
+    assert row["se"] == pytest.approx(exact["se"] * 1e-150, rel=1e-12)
+
+
 def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
     records = []
     handler = logging.Handler()

@@ -387,7 +387,7 @@ def assert_same_as_strict(text, tmp_path=None, columnar=None, **kwargs):
         path.write_bytes(text.encode("utf-8"))
         assert outcome(lambda: load_panel(path, **kwargs)) == expected
     if columnar is not None:
-        decided = panel_module._parse_columns(io.StringIO(text)) is not None
+        decided = panel_module._parse_columns(io.BytesIO(text.encode())) is not None
         assert decided == columnar
     return expected
 
@@ -406,7 +406,15 @@ LOADER_CASES = {
                                  "a\x0cb,t2 ,8,2\nc\x0c,t2,9,3\n", True),
     "explicit_absence": (HEADER + "\na,t1,10,2\nb,t1,0,0\na,t2,8,2\nb,t2,9,3\n"
                          "b,t3,1,1\na,t3,0,0\n", True),
+    # labels that strip to the same text are one label
+    "unicode_padded_labels": (HEADER + "\na,t1,10,2\n\xa0b,t1,6,3\na\u3000,t2,8,2\n"
+                              "b,\xa0t2\u3000,9,3\n", True),
     # input the row parser decides
+    "unicode_digits": (HEADER + "\na,t1,١٠,2\nb,t1,6,٣\na,t2,8,2\nb,t2,9,3\n", False),
+    "unicode_space_in_number": (HEADER + "\na,t1,\xa010,2\nb,t1,6,3\u3000\n", False),
+    "unicode_padded_duplicate": (HEADER + "\na,t1,10,2\nb,t1,6,3\n\xa0a\u3000,t1,8,2\n",
+                                 False),
+    "bom": ("\ufeff" + HEADER + "\na,t1,10,2\nb,t1,6,3\n", False),
     "quoted": (HEADER + '\n"a",t1,10,2\nb,"t1",6,3\n"a,x",t2,8,2\nb,t2,"9",3\n', False),
     "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
              "a,t2,8,2\r\nb,t2,9,3\r\n", False),
@@ -449,6 +457,14 @@ def test_loader_cases_hit_the_intended_outcomes():
     assert result("spellings")[0] == ("a", "b")
     assert result("quoted")[0] == ("a", "b", "a,x")
     assert result("odd_whitespace_in_labels")[:2] == (("a\x0cb", "c"), ("t\x851", "t2"))
+    assert result("unicode_padded_labels")[:2] == (("a", "b"), ("t1", "t2"))
+    assert result("unicode_digits")[0] == ("a", "b")
+    assert result("unicode_space_in_number")[0] == ("a", "b")
+    assert result("unicode_padded_duplicate") == (
+        DuplicateObservation, "line 4: duplicate observation for item 'a', unit 't1'")
+    assert result("bom") == (
+        FormatError, "line 1: expected header item_id,unit_id,value,quantity, "
+        "got \ufeffitem_id,unit_id,value,quantity")
 
 
 def test_loader_applies_units_and_base_alike():
@@ -466,7 +482,7 @@ def tiny_chunks(monkeypatch):
 
 def test_first_appearance_spans_chunks(tiny_chunks, tmp_path):
     text = HEADER + "\nz,t2,1,1\ny,t2,2,1\nz,t1,3,1\nx,t1,4,1\ny,t3,5,1\nx,t3,6,1\n"
-    assert panel_module._parse_columns(io.StringIO(text)) is not None
+    assert panel_module._parse_columns(io.BytesIO(text.encode())) is not None
     assert_same_as_strict(text, tmp_path)
     panel = load_panel(io.StringIO(text))
     assert panel.items == ("z", "y", "x")
@@ -478,6 +494,16 @@ def test_duplicate_cell_across_chunks(tiny_chunks, tmp_path):
     error = assert_same_as_strict(text, tmp_path, columnar=False)
     assert error == (DuplicateObservation,
                      "line 6: duplicate observation for item 'a', unit 't1'")
+
+
+def test_multibyte_label_across_a_read_boundary(tiny_chunks, tmp_path):
+    # 12-byte reads after the header: the three first lines put a read
+    # boundary before the three-byte 日, after its first byte and after its second
+    for first in ("a,t1,1,1", "a,t1,10,1", "a,t1,100,1"):
+        text = HEADER + f"\n{first}\n日本,t1,2,1\na,t2,3,1\n日本,t2,4,1\n"
+        assert panel_module._parse_columns(io.BytesIO(text.encode())) is not None
+        assert_same_as_strict(text, tmp_path)
+        assert load_panel(io.StringIO(text)).items == ("a", "日本")
 
 
 def test_fallback_replays_lines_already_read(tiny_chunks):
@@ -503,7 +529,7 @@ def test_random_panels_load_like_strict_parser(seed, n, t, missing, chunk):
     lines = [lines[k] for k in rng.permutation(len(lines))]
     text = "\n".join([HEADER] + lines) + "\n"
     with mock.patch.object(panel_module, "_CHUNK_CHARS", chunk):
-        assert panel_module._parse_columns(io.StringIO(text)) is not None
+        assert panel_module._parse_columns(io.BytesIO(text.encode())) is not None
         assert_same_as_strict(text)
     back = load_panel(io.StringIO(text), units=panel.units)
     assert sorted(back.items) == sorted(panel.items)
@@ -554,6 +580,24 @@ def test_undecodable_file_is_format_error_with_line(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_panel(path)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("line", [b"b,t1,2\xff,1", b"b\xe6\x97,t1,2,1"])
+def test_undecodable_field_is_format_error_with_line(tmp_path, line):
+    data = HEADER.encode() + b"\na,t1,1,1\n" + line + b"\na,t2,3,1\n"
+    assert panel_module._parse_columns(io.BytesIO(data)) is None
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        load_panel(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: input is not utf-8 text")
+
+
+def test_stream_with_a_lone_surrogate_goes_to_the_row_parser():
+    text = HEADER + "\na\ud800,t1,1,1\nb,t1,2,1\na\ud800,t2,3,1\nb,t2,4,1\n"
+    assert_same_as_strict(text)
+    assert load_panel(io.StringIO(text)).items == ("a\ud800", "b")
 
 
 def test_undecodable_stream_is_format_error():
