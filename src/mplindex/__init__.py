@@ -4,12 +4,8 @@ from .algebra import GramBlocks, gram_blocks
 from .bilateral import (
     BilateralInput,
     bilateral_from_panel,
-    classical_form_matrix,
     classical_index,
-    convex_weights,
-    convex_weights_from_values,
     mpl_two_period,
-    quadratic_form_index,
 )
 from .dummy import DummyFit, fit_dummy_index, presence_components
 from .errors import (
@@ -42,7 +38,6 @@ from .panel import (
     PairOverlaps,
     Panel,
     build_reference_basket,
-    emit_panel,
     implied_prices,
     load_panel,
 )
@@ -86,11 +81,7 @@ __all__ = [
     "ValidationError",
     "bilateral_from_panel",
     "build_reference_basket",
-    "classical_form_matrix",
     "classical_index",
-    "convex_weights",
-    "convex_weights_from_values",
-    "emit_panel",
     "estimate_deflators",
     "fit_dummy_index",
     "gram_blocks",
@@ -100,7 +91,6 @@ __all__ = [
     "mpl_two_period",
     "presence_components",
     "pseudo_reciprocal",
-    "quadratic_form_index",
     "simulate",
     "to_index_series",
     "update_multilateral",

@@ -105,34 +105,21 @@ def _first_failed_minor(a):
     """Index of the first column whose leading minor of a is not positive definite.
 
     Runs only after np.linalg.cholesky has failed on a, to name the column
-    LAPACK potrf reports in its info (info - 1 here).  Blocks of _BLOCK
-    columns are factored left to right, carrying the inverse X of the
-    factored prefix: a block's L21 is A21 X11', and X grows by the split of
-    _tri_inv, X21 = -X22 L21 X11.  The first block whose Schur complement
-    fails is searched one leading minor at a time.  When rounding lets every
-    block through, the column with the smallest pivot is named.
+    LAPACK potrf reports in its info (info - 1 here).  Once a leading minor
+    is not positive definite, no larger one is, so the orders are bisected
+    with one np.linalg.cholesky per step.  The result j is always a
+    boundary: the minor of order j factors and that of order j + 1 does not.
     """
-    n = a.shape[0]
-    inv = np.zeros_like(a)
-    pivots = np.zeros(n)
-    for p in range(0, n, _BLOCK):
-        q = min(p + _BLOCK, n)
-        x11 = inv[:p, :p]
-        l21 = a[p:q, :p] @ x11.T
-        s = a[p:q, p:q] - l21 @ l21.T
+    lo, hi = 0, a.shape[0]  # the minor of order lo factors, that of order hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            l22 = np.linalg.cholesky(s)
+            np.linalg.cholesky(a[:mid, :mid])
         except np.linalg.LinAlgError:
-            # the last leading minor is s itself, so this returns
-            for j in range(q - p):
-                try:
-                    np.linalg.cholesky(s[:j + 1, :j + 1])
-                except np.linalg.LinAlgError:
-                    return p + j
-        pivots[p:q] = np.diagonal(l22)
-        x22 = inv[p:q, p:q] = _tri_inv(l22)
-        inv[p:q, :p] = -(x22 @ (l21 @ x11))
-    return int(np.argmin(pivots))
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class _Factor:

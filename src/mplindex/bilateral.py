@@ -1,10 +1,10 @@
-"""Two-unit index formulas: the quadratic-form family and classical indexes.
+"""Two-unit index formulas: classical indexes and the two-period closed form.
 
-Every classical index here is the ratio (p2' A p1) / (p1' A p1) for a
-suitable nonnegative-definite A built from quantities; the two-period
-closed form of the panel estimator belongs to the same family through a
-price-weighted rank-one choice of A.  Sums are compensated (math.fsum) so
-item permutations leave results bit-identical.
+Every index here is a quadratic-form index (p2' A p1) / (p1' A p1) for a
+rank-one nonnegative-definite A: built from quantities for the classical
+indexes, and price-weighted for the two-period closed form of the panel
+estimator.  Sums are compensated (math.fsum) so item permutations leave
+results bit-identical.
 """
 
 from __future__ import annotations
@@ -45,19 +45,6 @@ class BilateralInput:
                 raise ValidationError(f"{name} must be strictly positive and finite")
 
 
-def quadratic_form_index(p1, p2, form: np.ndarray) -> float:
-    """(p2' A p1) / (p1' A p1) for a nonnegative-definite matrix A."""
-    p1 = np.asarray(p1, dtype=np.float64).reshape(-1)
-    p2 = np.asarray(p2, dtype=np.float64).reshape(-1)
-    form = np.asarray(form, dtype=np.float64)
-    if form.shape != (p1.size, p1.size):
-        raise ValidationError("form matrix shape does not match the price vectors")
-    denom = float(p1 @ form @ p1)
-    if not math.isfinite(denom) or denom <= 0:
-        raise DegenerateForm("quadratic form vanishes on the base price vector")
-    return float(p2 @ form @ p1) / denom
-
-
 def _quantity_weights(inp: BilateralInput, kind: str) -> np.ndarray:
     """Quantity vector w whose price aggregate p'w defines the classic kind."""
     if kind == "laspeyres":
@@ -78,41 +65,12 @@ def classical_index(inp: BilateralInput, kind: str) -> float:
     return math.fsum(inp.p2 * w) / math.fsum(inp.p1 * w)
 
 
-def classical_form_matrix(inp: BilateralInput, kind: str) -> np.ndarray:
-    """Rank-one quantity form whose quadratic-form index equals the classic."""
-    w = _quantity_weights(inp, kind)
-    return np.outer(w, w)
-
-
-def convex_weights_from_values(v1, v2, q1, q2) -> np.ndarray:
-    """Normalized weights proportional to v1*v2*q1*q2 / (q1^2 + q2^2).
-
-    Swapping q1 and q2 while holding the values fixed leaves every weight
-    bit-identical: each factor enters commutatively.
-    """
-    v1, v2, q1, q2 = (np.asarray(a, dtype=np.float64).reshape(-1)
-                      for a in (v1, v2, q1, q2))
-    d = q1 * q1 + q2 * q2
-    # the grouping keeps every factor commutative, so a q1/q2 swap is exact
-    w = (v1 * v2) * (q1 * q2) / d
-    total = math.fsum(w)
-    if total <= 0:
-        raise DegenerateForm("convex weights sum to zero")
-    return w / total
-
-
-def convex_weights(inp: BilateralInput) -> np.ndarray:
-    """Normalized weights that express the two-period index as a weighted
-    mean of price relatives."""
-    return convex_weights_from_values(inp.p1 * inp.q1, inp.p2 * inp.q2,
-                                      inp.q1, inp.q2)
-
-
 def mpl_two_period(inp: BilateralInput) -> float:
     """Two-period closed form of the panel deflator estimator.
 
     The ratio of price aggregates under harmonic quantity weights; it equals
-    the weighted mean of price relatives under convex_weights.
+    the mean of the price relatives p2/p1 under convex weights proportional
+    to v1 v2 q1 q2 / (q1^2 + q2^2), with v = p q.
     """
     p1, p2, q1, q2 = inp.p1, inp.p2, inp.q1, inp.q2
     d = q1 * q1 + q2 * q2

@@ -91,8 +91,7 @@ class DeflatorEstimate:
 
 
 def _check_basket(panel: Panel):
-    presences = panel.presences_per_item()
-    short = np.flatnonzero(presences < 2)
+    short = np.flatnonzero(panel.present.sum(axis=1) < 2)
     if short.size:
         labels = ", ".join(panel.items[i] for i in short[:5])
         raise BasketViolation(

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
-# accepted headers: CSV_HEADER, which emit_panel writes, and the paper's
+# accepted headers: CSV_HEADER and the paper's spelling
 _HEADERS = (CSV_HEADER, ("item", "unit", "value", "quantity"))
 MODES = ("time", "space")
 # bytes per read of the columnar parser (capped at the csv field limit): big
@@ -125,9 +125,6 @@ class Panel:
     def nonbase_units(self) -> list[int]:
         """Column indices of every unit except the base, in panel order."""
         return [u for u in range(self.n_units) if u != self.base_unit]
-
-    def presences_per_item(self) -> np.ndarray:
-        return self.present.sum(axis=1)
 
     def with_unit(self, label: str, values, quantities) -> "Panel":
         """Return a new panel with one extra unit column appended."""
@@ -233,11 +230,12 @@ def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
     """Read a long-format CSV (item_id,unit_id,value,quantity) into a Panel.
 
     The header may also read item,unit,value,quantity; both are accepted.
-    ``source`` is a path (read as UTF-8) or an open text stream.  Rows with
-    value = 0 and quantity = 0 mark explicit absence; any other mix of signs
-    is rejected.  ``units`` optionally fixes the unit ordering (default:
-    first appearance).  ``base_unit`` is a unit label or positional index
-    (default: first unit).
+    ``source`` is a path (read as UTF-8) or an open text stream; a binary
+    stream raises FormatError.  Rows with value = 0 and quantity = 0 mark
+    explicit absence; any other mix of signs is rejected.  ``units``
+    optionally fixes the unit ordering (default: first appearance).
+    ``base_unit`` is a unit label or positional index (default: first
+    unit).
 
     Plain input (LF line ends; no quote, CR or NUL; three commas on every
     line) is parsed column by column from its UTF-8 bytes, at most
@@ -264,9 +262,11 @@ def _parse(source):
     """Columnar parse of the source's UTF-8 bytes, else the row parser on its text."""
     if hasattr(source, "read"):
         text = source.read()
+        if not isinstance(text, str):
+            raise FormatError("input stream must be text, not "
+                              f"{type(text).__name__}; open the file in text mode")
         try:
-            # str.encode: a binary stream's bytes raise TypeError
-            parsed = _parse_columns(io.BytesIO(str.encode(text, "utf-8")))
+            parsed = _parse_columns(io.BytesIO(text.encode("utf-8")))
         except UnicodeEncodeError:  # a lone surrogate
             parsed = None
         return _parse_rows(io.StringIO(text)) if parsed is None else parsed
@@ -476,19 +476,6 @@ def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units
                              base_unit=base, mode=mode)
 
 
-def emit_panel(panel: Panel) -> str:
-    """Serialize present cells back to long CSV with 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(",".join(CSV_HEADER) + "\n")
-    for i, item in enumerate(panel.items):
-        for t, unit in enumerate(panel.units):
-            if panel.present[i, t]:
-                buf.write(
-                    f"{item},{unit},{panel.values[i, t]:.17g},{panel.quantities[i, t]:.17g}\n"
-                )
-    return buf.getvalue()
-
-
 def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     """Drop items present in fewer than two units; report what happened.
 
@@ -499,8 +486,7 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     the pairwise overlaps, so they are counted only on lookup.  Raises
     EmptyBasket when nothing survives.  Idempotent on conforming panels.
     """
-    presences = panel.presences_per_item()
-    keep = presences >= 2
+    keep = panel.present.sum(axis=1) >= 2
     dropped = tuple(lab for lab, k in zip(panel.items, keep) if not k)
     if not keep.any():
         raise EmptyBasket("no item is present in two or more units")

@@ -123,10 +123,9 @@ def _perturb_values(panel: Panel, config: SimulationConfig, rng,
             if t == base:
                 continue
             mask = panel.present[:, t]
-            if mask.any():
-                values[mask, t] = _draw_positive(
-                    rng, panel.values[mask, t], config.noise_mean, sd
-                )
+            values[mask, t] = _draw_positive(
+                rng, panel.values[mask, t], config.noise_mean, sd
+            )
     else:  # random_walk
         if base != 0:
             raise ValidationError("random_walk scheme requires the base unit first")
@@ -136,8 +135,6 @@ def _perturb_values(panel: Panel, config: SimulationConfig, rng,
         state[never] = 0.0
         for t in range(1, panel.n_units):
             mask = panel.present[:, t]
-            if not mask.any():
-                continue
             start = state[mask]
             # an item absent so far starts its walk from its own current value
             fresh = start <= 0

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateDeflator,
     EstimationError,
     MplIndexError,
-    SingularSystem,
     ValidationError,
 )
 from .estimator import (
@@ -116,13 +115,11 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         qv = q_new * v_new
         # per-item quantity energy, split into the prior-panel part e and
         # the total d; the prior-fit signal m is (Q * V) applied to the
-        # frozen deflator vector (base entry 1)
+        # frozen deflator vector (base entry 1).  Every item is present
+        # somewhere (the basket check) and its largest quantity is scaled
+        # to a normal float, so d >= (max q)^2 > 0
         e = (q[:, :-1]**2).sum(axis=1)
         d = e + q_new * q_new
-        if (d <= 0).any():
-            i = int(np.argmin(d))
-            raise SingularSystem("an item has zero quantity everywhere",
-                                 column=f"ref_price[{extended.items[i]}]")
         m = (q[:, :-1] * v[:, :-1]) @ prior.deflators
 
         # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from mplindex import (
-    BilateralInput,
-    convex_weights_from_values,
-    estimate_deflators,
-    mpl_two_period,
-)
+from mplindex import BilateralInput, estimate_deflators, mpl_two_period
 from helpers import dyadic_bilateral, panel_from_bilateral, random_bilateral
+from oracles import convex_weights_from_values
 
 TOL_CLOSED = 1e-12
 TOL_PANEL = 1e-10

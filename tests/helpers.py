@@ -1,12 +1,15 @@
 """Shared generators for the test suite: valid random panels and bilateral inputs,
-and a one-call two-way solve."""
+a panel's CSV text and a one-call two-way solve."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
 from mplindex import BilateralInput, Panel
 from mplindex.algebra import factor_two_way
+from mplindex.panel import CSV_HEADER
 
 
 def connected_presence(present: np.ndarray) -> bool:
@@ -78,6 +81,19 @@ def panel_from_bilateral(inp: BilateralInput, mode="time") -> Panel:
     values = np.column_stack([inp.p1 * inp.q1, inp.p2 * inp.q2])
     quantities = np.column_stack([inp.q1, inp.q2])
     return Panel.from_arrays(items, ("b", "c"), values, quantities, mode=mode)
+
+
+def emit_panel(panel: Panel) -> str:
+    """Serialize present cells back to long CSV with 17 significant digits."""
+    buf = io.StringIO()
+    buf.write(",".join(CSV_HEADER) + "\n")
+    for i, item in enumerate(panel.items):
+        for t, unit in enumerate(panel.units):
+            if panel.present[i, t]:
+                buf.write(
+                    f"{item},{unit},{panel.values[i, t]:.17g},{panel.quantities[i, t]:.17g}\n"
+                )
+    return buf.getvalue()
 
 
 def solve_two_way(item_diag, cross, unit_diag, item_rhs, unit_rhs,

@@ -4,17 +4,23 @@ Nothing in the package imports this module; it keeps the straightforward
 implementations the fast paths replaced, so tests can compare against them:
 the dense stacked deflator design with its pivoted-QR least-squares fit, the
 normal matrix assembled from the closed-form blocks, the dense dummy fit and
-the replication loop that builds and fits a panel per replication.
+the replication loop that builds and fits a panel per replication.  It also
+holds the two forms the paper gives for the two-period index, which the
+tests check mpl_two_period and classical_index against: the quadratic-form
+index and the convex mean of price relatives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
 from mplindex import (
+    BilateralInput,
+    DegenerateForm,
     DummyFit,
     EstimationError,
     EstimatorSummary,
@@ -24,12 +30,14 @@ from mplindex import (
     SimulationConfig,
     SimulationReport,
     SingularSystem,
+    ValidationError,
     estimate_deflators,
     fit_dummy_index,
     gram_blocks,
     implied_prices,
 )
 from mplindex.algebra import PIVOT_RTOL
+from mplindex.bilateral import _quantity_weights
 from mplindex.simulate import _perturb_values
 from helpers import solve_two_way
 
@@ -304,3 +312,46 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
             draws=arr if config.dump_draws else None,
         )
     return SimulationReport(units=panel.units, config=config, summaries=summaries)
+
+
+def quadratic_form_index(p1, p2, form: np.ndarray) -> float:
+    """(p2' A p1) / (p1' A p1) for a nonnegative-definite matrix A."""
+    p1 = np.asarray(p1, dtype=np.float64).reshape(-1)
+    p2 = np.asarray(p2, dtype=np.float64).reshape(-1)
+    form = np.asarray(form, dtype=np.float64)
+    if form.shape != (p1.size, p1.size):
+        raise ValidationError("form matrix shape does not match the price vectors")
+    denom = float(p1 @ form @ p1)
+    if not math.isfinite(denom) or denom <= 0:
+        raise DegenerateForm("quadratic form vanishes on the base price vector")
+    return float(p2 @ form @ p1) / denom
+
+
+def classical_form_matrix(inp: BilateralInput, kind: str) -> np.ndarray:
+    """Rank-one quantity form whose quadratic-form index equals the classic."""
+    w = _quantity_weights(inp, kind)
+    return np.outer(w, w)
+
+
+def convex_weights_from_values(v1, v2, q1, q2) -> np.ndarray:
+    """Normalized weights proportional to v1*v2*q1*q2 / (q1^2 + q2^2).
+
+    Swapping q1 and q2 while holding the values fixed leaves every weight
+    bit-identical: each factor enters commutatively.
+    """
+    v1, v2, q1, q2 = (np.asarray(a, dtype=np.float64).reshape(-1)
+                      for a in (v1, v2, q1, q2))
+    d = q1 * q1 + q2 * q2
+    # the grouping keeps every factor commutative, so a q1/q2 swap is exact
+    w = (v1 * v2) * (q1 * q2) / d
+    total = math.fsum(w)
+    if total <= 0:
+        raise DegenerateForm("convex weights sum to zero")
+    return w / total
+
+
+def convex_weights(inp: BilateralInput) -> np.ndarray:
+    """Normalized weights that express the two-period index as a weighted
+    mean of price relatives."""
+    return convex_weights_from_values(inp.p1 * inp.q1, inp.p2 * inp.q2,
+                                      inp.q1, inp.q2)

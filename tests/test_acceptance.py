@@ -17,19 +17,22 @@ from mplindex import (
     BilateralInput,
     Panel,
     SimulationConfig,
-    classical_form_matrix,
     estimate_deflators,
     fit_dummy_index,
     index_variance,
     mpl_two_period,
-    quadratic_form_index,
     simulate,
     to_index_series,
     update_multilateral,
     update_multiperiod,
 )
 from helpers import panel_from_bilateral, random_bilateral, random_panel
-from oracles import build_design_system, ols_fit
+from oracles import (
+    build_design_system,
+    classical_form_matrix,
+    ols_fit,
+    quadratic_form_index,
+)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 

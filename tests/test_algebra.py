@@ -396,6 +396,30 @@ def test_failed_minor_of_shifted_random_matrices_matches_potrf():
             assert _first_failed_minor(a) == info - 1
 
 
+@pytest.mark.parametrize("n", [40, 64, 65, 130, 350])
+def test_failed_minor_of_rank_deficient_grams_is_a_boundary(n):
+    # rounding decides where x x' of rank r < n stops factoring, so potrf's
+    # info is not pinned; the result must be an order where the leading
+    # minor factors and the next one does not
+    rng = np.random.default_rng(n)
+    refused = 0
+    for r in range(n - 4, n):
+        x = rng.standard_normal((n, r))
+        a = x @ x.T
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            refused += 1
+        else:
+            continue
+        j = _first_failed_minor(a)
+        assert 0 <= j < n
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a[:j + 1, :j + 1])
+        np.linalg.cholesky(a[:j, :j])
+    assert refused
+
+
 def test_schur_factor_names_the_failed_unit_column():
     # S = diag(unit_diag): its third leading minor is the first to fail
     with pytest.raises(SingularSystem) as exc:

@@ -10,15 +10,17 @@ from mplindex import (
     Panel,
     ValidationError,
     bilateral_from_panel,
-    classical_form_matrix,
     classical_index,
-    convex_weights,
-    convex_weights_from_values,
     estimate_deflators,
     mpl_two_period,
-    quadratic_form_index,
 )
 from helpers import panel_from_bilateral, random_bilateral
+from oracles import (
+    classical_form_matrix,
+    convex_weights,
+    convex_weights_from_values,
+    quadratic_form_index,
+)
 
 
 def test_input_validation():

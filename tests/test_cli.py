@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import mplindex
-from mplindex import Panel, emit_panel, estimate_deflators, to_index_series
+from mplindex import Panel, estimate_deflators, to_index_series
 from mplindex.cli import emit_report, run_cli
 from mplindex.simulate import _ESTIMATOR_FUNCS
-from helpers import random_panel
+from helpers import emit_panel, random_panel
 
 HEADER = "item_id,unit_id,value,quantity\n"
 F1_CSV = HEADER + "a,t1,1,1\nb,t1,2,1\na,t2,2,1\nb,t2,4,1\n"
@@ -447,7 +447,6 @@ def test_update_period_keeps_prior_standard_errors(run, tmp_path):
 def test_update_unit_matches_fresh_run(run, tmp_path):
     rng = np.random.default_rng(3)
     panel = random_panel(rng, 5, 3, missing=0.1)
-    from mplindex import emit_panel
 
     src = write(tmp_path, "panel.csv", emit_panel(panel))
     v = rng.uniform(0.5, 8.0, 5)
@@ -472,7 +471,6 @@ def test_update_unit_matches_fresh_run(run, tmp_path):
 
 
 def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
-    from mplindex import emit_panel
     from mplindex.cli import _new_unit_from_file
 
     panel = random_panel(np.random.default_rng(4), 6, 3)

@@ -15,7 +15,9 @@ def test_public_names_resolve_and_are_unique():
 
 
 def test_dense_design_oracles_are_not_exported():
-    for name in ("build_design_system", "ols_fit", "transition_matrix"):
+    for name in ("build_design_system", "ols_fit", "transition_matrix",
+                 "quadratic_form_index", "classical_form_matrix", "convex_weights",
+                 "convex_weights_from_values", "emit_panel"):
         assert not hasattr(mplindex, name)
 
 

@@ -20,11 +20,10 @@ from mplindex import (
     Panel,
     ValidationError,
     build_reference_basket,
-    emit_panel,
     implied_prices,
     load_panel,
 )
-from helpers import random_panel
+from helpers import emit_panel, random_panel
 
 HEADER = "item_id,unit_id,value,quantity"
 
@@ -605,6 +604,11 @@ def test_undecodable_stream_is_format_error():
     with pytest.raises(FormatError) as exc:
         load_panel(io.TextIOWrapper(raw, encoding="utf-8"))
     assert exc.value.line is None
+
+
+def test_binary_stream_is_format_error():
+    with pytest.raises(FormatError, match="input stream must be text, not bytes"):
+        load_panel(io.BytesIO((HEADER + "\na,t1,1,1\na,t2,2,1\n").encode()))
 
 
 def test_oversized_field_is_format_error(tmp_path):
