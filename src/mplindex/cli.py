@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import logging
 import math
@@ -69,6 +71,16 @@ def _json_value(obj) -> str:
     return _json_scalar(obj)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text under csv quoting: a field holding a comma or a quote is
+    quoted, every other field is written as it is; lines end in "\n"."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def _series_rows(series: IndexSeries):
     """(unit, index, se, lo, hi, pct_change) per unit; pct_change NaN in space mode."""
     pct = series.pct_change
@@ -86,12 +98,9 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
     meta = meta or {}
     if isinstance(result, IndexSeries):
         if fmt == "csv":
-            lines = ["unit,index,se,lo,hi,pct_change"]
-            for unit, index, se, lo, hi, pct in _series_rows(result):
-                lines.append(",".join([
-                    unit, _fmt(index), _fmt(se), _fmt(lo), _fmt(hi), _fmt(pct),
-                ]))
-            return "\n".join(lines) + "\n"
+            return _csv("unit,index,se,lo,hi,pct_change",
+                        ([unit, *map(_fmt, numbers)]
+                         for unit, *numbers in _series_rows(result)))
         doc_meta = {
             "mode": result.mode,
             "base": result.units[result.base_unit],
@@ -108,15 +117,12 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
 
     if isinstance(result, SimulationReport):
         if fmt == "csv":
-            lines = ["estimator,unit,index,se,emp_sd,lo_emp,hi_emp,lo_model,hi_model"]
-            for name, s in result.summaries.items():
-                for t, unit in enumerate(result.units):
-                    lines.append(",".join([
-                        name, unit, _fmt(s.mean_index[t]), _fmt(s.mean_se[t]),
-                        _fmt(s.emp_sd[t]), _fmt(s.lo_emp[t]), _fmt(s.hi_emp[t]),
-                        _fmt(s.lo_model[t]), _fmt(s.hi_model[t]),
-                    ]))
-            return "\n".join(lines) + "\n"
+            return _csv("estimator,unit,index,se,emp_sd,lo_emp,hi_emp,lo_model,hi_model", (
+                [name, unit, _fmt(s.mean_index[t]), _fmt(s.mean_se[t]),
+                 _fmt(s.emp_sd[t]), _fmt(s.lo_emp[t]), _fmt(s.hi_emp[t]),
+                 _fmt(s.lo_model[t]), _fmt(s.hi_model[t])]
+                for name, s in result.summaries.items()
+                for t, unit in enumerate(result.units)))
         cfg = result.config
         doc = {
             "meta": {
@@ -149,9 +155,7 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
 
     if isinstance(result, dict):  # bilateral kind -> value table
         if fmt == "csv":
-            lines = ["kind,value"]
-            lines.extend(f"{kind},{_fmt(value)}" for kind, value in result.items())
-            return "\n".join(lines) + "\n"
+            return _csv("kind,value", ([kind, _fmt(value)] for kind, value in result.items()))
         return _json_value({"meta": meta, "indexes": result}) + "\n"
 
     raise TypeError(f"cannot serialize {type(result).__name__}")

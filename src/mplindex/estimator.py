@@ -3,10 +3,12 @@
 The deflators and reference prices solve the structured normal equations
 through algebra.factor_two_way, which absorbs the smaller of the diagonal
 price and deflator blocks and factors the Schur complement of the other,
-(T-1)- or N-sized, at O(NT min(N, T) + min(N, T)^3).  The panel is
-rescaled by powers of two before the blocks are formed, so a magnitude
-the whole panel shares neither under- nor overflows, however far from 1.
-The published index is the pseudo-reciprocal of the deflators, so the
+(T-1)- or N-sized, at O(NT min(N, T) + min(N, T)^3).  Every fit runs
+on an exact power-of-two scaling (_Scaling): each unit's values and each
+item's quantities are brought to a largest entry in [0.5, 1) before the
+blocks are formed, so no unit's or item's magnitude under- or overflows
+the fit or sways its singularity test, and the scaling is undone in one
+step.  The published index is the pseudo-reciprocal of the deflators, so the
 base unit always reads 1.  deflator_fitter does the part of a fit that
 depends on presence and quantities alone once, so redrawn values (the
 replication harness) fit without repeating it.
@@ -14,17 +16,18 @@ replication harness) fit without repeating it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import factor_two_way
+from .algebra import OVERFLOW_MESSAGE, factor_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
     DegenerateDeflator,
+    EstimationError,
     InvalidDimension,
     UndefinedVariance,
     ValidationError,
@@ -33,9 +36,6 @@ from .panel import Panel
 
 VARIANCE_METHODS = ("corollary3", "full_partition")
 DOF_RULES = ("paper", "observed")
-# magnitudes within 2**±_SAFE_EXPONENT are fitted unscaled: squared and
-# summed, they stay far inside the normal float range
-_SAFE_EXPONENT = 128
 
 
 def pseudo_reciprocal(values) -> np.ndarray:
@@ -100,43 +100,58 @@ def _check_basket(panel: Panel):
         )
 
 
-def _exponent(x):
-    """Binary exponents of x, taken as 0 within _SAFE_EXPONENT of zero."""
-    _, k = np.frexp(x)
-    return np.where(np.abs(k) > _SAFE_EXPONENT, k, 0)
+def _normal(x):
+    """Where x is a float at full precision: finite, nonzero and not subnormal."""
+    return np.isfinite(x) & (np.abs(x) >= sys.float_info.min)
 
 
-def _rescaled(panel: Panel, values: np.ndarray, k_items: np.ndarray):
-    """values times 2^-k and item i's quantities times 2^-k_i, and k.
+@dataclass(frozen=True)
+class _Scaling:
+    """The exact power-of-two scaling that every MPL fit runs on.
 
-    values are the panel's or a redraw of its present cells, k is the
-    _exponent of their largest base-unit entry and k_items the _exponent of
-    each item's largest quantity, so both maxima scale into [0.5, 1) where
-    they are far from 1.  Every residual of the stacked system is on the
-    base unit's value scale, so a magnitude the whole panel shares neither
-    under- nor overflows in the fit.  Powers of two scale exactly and every
-    operation of the fit commutes with them: the deflators and their
-    variances come out as from the unscaled panel, bit for bit where that
-    does not under- or overflow, and _unscale moves the reference prices
-    and the SSR back.  Without a scale the arrays are returned as they are.
+    Unit t's values are scaled by 2^-units[t], item i's quantities by
+    2^-items[i]; base is units at the base unit.  Values enter the model
+    only as v_t d_t, so the scaled fit has deflators d_t 2^(units[t] - base),
+    prices p_i 2^(items[i] - base) and residuals 2^-base times the input's;
+    undo gives the unscaled fit, bit for bit where it neither under- nor
+    overflows, as every step of the fit commutes with powers of two.
     """
-    k = int(_exponent(values[:, panel.base_unit].max()))
-    if k == 0 and not k_items.any():
-        return values, panel.quantities, k
-    # validation catches a present cell that the scaling flushes to zero
-    scaled = dataclasses.replace(
-        panel, values=np.ldexp(values, -k),
-        quantities=np.ldexp(panel.quantities, -k_items[:, None]))
-    return scaled.values, scaled.quantities, k
 
+    units: np.ndarray
+    items: np.ndarray
+    base: int
 
-def _unscale(prices: np.ndarray, ssr: float, k: int, k_items: np.ndarray):
-    """Reference prices and SSR of a rescaled panel on the input's scale.
+    @staticmethod
+    def scale(x: np.ndarray, axis: int, n_present: int):
+        """x times 2^-k along axis, and k, the exponents of its largest entries.
 
-    A magnitude beyond the float range reads inf.
-    """
-    with np.errstate(over="ignore"):
-        return np.ldexp(prices, k - k_items), float(np.ldexp(ssr, 2 * k))
+        Raises EstimationError when that flushes one of x's n_present
+        positive cells to zero: a row or column spans the float range.
+        """
+        k = np.frexp(x.max(axis=axis))[1]
+        out = np.ldexp(x, -np.expand_dims(k, axis))
+        if np.count_nonzero(out) < n_present:
+            raise EstimationError(OVERFLOW_MESSAGE)
+        return out, k
+
+    def deflators(self, deflators: np.ndarray) -> np.ndarray:
+        """The first units' deflators as the scaled fit has them."""
+        return np.ldexp(deflators, self.units[:len(deflators)] - self.base)
+
+    def undo(self, deflators, var, prices, ssr, units=slice(None)):
+        """The units' deflators and variances (or None), prices and SSR, unscaled.
+
+        Raises EstimationError when a nonzero deflator or variance leaves
+        the normal float range; a price or the SSR reads inf or 0 there.
+        """
+        shift = self.base - self.units[units]
+        with np.errstate(over="ignore"):
+            out = (np.ldexp(deflators, shift), None if var is None else np.ldexp(var, 2 * shift),
+                   np.ldexp(prices, self.base - self.items), float(np.ldexp(ssr, 2 * self.base)))
+        if not all(x is None or (_normal(y) | np.equal(x, 0)).all()
+                   for x, y in zip((deflators, var), out)):
+            raise EstimationError(OVERFLOW_MESSAGE)
+        return out
 
 
 def _stacked_ssr(quantities: np.ndarray, values: np.ndarray, delta: np.ndarray,
@@ -144,10 +159,12 @@ def _stacked_ssr(quantities: np.ndarray, values: np.ndarray, delta: np.ndarray,
     """Sum of squared residuals of the stacked system, absent cells excluded.
 
     Absent cells have exact zero value and quantity, so their residuals
-    vanish identically and summing over the full grid is equivalent.
+    vanish identically and summing over the full grid is equivalent.  The
+    residuals are formed in values, which the caller gives up.
     """
-    resid = quantities * prices[:, None] - values * delta[None, :]
-    return float((resid * resid).sum())
+    resid = np.multiply(values, delta, out=values)
+    resid -= quantities * prices[:, None]
+    return float(np.square(resid, out=resid).sum())
 
 
 def _dof(panel: Panel, dof_rule: str, n_params: int) -> int:
@@ -166,9 +183,13 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
     base unit's column left as it is; estimate_deflators is
     fit(panel.values).  The checks and everything that depends on presence
     and quantities alone are done here once: the argument, basket and
-    connectivity checks, the dof, the labels and the quantity parts of the
-    Gram blocks (see algebra.gram_blocks).  S depends on the values, so
-    each fit factors it.
+    connectivity checks, the dof, the labels, the item scaling and the
+    quantity parts of the Gram blocks (see algebra.gram_blocks).  S depends
+    on the values, so each fit scales them unit by unit, factors it and
+    undoes the scaling (_Scaling).  Scaled, the blocks neither under- nor
+    overflow: what magnitude alone still refuses, with EstimationError, is
+    a deflator or variance that leaves the normal float range once
+    unscaled, or a unit or item whose entries span more than that range.
     """
     if variance_method not in VARIANCE_METHODS:
         raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
@@ -184,25 +205,19 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
     base, nonbase = panel.base_unit, np.array(panel.nonbase_units, dtype=np.intp)
     labels = ([f"ref_price[{item}]" for item in panel.items],
               [f"deflator[{panel.units[u]}]" for u in nonbase])
-    k_items = _exponent(panel.quantities.max(axis=1))
-    # the quantities as _rescaled scales them
-    scaled_q = (np.ldexp(panel.quantities, -k_items[:, None]) if k_items.any()
-                else panel.quantities)
-    neg_q_nb, q_base = np.negative(scaled_q[:, nonbase]), scaled_q[:, base]
+    n_present = int(panel.present.sum())
+    q, k_items = _Scaling.scale(panel.quantities, 1, n_present)
     unit_rhs = np.zeros(t - 1)
-    # overflow to inf is reported as EstimationError by factor_two_way
-    with np.errstate(over="ignore", invalid="ignore"):
-        price_gram = (scaled_q * scaled_q).sum(axis=1)
+    price_gram = (q * q).sum(axis=1)
 
     def fit(values: np.ndarray) -> DeflatorEstimate:
-        v, q, k = _rescaled(panel, values, k_items)
+        v, k_units = _Scaling.scale(values, 0, n_present)
         v_nb = v[:, nonbase]
-        with np.errstate(over="ignore", invalid="ignore"):
-            deflator_gram = (v_nb * v_nb).sum(axis=0)
-            rhs = q_base * v[:, base]
-            # X'X holds the negative of the cross block q * v; formed in
-            # place, so no second N x (T-1) array is live in the solve
-            neg_cross = np.multiply(v_nb, neg_q_nb, out=v_nb)
+        deflator_gram = (v_nb * v_nb).sum(axis=0)
+        rhs = q[:, base] * v[:, base]
+        # X'X holds the negative of the cross block q * v; formed in place,
+        # so no second N x (T-1) array is live in the solve
+        neg_cross = np.negative(np.multiply(v_nb, q[:, nonbase], out=v_nb), out=v_nb)
         factor = factor_two_way(price_gram, neg_cross, deflator_gram, *labels)
         delta_nb, prices = factor.solve(rhs, unit_rhs)
 
@@ -211,13 +226,13 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
         ssr = _stacked_ssr(q, v, deflators, prices)
         var = None
         if dof > 0:
-            # scaled sigma2 times scaled diag(S^{-1}): the scalings cancel
             var = np.zeros(t)
             if variance_method == "corollary3":
                 var[nonbase] = ssr / dof * (1.0 / deflator_gram)
             else:
                 var[nonbase] = ssr / dof * factor.unit_variances
-        prices, ssr = _unscale(prices, ssr, k, k_items)
+        deflators, var, prices, ssr = _Scaling(
+            k_units, k_items, int(k_units[base])).undo(deflators, var, prices, ssr)
         sigma2 = ssr / dof if dof > 0 else None
         return DeflatorEstimate(
             units=panel.units, items=panel.items, base_unit=base,

@@ -10,8 +10,6 @@ never revises.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +25,9 @@ from .estimator import (
     DeflatorEstimate,
     _check_basket,
     _dof,
-    _exponent,
-    _rescaled,
+    _normal,
+    _Scaling,
     _stacked_ssr,
-    _unscale,
     estimate_deflators,
     pseudo_reciprocal,
 )
@@ -79,11 +76,6 @@ def update_multilateral(panel: Panel, new_unit,
     return UpdateResult(estimate=estimate, changed_mask=changed)
 
 
-def _normal(x: float) -> bool:
-    """x is a float at full precision: finite, nonzero and not subnormal."""
-    return math.isfinite(x) and abs(x) >= sys.float_info.min
-
-
 def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
                        new_period) -> UpdateResult:
     """Admit a new period while freezing every published deflator.
@@ -96,9 +88,11 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
     The prior deflator variances are carried unchanged (NaN when the prior
-    had no sigma2).  Raises EstimationError when the scalar system over- or
-    underflows: a subnormal v_new'v_new or Schur complement has lost its
-    precision, and the new variance would be off or infinite.
+    had no sigma2).  The system is solved on the scaling every MPL fit
+    runs on (estimator._Scaling), with the frozen deflators moved into it.
+    Raises EstimationError when the scaled Schur complement is subnormal or
+    the system is not finite, and, decided on the unscaled figures, when the
+    new deflator or its variance leaves the normal float range.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -107,11 +101,14 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     extended = panel.with_unit(*new_period)
     _check_basket(extended)
 
-    k_items = _exponent(extended.quantities.max(axis=1))
-    v, q, k = _rescaled(extended, extended.values, k_items)
+    n_present = int(extended.present.sum())
+    q, k_items = _Scaling.scale(extended.quantities, 1, n_present)
+    v, k_units = _Scaling.scale(extended.values, 0, n_present)
+    scaling = _Scaling(k_units, k_items, int(k_units[extended.base_unit]))
     v_new, q_new = v[:, -1], q[:, -1]
     # overflow to inf or NaN is reported as EstimationError below
     with np.errstate(over="ignore", invalid="ignore"):
+        frozen = scaling.deflators(prior.deflators)
         qv = q_new * v_new
         # per-item quantity energy, split into the prior-panel part e and
         # the total d; the prior-fit signal m is (Q * V) applied to the
@@ -120,7 +117,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         # to a normal float, so d >= (max q)^2 > 0
         e = (q[:, :-1]**2).sum(axis=1)
         d = e + q_new * q_new
-        m = (q[:, :-1] * v[:, :-1]) @ prior.deflators
+        m = (q[:, :-1] * v[:, :-1]) @ frozen
 
         # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed
         # positive form v_i^2 e_i / d_i, which avoids cancellation
@@ -131,23 +128,18 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
             )
         delta_new = float(np.sum(qv * m / d)) / denom
         prices = (m + qv * delta_new) / d
-    if not (_normal(denom) and math.isfinite(delta_new) and np.isfinite(prices).all()):
+    if not (_normal(denom) and np.isfinite(prices).all()):
         raise EstimationError(OVERFLOW_MESSAGE)
 
-    deflators = np.append(prior.deflators, delta_new)
-    ssr = _stacked_ssr(q, v, deflators, prices)
+    # read before _stacked_ssr overwrites v
+    gram = float(v_new @ v_new) if prior.variance_method == "corollary3" else denom
+    ssr = _stacked_ssr(q, v, np.append(frozen, delta_new), prices)
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
-
-    # scaled sigma2 over a scaled Gram: the scalings cancel
-    if dof <= 0:
-        var_new = np.nan
-    else:
-        gram = float(v_new @ v_new) if prior.variance_method == "corollary3" else denom
-        var_new = ssr / dof / gram
-        if not (_normal(gram) and (var_new == 0 or _normal(var_new))):
-            raise EstimationError(OVERFLOW_MESSAGE)
-    prices, ssr = _unscale(prices, ssr, k, k_items)
+    var_new = [ssr / dof / gram] if dof > 0 else None
+    (delta_new,), var_new, prices, ssr = scaling.undo(
+        [delta_new], var_new, prices, ssr, units=slice(-1, None))
     sigma2 = ssr / dof if dof > 0 else None
+    deflators = np.append(prior.deflators, delta_new)
     prior_var = prior.var_deflators
     if prior_var is None:
         prior_var = np.full(prior.n_units, np.nan)
@@ -159,7 +151,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         mode=extended.mode, deflators=deflators, indexes=indexes,
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         sigma2=sigma2, variance_method=prior.variance_method,
-        var_deflators=np.append(prior_var, var_new),
+        var_deflators=np.append(prior_var, np.nan if var_new is None else var_new),
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import logging
@@ -63,6 +64,20 @@ def test_mpl_csv_output_matches_json(run, tmp_path):
     assert first[0] == "t1" and first[1] == "1" and first[5] == ""
     second = lines[2].split(",")
     assert second[0] == "t2" and float(second[1]) == 2.0 and float(second[5]) == 100.0
+
+
+@pytest.mark.parametrize("command", [["mpl"], ["tpd"], ["update-unit"], ["update-period"],
+                                     ["simulate", "--reps", "3"]])
+def test_csv_reports_quote_a_label_with_a_comma(run, tmp_path, command):
+    src = write(tmp_path, "panel.csv", HEADER + 'a,"t,1",1,1\nb,"t,1",2,1\n'
+                "a,t2,2,1\nb,t2,4.5,1\na,t3,3,1\nb,t3,5,2\n")
+    if command[0].startswith("update"):
+        command = [*command, "--new", write(tmp_path, "new.csv", HEADER + "a,t4,2,1\nb,t4,3,1\n")]
+    code, out, _ = run(*command, "--input", src, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert "t,1" in [row[rows[0].index("unit")] for row in rows]
 
 
 def test_undefined_se_serialized_as_null_and_blank(run, tmp_path):
@@ -814,3 +829,61 @@ def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
         "note: 1 failed replications excluded"]
     # run_cli took its stderr handler away again
     assert logger.handlers == []
+
+
+def thirty_by_six(scale=1.0, unit=3):
+    """The 30 x 6 panel of default_rng(0).uniform(1, 10) with one unit's values
+    times scale."""
+    rng = np.random.default_rng(0)
+    values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
+    values[:, unit] *= scale
+    return Panel.from_arrays([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
+                             values, quantities)
+
+
+def scaled_unit_runs(run, tmp_path, scale):
+    """(exit code, stderr, series rows, scaled unit) of mpl under both
+    variance methods and of update-unit admitting t5, on the 30 x 6 panel
+    with unit t3 (for update-unit, t5) times scale."""
+    whole, newcomer = thirty_by_six(scale, unit=3), thirty_by_six(scale, unit=5)
+    src = write(tmp_path, f"panel{scale}.csv", emit_panel(whole))
+    prior = write(tmp_path, f"prior{scale}.csv", emit_panel(Panel.from_arrays(
+        newcomer.items, newcomer.units[:5], newcomer.values[:, :5], newcomer.quantities[:, :5])))
+    new = write(tmp_path, f"new{scale}.csv", HEADER + "".join(
+        f"{item},t5,{v:.17g},{q:.17g}\n" for item, v, q in
+        zip(newcomer.items, newcomer.values[:, 5], newcomer.quantities[:, 5])))
+    report = tmp_path / "report.json"
+    runs = []
+    for argv, unit in ((["mpl", "--input", src, "--variance", "full"], 3),
+                       (["mpl", "--input", src, "--variance", "corollary3"], 3),
+                       (["update-unit", "--input", prior, "--new", new], 5)):
+        report.unlink(missing_ok=True)
+        code, out, err = run(*argv, "--output", str(report))
+        assert out == ""
+        rows = json.loads(report.read_text())["series"] if report.exists() else None
+        runs.append((code, err, rows, unit))
+    return runs
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_one_unit_at_its_own_scale_fits(run, tmp_path, scale):
+    # a unit's own scale is absorbed by its deflator: it moves that unit's
+    # index and se by the same factor and sways no decision of the fit
+    plain = scaled_unit_runs(run, tmp_path, 1.0)
+    assert [err for _, err, _, _ in plain] == ["", "", "revised units: t1, t2, t3, t4, t5\n"]
+    for (_, plain_err, before, unit), (code, err, rows, _) in zip(
+            plain, scaled_unit_runs(run, tmp_path, scale)):
+        assert (code, err) == (0, plain_err)
+        for t, (a, b) in enumerate(zip(before, rows)):
+            factor = scale if t == unit else 1.0
+            assert b["index"] == pytest.approx(a["index"] * factor, rel=1e-12)
+            assert b["se"] == pytest.approx(a["se"] * factor, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_a_unit_whose_variance_leaves_the_float_range_is_refused(run, tmp_path, scale):
+    # its deflator variance would read 0 or inf, so its se would too
+    for code, err, rows, _ in scaled_unit_runs(run, tmp_path, scale):
+        assert code == 2
+        assert err.startswith("estimation error: ")
+        assert rows is None

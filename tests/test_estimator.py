@@ -12,6 +12,7 @@ from mplindex import (
     BasketViolation,
     DeflatorEstimate,
     DegenerateDeflator,
+    EstimationError,
     InvalidDimension,
     Panel,
     UndefinedVariance,
@@ -205,20 +206,33 @@ def test_rescaled_fit_is_bit_identical_to_the_plain_solve():
         variances=True)
     assert_array_equal(est.deflators[nb], deflators)
     assert_array_equal(est.ref_prices, prices)
-    assert est.ssr == _stacked_ssr(panel.quantities, panel.values, est.deflators, prices)
+    assert est.ssr == _stacked_ssr(panel.quantities, panel.values.copy(), est.deflators, prices)
     assert_array_equal(est.var_deflators[nb], est.sigma2 * var)
-    # powers of two far outside the unscaled range: the fit scales them
+    # powers of two far from 1, shared and per unit: the fit scales them
     # away exactly and back where they belong
     g = np.arange(panel.n_items) - 300
-    shifted = Panel(panel.items, panel.units, np.ldexp(panel.values, 300),
+    k = 300 + 40 * (np.arange(panel.n_units) - 1)
+    k_base = int(k[panel.base_unit])
+    shifted = Panel(panel.items, panel.units, np.ldexp(panel.values, k),
                     np.ldexp(panel.quantities, g[:, None]), panel.present)
     far = estimate_deflators(shifted)
-    assert_array_equal(far.deflators, est.deflators)
-    assert_array_equal(far.var_deflators, est.var_deflators)
-    assert_array_equal(far.ref_prices, np.ldexp(est.ref_prices, 300 - g))
-    assert far.ssr == math.ldexp(est.ssr, 600)
-    assert far.sigma2 == math.ldexp(est.sigma2, 600)
+    assert_array_equal(far.deflators, np.ldexp(est.deflators, k_base - k))
+    assert_array_equal(far.var_deflators, np.ldexp(est.var_deflators, 2 * (k_base - k)))
+    assert_array_equal(far.ref_prices, np.ldexp(est.ref_prices, k_base - g))
+    assert far.ssr == math.ldexp(est.ssr, 2 * k_base)
+    assert far.sigma2 == math.ldexp(est.sigma2, 2 * k_base)
 
+
+
+@pytest.mark.parametrize("spanning", ["values", "quantities"])
+def test_a_unit_or_item_spanning_the_float_range_is_refused(spanning):
+    # scaled to its largest entry, the 1e-300 next to 1e300 flushes to
+    # zero: the fit refuses rather than drop a present cell
+    values, quantities = np.full((3, 3), 2.0), np.full((3, 3), 1.5)
+    (values if spanning == "values" else quantities.T)[:2, 1] = [1e300, 1e-300]
+    panel = Panel.from_arrays(["a", "b", "c"], ["t0", "t1", "t2"], values, quantities)
+    with pytest.raises(EstimationError, match="overflow"):
+        estimate_deflators(panel)
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="long double is no wider than float64 here")

@@ -73,3 +73,18 @@ def test_only_algebra_touches_the_factor():
                 for alias in node.names}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not used & kit, (path.name, sorted(used & kit))
+
+
+def test_only_estimator_scales_a_fit():
+    # both MPL fits run on the scaling estimator owns: updating takes no
+    # binary exponent and undoes no scale of its own
+    path = pathlib.Path(mplindex.__file__).resolve().parent / "updating.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not called & {"frexp", "ldexp"}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "estimator"
+                for alias in node.names}
+    assert not [name for name in imported
+                if any(word in name.lower() for word in ("exponent", "unscale", "rescale"))]

@@ -164,3 +164,37 @@ def test_permutation_and_absent_cells_at_extreme_scales(seed, n, t, missing, val
     assert_array_equal(again.deflators, got.deflators)
     assert_array_equal(again.ref_prices, got.ref_prices)
     assert_array_equal(again.var_deflators, got.var_deflators)
+
+
+def fit_or_refusal(panel, variance_method):
+    try:
+        return estimate_deflators(panel, variance_method=variance_method)
+    except MplIndexError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), t=st.integers(2, 6),
+       missing=st.floats(0.0, 0.3), base=st.integers(0, 5),
+       unit_exps=st.lists(st.integers(-200, 200), min_size=6, max_size=6),
+       item_exps=st.lists(st.integers(-200, 200), min_size=7, max_size=7))
+def test_per_unit_power_of_two_scales_move_only_their_own_figures(
+        seed, n, t, missing, base, unit_exps, item_exps):
+    """Unit t's values times 2^k_t and item i's quantities times 2^g_i, all
+    of them normal floats, leave the decision as it is and scale unit t's
+    index and se by exactly 2^(k_t - k_b) and item i's reference price by
+    2^(k_b - g_i), under either variance method."""
+    panel = random_panel(np.random.default_rng(seed), n, t, missing=missing, base=base % t)
+    k, g = np.array(unit_exps[:t]), np.array(item_exps[:n])
+    k_base = int(k[panel.base_unit])
+    scaled = Panel(panel.items, panel.units, np.ldexp(panel.values, k),
+                   np.ldexp(panel.quantities, g[:, None]), panel.present,
+                   base_unit=panel.base_unit)
+    for method in ("full_partition", "corollary3"):
+        plain, got = fit_or_refusal(panel, method), fit_or_refusal(scaled, method)
+        if isinstance(plain, str):
+            assert got == plain
+            continue
+        assert_array_equal(got.indexes, np.ldexp(plain.indexes, k - k_base))
+        assert_array_equal(got.index_se, np.ldexp(plain.index_se, k - k_base))
+        assert_array_equal(got.ref_prices, np.ldexp(plain.ref_prices, k_base - g))

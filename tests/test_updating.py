@@ -313,17 +313,20 @@ def test_chained_unit_updates_match_batch():
 
 
 def test_period_update_rescales_shared_extreme_magnitudes():
-    # values x 2^-540 square below the float range; rescaled by exact
-    # powers of two, the update gives the unscaled figures bit for bit
+    # values x 2^-540 square below the float range, and each unit, the new
+    # one too, carries a shift of its own; scaled by exact powers of two,
+    # the update gives the unscaled figures bit for bit
     panel = random_panel(np.random.default_rng(4), 5, 4)
     new = ("new", np.array([3.0, 1.5, 2.0, 4.0, 2.5]), np.array([1.0, 2.0, 1.5, 1.0, 3.0]))
     plain = update_multiperiod(estimate_deflators(panel), panel, new).estimate
     g = 3 * np.arange(5) - 200
-    far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, -540),
+    k = -540 + 50 * np.array([1, -2, 0, 3, -1])
+    far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, k[:-1]),
                       np.ldexp(panel.quantities, g[:, None]), panel.present)
-    far_new = ("new", np.ldexp(new[1], -540), np.ldexp(new[2], g))
+    far_new = ("new", np.ldexp(new[1], k[-1]), np.ldexp(new[2], g))
     far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new).estimate
-    assert_array_equal(far.deflators, plain.deflators)
-    assert_array_equal(far.indexes, plain.indexes)
-    assert_array_equal(far.var_deflators, plain.var_deflators)
-    assert_array_equal(far.ref_prices, np.ldexp(plain.ref_prices, -540 - g))
+    shift = k[panel.base_unit] - k
+    assert_array_equal(far.deflators, np.ldexp(plain.deflators, shift))
+    assert_array_equal(far.indexes, np.ldexp(plain.indexes, -shift))
+    assert_array_equal(far.var_deflators, np.ldexp(plain.var_deflators, 2 * shift))
+    assert_array_equal(far.ref_prices, np.ldexp(plain.ref_prices, k[panel.base_unit] - g))
