@@ -13,7 +13,7 @@ import io
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,8 +46,11 @@ class Panel:
     """Immutable N x T value/quantity panel.
 
     Rows are items, columns are units (periods or areas).  Absent cells are
-    exact zeros in both matrices and False in ``present``.  The arrays are
-    marked read-only so a constructed panel can be shared freely.
+    exact zeros in both matrices.  ``present`` is derived, not passed: the
+    panel computes it as ``values > 0`` once it has checked that no cell
+    mixes a positive and a zero entry, so ``dataclasses.replace`` with new
+    values recomputes it.  The arrays are marked read-only so a constructed
+    panel can be shared freely.
 
     T = 1 panels are accepted only as the starting point of the period-update
     bootstrap; every estimator requires T >= 2.
@@ -57,7 +60,7 @@ class Panel:
     units: tuple[str, ...]
     values: np.ndarray
     quantities: np.ndarray
-    present: np.ndarray
+    present: np.ndarray = field(init=False)
     base_unit: int = 0
     mode: str = "time"
 
@@ -66,7 +69,6 @@ class Panel:
         object.__setattr__(self, "units", tuple(str(u) for u in self.units))
         object.__setattr__(self, "values", _as_readonly(self.values, np.float64))
         object.__setattr__(self, "quantities", _as_readonly(self.quantities, np.float64))
-        object.__setattr__(self, "present", _as_readonly(self.present, np.bool_))
 
         n, t = len(self.items), len(self.units)
         if n < 1 or t < 1:
@@ -76,7 +78,7 @@ class Panel:
         if len(set(self.units)) != t:
             raise ValidationError("unit labels must be unique")
         shape = (n, t)
-        for name in ("values", "quantities", "present"):
+        for name in ("values", "quantities"):
             if getattr(self, name).shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}")
         if not (np.isfinite(self.values).all() and np.isfinite(self.quantities).all()):
@@ -84,34 +86,29 @@ class Panel:
         if (self.values < 0).any() or (self.quantities < 0).any():
             raise ValidationError("values and quantities must be nonnegative")
 
-        vpos = self.values > 0
-        qpos = self.quantities > 0
-        if not (vpos == self.present).all() or not (qpos == self.present).all():
-            bad = np.argwhere((vpos != self.present) | (qpos != self.present))
-            i, t_ = bad[0]
+        present = self.values > 0
+        mixed = present != (self.quantities > 0)
+        if mixed.any():
+            i, t_ = np.argwhere(mixed)[0]
             raise InconsistentCell(
                 f"cell ({self.items[i]}, {self.units[t_]}) mixes positive and "
                 "zero entries; present cells need value > 0 and quantity > 0, "
                 "absent cells need exact zeros in both"
             )
-        empty_units = np.flatnonzero(~self.present.any(axis=0))
+        present.flags.writeable = False
+        object.__setattr__(self, "present", present)
+        empty_units = np.flatnonzero(~present.any(axis=0))
         if empty_units.size:
             raise ValidationError(
                 f"unit {self.units[empty_units[0]]!r} has no present items"
             )
-        if not 0 <= self.base_unit < t:
-            raise ValidationError(f"base_unit {self.base_unit} out of range for T={t}")
+        base = self.base_unit
+        if not isinstance(base, (int, np.integer)) or isinstance(base, bool):
+            raise ValidationError(f"base_unit must be an integer, not {type(base).__name__}")
+        if not 0 <= base < t:
+            raise ValidationError(f"base_unit {base} out of range for T={t}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    @classmethod
-    def from_arrays(cls, items, units, values, quantities, base_unit=0, mode="time"):
-        """Build a panel deriving the presence mask from positivity."""
-        values = np.asarray(values, dtype=np.float64)
-        quantities = np.asarray(quantities, dtype=np.float64)
-        present = (values > 0) & (quantities > 0)
-        return cls(tuple(items), tuple(units), values, quantities, present,
-                   base_unit=base_unit, mode=mode)
 
     @property
     def n_items(self) -> int:
@@ -137,14 +134,9 @@ class Panel:
             raise ValidationError(
                 f"new unit arrays must have length {self.n_items}"
             )
-        return Panel.from_arrays(
-            self.items,
-            self.units + (label,),
-            np.column_stack([self.values, v]),
-            np.column_stack([self.quantities, q]),
-            base_unit=self.base_unit,
-            mode=self.mode,
-        )
+        return replace(self, units=self.units + (label,),
+                       values=np.column_stack([self.values, v]),
+                       quantities=np.column_stack([self.quantities, q]))
 
 
 class PairOverlaps(Mapping):
@@ -472,8 +464,7 @@ def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units
     base = _resolve_base(tuple(unit_order), base_unit)
     if not 0 <= base < t:
         raise ValidationError(f"base unit index {base} out of range for T={t}")
-    return Panel.from_arrays(item_order, unit_order, values, quantities,
-                             base_unit=base, mode=mode)
+    return Panel(item_order, unit_order, values, quantities, base_unit=base, mode=mode)
 
 
 def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
@@ -492,15 +483,9 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
         raise EmptyBasket("no item is present in two or more units")
 
     if dropped:
-        restricted = Panel(
-            tuple(lab for lab, k in zip(panel.items, keep) if k),
-            panel.units,
-            panel.values[keep],
-            panel.quantities[keep],
-            panel.present[keep],
-            base_unit=panel.base_unit,
-            mode=panel.mode,
-        )
+        restricted = replace(panel, items=[lab for lab, k in zip(panel.items, keep) if k],
+                             values=panel.values[keep],
+                             quantities=panel.quantities[keep])
     else:
         restricted = panel
 

@@ -15,7 +15,7 @@ positive aborts the whole run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,9 +63,12 @@ class SimulationConfig:
             raise ValidationError("seed must be >= 0")
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
-        for name in self.estimators:
+        for k, name in enumerate(self.estimators):
             if name not in ESTIMATORS:
                 raise ValidationError(f"unknown estimator {name!r}")
+            # a repeated name would pool each replication's fit twice
+            if name in self.estimators[:k]:
+                raise ValidationError(f"estimator {name!r} is listed twice")
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"k must be finite and positive, got {self.k}")
 
@@ -177,8 +180,7 @@ def _value_draws(panel: Panel, config: SimulationConfig):
             _perturb_values(panel, config, np.random.default_rng(seed), out=values)
             drawn = values.take(cells)
         if not (np.isfinite(drawn) & (drawn > 0)).all():
-            Panel(panel.items, panel.units, values, panel.quantities, panel.present,
-                  base_unit=panel.base_unit, mode=panel.mode)
+            replace(panel, values=values)
         return values
 
     return draw

@@ -55,7 +55,7 @@ def random_panel(rng, n_items, n_units, missing=0.0, base=0, mode="time",
     quantities = np.where(present, quantities, 0.0)
     items = tuple(f"i{k}" for k in range(n_items))
     units = tuple(f"u{k}" for k in range(n_units))
-    return Panel(items, units, values, quantities, present, base_unit=base, mode=mode)
+    return Panel(items, units, values, quantities, base_unit=base, mode=mode)
 
 
 def random_bilateral(rng, n_items, lo=0.5, hi=8.0) -> BilateralInput:
@@ -80,7 +80,7 @@ def panel_from_bilateral(inp: BilateralInput, mode="time") -> Panel:
     items = tuple(f"i{k}" for k in range(inp.p1.size))
     values = np.column_stack([inp.p1 * inp.q1, inp.p2 * inp.q2])
     quantities = np.column_stack([inp.q1, inp.q2])
-    return Panel.from_arrays(items, ("b", "c"), values, quantities, mode=mode)
+    return Panel(items, ("b", "c"), values, quantities, mode=mode)
 
 
 def emit_panel(panel: Panel) -> str:

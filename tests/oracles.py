@@ -246,17 +246,25 @@ def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.
     The blocks are formed from the panel in long double unless float64
     blocks are given, whose exact solution is then returned.  solve_two_way
     supplies the corrections of the refinement steps, which converge as
-    long as its relative error is well below one.
+    long as its relative error is well below one.  They are taken on the
+    blocks scaled as the fit scales the panel: unit t's values by 2^-k_t and
+    item i's quantities by 2^-g_i, k and g the exponents of the largest
+    entries.  So the correction solve refuses only what the fit refuses, and
+    the scaled deflators d_t 2^(k_t - k_b) map back exactly.
     """
     wide = np.longdouble
+    nb, base = panel.nonbase_units, panel.base_unit
     if blocks is None:
         v, q = panel.values.astype(wide), panel.quantities.astype(wide)
-        nb = panel.nonbase_units
         c, cross = (q * q).sum(axis=1), q[:, nb] * v[:, nb]
-        a, r = (v[:, nb] ** 2).sum(axis=0), q[:, panel.base_unit] * v[:, panel.base_unit]
+        a, r = (v[:, nb] ** 2).sum(axis=0), q[:, base] * v[:, base]
     else:
         c, cross, a, r = (x.astype(wide) for x in (blocks.price_gram, blocks.cross,
                                                     blocks.deflator_gram, blocks.rhs))
+    k = np.frexp(panel.values.max(axis=0))[1]
+    g = np.frexp(panel.quantities.max(axis=1))[1]
+    c, a = np.ldexp(c, -2 * g), np.ldexp(a, -2 * k[nb])
+    cross, r = np.ldexp(cross, -g[:, None] - k[nb]), np.ldexp(r, -g - k[base])
     args = [x.astype(float) for x in (c, -cross, a)]
     labels = ([f"i{i}" for i in range(c.size)], [f"u{j}" for j in range(a.size)])
     prices, deflators = np.zeros(c.size, dtype=wide), np.zeros(a.size, dtype=wide)
@@ -266,7 +274,7 @@ def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.
         step_d, step_p, _ = solve_two_way(*args, item_res.astype(float),
                                           unit_res.astype(float), *labels)
         prices, deflators = prices + step_p, deflators + step_d
-    return deflators
+    return np.ldexp(deflators, k[base] - k[nb])
 
 
 def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationReport:
@@ -286,7 +294,7 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
     for r in range(config.replications):
         values = _perturb_values(panel, config, np.random.default_rng(children[r]))
         sim_panel = Panel(panel.items, panel.units, values, panel.quantities,
-                          panel.present, base_unit=panel.base_unit, mode=panel.mode)
+                          base_unit=panel.base_unit, mode=panel.mode)
         for name in config.estimators:
             try:
                 fit = fits[name](sim_panel)

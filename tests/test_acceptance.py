@@ -159,8 +159,8 @@ def test_c04_period_update_constrained_oracle():
         assert_array_equal(est.deflators[:-1], prior.deflators)
         assert_array_equal(est.indexes[:-1], prior.indexes)
 
-    scalar = Panel.from_arrays(("a",), ("t1", "t2"),
-                               np.array([[10.0, 20.0]]), np.ones((1, 2)))
+    scalar = Panel(("a",), ("t1", "t2"),
+                   np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(scalar)
     final = update_multiperiod(prior, scalar, ("t3", np.array([20.0]), np.ones(1)))
     assert final.estimate.indexes[2] == 2.0
@@ -187,9 +187,9 @@ def test_c05_quadratic_forms_vs_textbook():
 @_report(6, "two-unit regression fixture: point estimate, noise scale and "
             "both variance conventions")
 def test_c06_regression_fixture():
-    panel = Panel.from_arrays(("a", "b"), ("t1", "t2"),
-                              np.array([[1.0, 3.0], [2.0, 4.0]]),
-                              np.ones((2, 2)))
+    panel = Panel(("a", "b"), ("t1", "t2"),
+                  np.array([[1.0, 3.0], [2.0, 4.0]]),
+                  np.ones((2, 2)))
     est = estimate_deflators(panel)
     assert abs(est.deflators[1] - 0.44) <= 1e-12
     assert abs(est.sigma2 - 0.08) <= 1e-12
@@ -220,14 +220,14 @@ def test_c08_dummy_baseline_sanity():
         geo = np.exp(np.log(rel).mean(axis=0))
         assert _rel_err(fit.indexes, geo) <= 1e-12
 
-        flat = Panel.from_arrays(panel.items, panel.units,
-                                 np.ones((n, t)), panel.quantities)
+        flat = Panel(panel.items, panel.units,
+                     np.ones((n, t)), panel.quantities)
         plain = fit_dummy_index(flat, weighted=False)
         weighted = fit_dummy_index(flat, weighted=True)
         assert np.max(np.abs(weighted.log_unit_effects
                              - plain.log_unit_effects)) <= 1e-12
-    two = Panel.from_arrays(("a", "b"), ("t1", "t2"),
-                            np.array([[1.0, 3.0], [2.0, 4.0]]), np.ones((2, 2)))
+    two = Panel(("a", "b"), ("t1", "t2"),
+                np.array([[1.0, 3.0], [2.0, 4.0]]), np.ones((2, 2)))
     assert abs(fit_dummy_index(two).indexes[1] - math.sqrt(6.0)) <= 1e-12
 
 
@@ -241,8 +241,8 @@ def test_c09_simulation_accuracy_comparison():
     levels = 1.0 + 0.4 * np.arange(t) / (t - 1)
     quantities = rng.uniform(50.0, 150.0, (n, t))
     values = quantities * prices[:, None] * levels[None, :]
-    panel = Panel.from_arrays([f"i{k}" for k in range(n)],
-                              [f"t{k}" for k in range(t)], values, quantities)
+    panel = Panel([f"i{k}" for k in range(n)],
+                  [f"t{k}" for k in range(t)], values, quantities)
     mean_v = float(values.mean())
     config = SimulationConfig(scheme="additive_on_base", replications=200,
                               noise_mean=0.05 * mean_v,
@@ -275,8 +275,8 @@ def test_c10_format_reproduction_and_note():
     quantities = rng.uniform(10.0, 40.0, (n, 3))
     values = quantities * prices[:, None] * area_level[None, :]
     values *= rng.uniform(0.95, 1.05, values.shape)  # idiosyncratic spread
-    panel = Panel.from_arrays([f"g{k}" for k in range(n)], areas,
-                              values, quantities, mode="space")
+    panel = Panel([f"g{k}" for k in range(n)], areas,
+                  values, quantities, mode="space")
 
     q4 = rng.uniform(10.0, 40.0, n)
     v4 = q4 * prices * 1.07 * rng.uniform(0.95, 1.05, n)

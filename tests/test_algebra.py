@@ -32,7 +32,7 @@ def ones_panel(v1, v2, base=0):
     """Two-unit panel with unit quantities; values given per unit."""
     v = np.column_stack([v1, v2]).astype(float)
     items = tuple(f"i{k}" for k in range(len(v1)))
-    return Panel.from_arrays(items, ("t1", "t2"), v, np.ones_like(v), base_unit=base)
+    return Panel(items, ("t1", "t2"), v, np.ones_like(v), base_unit=base)
 
 
 # --- transition matrix -------------------------------------------------------
@@ -68,8 +68,8 @@ def test_transition_sandwich_turns_kronecker_into_hadamard():
 # --- dense design ------------------------------------------------------------
 
 def test_design_single_item_two_units_by_hand():
-    panel = Panel.from_arrays(("a",), ("t1", "t2"),
-                              np.array([[15.0, 40.0]]), np.array([[5.0, 10.0]]))
+    panel = Panel(("a",), ("t1", "t2"),
+                  np.array([[15.0, 40.0]]), np.array([[5.0, 10.0]]))
     system = build_design_system(panel)
     assert_array_equal(system.y, [15.0, 0.0])
     assert_array_equal(system.X, [[0.0, 5.0], [-40.0, 10.0]])
@@ -97,7 +97,7 @@ def test_design_shape_and_structure():
 
 def test_design_requires_two_units():
     v = np.ones((2, 1))
-    panel = Panel.from_arrays(("a", "b"), ("t1",), v, v.copy())
+    panel = Panel(("a", "b"), ("t1",), v, v.copy())
     with pytest.raises(InvalidDimension):
         build_design_system(panel)
 
@@ -105,13 +105,13 @@ def test_design_requires_two_units():
 def test_design_base_reorder_matches_column_swap():
     rng = np.random.default_rng(9)
     panel = random_panel(rng, 3, 3, missing=0.1)
-    swapped = Panel.from_arrays(
+    swapped = Panel(
         panel.items, (panel.units[1], panel.units[0], panel.units[2]),
         panel.values[:, [1, 0, 2]], panel.quantities[:, [1, 0, 2]],
     )
-    a = build_design_system(Panel.from_arrays(panel.items, panel.units,
-                                              panel.values, panel.quantities,
-                                              base_unit=1))
+    a = build_design_system(Panel(panel.items, panel.units,
+                                  panel.values, panel.quantities,
+                                  base_unit=1))
     b = build_design_system(swapped)
     assert_array_equal(a.X, b.X)
     assert_array_equal(a.y, b.y)
@@ -194,8 +194,8 @@ def test_ols_disconnected_panel_is_singular():
         [1.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 1.0],
     ])
-    panel = Panel.from_arrays(("a", "b"), ("u0", "u1", "u2", "u3"),
-                              values, values.copy())
+    panel = Panel(("a", "b"), ("u0", "u1", "u2", "u3"),
+                  values, values.copy())
     with pytest.raises(SingularSystem):
         ols_fit(build_design_system(panel))
 
@@ -455,8 +455,8 @@ def weakly_linked_panels(count):
         quantities[-1, -2:] = rng.uniform(0.5, 2.0, 2)
         values[0, -1] = 10.0 ** rng.uniform(-20.0, -3.0)
         quantities[0, -1] = rng.uniform(0.5, 2.0)
-        yield Panel.from_arrays([f"i{k}" for k in range(n)], [f"u{k}" for k in range(t)],
-                                values, quantities)
+        yield Panel([f"i{k}" for k in range(n)], [f"u{k}" for k in range(t)],
+                    values, quantities)
 
 
 def fit_outcome(fit, panel):
@@ -505,7 +505,7 @@ def test_presence_components_match_csgraph():
     for n, t, present in split_masks():
         values = np.where(present, 1.0, 0.0)
         panel = Panel(tuple(f"i{k}" for k in range(n)), tuple(f"u{k}" for k in range(t)),
-                      values, values.copy(), present)
+                      values, values.copy())
         ii, tt = np.nonzero(present)
         graph = coo_matrix((np.ones(ii.size), (ii, tt + n)), shape=(n + t, n + t))
         n_comp, labels = connected_components(graph, directed=False)

@@ -152,8 +152,8 @@ def test_panel_adapter_respects_base_unit():
     inp = BilateralInput(p1=[2.0, 3.0], p2=[4.0, 5.0],
                          q1=[1.0, 2.0], q2=[3.0, 1.0])
     panel = panel_from_bilateral(inp)
-    flipped = Panel.from_arrays(panel.items, panel.units, panel.values,
-                                panel.quantities, base_unit=1)
+    flipped = Panel(panel.items, panel.units, panel.values,
+                    panel.quantities, base_unit=1)
     back = bilateral_from_panel(flipped)
     assert_allclose(back.p1, inp.p2, rtol=1e-15)
     assert_allclose(back.p2, inp.p1, rtol=1e-15)
@@ -171,5 +171,5 @@ def test_panel_adapter_rejects_bad_shapes():
     values[0, 1] = 0.0
     quantities[0, 1] = 0.0
     with pytest.raises(ValidationError):
-        bilateral_from_panel(Panel.from_arrays(("a", "b", "c", "d"),
-                                               sparse.units, values, quantities))
+        bilateral_from_panel(Panel(("a", "b", "c", "d"),
+                                   sparse.units, values, quantities))

@@ -150,7 +150,7 @@ def test_validate_reports_brute_force_smallest_overlap(run, tmp_path):
     values = np.where(mask, rng.uniform(0.5, 8.0, mask.shape), 0.0)
     items = tuple(f"i{k}" for k in range(mask.shape[0]))
     units = tuple(f"u{k}" for k in range(mask.shape[1]))
-    panel = Panel.from_arrays(items, units, values, mask.astype(float))
+    panel = Panel(items, units, values, mask.astype(float))
     src = write(tmp_path, "panel.csv", emit_panel(panel))
     kept = mask[:-1]
     least = min(int((kept[:, a] & kept[:, b]).sum())
@@ -492,7 +492,7 @@ def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
     # a subset of the items, written in reverse panel order
     rows = "".join(f"i{k},new,{k + 1},{10 * (k + 1)}\n" for k in (5, 3, 0))
     new = write(tmp_path, "new.csv", HEADER + rows)
-    unit, values, quantities = _new_unit_from_file(new, panel)
+    unit, values, quantities = _new_unit_from_file(new, panel, ())
     assert unit == "new"
     assert values.tolist() == [1, 0, 0, 4, 0, 6]
     assert quantities.tolist() == [10, 0, 0, 40, 0, 60]
@@ -502,6 +502,23 @@ def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
     code, _, err = run("update-period", "--input", src, "--new", bad)
     assert code == 1
     assert "items outside the panel: zz" in err
+
+
+@pytest.mark.parametrize("command", ["update-unit", "update-period"])
+def test_new_unit_item_the_basket_dropped_is_named_as_such(run, tmp_path, command):
+    # x is present in t1 only, so the basket drops it: it is in the input,
+    # but outside the reference basket
+    src = write(tmp_path, "panel.csv", F1_CSV + "x,t1,1,1\n")
+    new = write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nx,t3,2,1\n")
+    assert run(command, "--input", src, "--new", new) == (1, "", (
+        "note: dropped items outside the reference basket: x\n"
+        "validation error: new unit contains items outside the reference basket "
+        "(present in fewer than two units of the input): x\n"))
+    # a label the input never had is still outside the panel
+    new = write(tmp_path, "new.csv", HEADER + "x,t3,2,1\nzz,t3,1,1\n")
+    code, _, err = run(command, "--input", src, "--new", new)
+    assert code == 1
+    assert err.endswith("validation error: new unit contains items outside the panel: zz\n")
 
 
 def test_simulate_deterministic_output_files(run, tmp_path):
@@ -761,8 +778,8 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
 @pytest.mark.parametrize("variance", ["full", "corollary3"])
 def test_update_period_refuses_a_subnormal_new_period(run, tmp_path, variance):
     rng = np.random.default_rng(3)
-    panel = Panel.from_arrays([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
-                              rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6)))
+    panel = Panel([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
+                  rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6)))
     new_values, new_quantities = rng.uniform(1, 10, 30), rng.uniform(1, 10, 30)
     src = write(tmp_path, "panel.csv", emit_panel(panel))
     report = tmp_path / "report.json"
@@ -837,8 +854,8 @@ def thirty_by_six(scale=1.0, unit=3):
     rng = np.random.default_rng(0)
     values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
     values[:, unit] *= scale
-    return Panel.from_arrays([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
-                             values, quantities)
+    return Panel([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
+                 values, quantities)
 
 
 def scaled_unit_runs(run, tmp_path, scale):
@@ -847,7 +864,7 @@ def scaled_unit_runs(run, tmp_path, scale):
     with unit t3 (for update-unit, t5) times scale."""
     whole, newcomer = thirty_by_six(scale, unit=3), thirty_by_six(scale, unit=5)
     src = write(tmp_path, f"panel{scale}.csv", emit_panel(whole))
-    prior = write(tmp_path, f"prior{scale}.csv", emit_panel(Panel.from_arrays(
+    prior = write(tmp_path, f"prior{scale}.csv", emit_panel(Panel(
         newcomer.items, newcomer.units[:5], newcomer.values[:, :5], newcomer.quantities[:, :5])))
     new = write(tmp_path, f"new{scale}.csv", HEADER + "".join(
         f"{item},t5,{v:.17g},{q:.17g}\n" for item, v, q in

@@ -26,7 +26,7 @@ def price_panel(p_by_unit, q_by_unit=None, base=0):
     q = np.ones_like(p) if q_by_unit is None else np.column_stack(q_by_unit).astype(float)
     items = tuple(f"i{k}" for k in range(p.shape[0]))
     units = tuple(f"t{k}" for k in range(p.shape[1]))
-    return Panel.from_arrays(items, units, p * q, q, base_unit=base)
+    return Panel(items, units, p * q, q, base_unit=base)
 
 
 def geometric_mean_relatives(panel):
@@ -64,7 +64,7 @@ def test_weighted_equals_unweighted_under_constant_shares():
     rng = np.random.default_rng(67)
     q = rng.uniform(0.5, 4.0, (4, 3))
     v = np.ones((4, 3))
-    panel = Panel.from_arrays(("a", "b", "c", "d"), ("t0", "t1", "t2"), v, q)
+    panel = Panel(("a", "b", "c", "d"), ("t0", "t1", "t2"), v, q)
     plain = fit_dummy_index(panel, weighted=False)
     weighted = fit_dummy_index(panel, weighted=True)
     assert_allclose(weighted.log_unit_effects, plain.log_unit_effects,
@@ -89,8 +89,8 @@ def test_item_order_does_not_matter():
     rng = np.random.default_rng(79)
     panel = random_panel(rng, 6, 4, missing=0.2)
     perm = rng.permutation(6)
-    shuffled = Panel.from_arrays(tuple(panel.items[i] for i in perm), panel.units,
-                                 panel.values[perm], panel.quantities[perm])
+    shuffled = Panel(tuple(panel.items[i] for i in perm), panel.units,
+                     panel.values[perm], panel.quantities[perm])
     a = fit_dummy_index(panel)
     b = fit_dummy_index(shuffled)
     assert_allclose(a.indexes, b.indexes, rtol=1e-12)
@@ -119,8 +119,8 @@ def test_disconnected_presence_graph():
         [1.0, 2.0, 0.0, 0.0],
         [0.0, 0.0, 3.0, 4.0],
     ])
-    panel = Panel.from_arrays(("a", "b"), ("u0", "u1", "u2", "u3"),
-                              values, np.where(values > 0, 1.0, 0.0))
+    panel = Panel(("a", "b"), ("u0", "u1", "u2", "u3"),
+                  values, np.where(values > 0, 1.0, 0.0))
     comps = presence_components(panel)
     assert len(comps) == 2
     assert ({u for u, _ in comps} == {("u0", "u1"), ("u2", "u3")})
@@ -137,9 +137,9 @@ def test_connected_panel_has_single_component():
 
 def test_overflowing_price_fits_in_logs():
     # v / q overflows, but the model needs only log v - log q
-    panel = Panel.from_arrays(("a", "b"), ("t0", "t1"),
-                              np.array([[1e308, 1.0], [1.0, 1.0]]),
-                              np.array([[1e-308, 1.0], [1.0, 1.0]]))
+    panel = Panel(("a", "b"), ("t0", "t1"),
+                  np.array([[1e308, 1.0], [1.0, 1.0]]),
+                  np.array([[1e-308, 1.0], [1.0, 1.0]]))
     log_price = np.log(1e308) - np.log(1e-308)
     # unweighted, a_1 averages the items' changes (-L and 0); weighted, item
     # b weighs 1e-308 in t0, so item a's change decides it
@@ -154,11 +154,11 @@ def test_weighted_shares_at_the_top_of_the_float_range():
     rng = np.random.default_rng(0)
     values, quantities = rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6))
     items, units = [f"i{i}" for i in range(30)], [f"t{t}" for t in range(6)]
-    plain = fit_dummy_index(Panel.from_arrays(items, units, values, quantities),
+    plain = fit_dummy_index(Panel(items, units, values, quantities),
                             weighted=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        top = fit_dummy_index(Panel.from_arrays(items, units, values * 1e307, quantities),
+        top = fit_dummy_index(Panel(items, units, values * 1e307, quantities),
                               weighted=True)
     assert_allclose(top.indexes, plain.indexes, rtol=1e-12)
     assert_allclose(top.index_se, plain.index_se, rtol=1e-12)
@@ -230,8 +230,8 @@ def test_item_with_zero_weight_is_singular():
     values = np.array([[1e300, 1e300, 1.0],
                        [1e300, 1.0, 1.0],
                        [5e-324, 5e-324, 0.0]])
-    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
-                              np.where(values > 0, 1.0, 0.0))
+    panel = Panel(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                  np.where(values > 0, 1.0, 0.0))
     with pytest.raises(SingularSystem) as exc:
         fit_dummy_index(panel, weighted=True)
     assert exc.value.column == "item[c]"
@@ -245,8 +245,8 @@ def test_numerically_singular_schur_complement(share):
     values = np.array([[2.0, 3.0, share],
                        [1.0, 4.0, 0.0],
                        [0.0, 0.0, 1.0]])
-    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
-                              np.where(values > 0, 1.0, 0.0))
+    panel = Panel(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                  np.where(values > 0, 1.0, 0.0))
     with pytest.raises(SingularSystem) as exc:
         fit_dummy_index(panel, weighted=True)
     assert exc.value.column == "unit[t2]"
@@ -257,8 +257,8 @@ def test_numerically_singular_schur_complement_through_the_item_side(share, solv
     values = np.array([[2.0, 3.0, share],
                        [1.0, 4.0, 0.0],
                        [0.0, 0.0, 1.0]])
-    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1", "t2"), values,
-                              np.where(values > 0, 1.0, 0.0))
+    panel = Panel(("a", "b", "c"), ("t0", "t1", "t2"), values,
+                  np.where(values > 0, 1.0, 0.0))
     verdicts = solve_side("items")
     with pytest.raises(SingularSystem) as exc:
         fit_dummy_index(panel, weighted=True)
@@ -275,7 +275,7 @@ def test_large_sparse_fit_never_builds_the_design():
     values = np.where(present, rng.uniform(0.5, 8.0, (n, t)), 0.0)
     quantities = np.where(present, rng.uniform(0.5, 8.0, (n, t)), 0.0)
     panel = Panel(tuple(f"i{k}" for k in range(n)), tuple(f"u{k}" for k in range(t)),
-                  values, quantities, present)
+                  values, quantities)
     tracemalloc.start()
     try:
         fit = fit_dummy_index(panel)

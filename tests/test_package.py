@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -88,3 +89,32 @@ def test_only_estimator_scales_a_fit():
                 for alias in node.names}
     assert not [name for name in imported
                 if any(word in name.lower() for word in ("exponent", "unscale", "rescale"))]
+
+
+def _builds_a_panel(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id in ("Panel", "replace")
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "Panel"
+        or (func.attr == "replace" and isinstance(func.value, ast.Name)
+            and func.value.id == "dataclasses"))
+
+
+def test_panel_derives_presence_from_its_values():
+    # one constructor with no mask argument, and no module hands it a mask
+    assert "present" not in inspect.signature(mplindex.Panel).parameters
+    assert not hasattr(mplindex.Panel, "from_arrays")
+    package = pathlib.Path(mplindex.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and _builds_a_panel(call)):
+                continue
+            args = call.args + [keyword.value for keyword in call.keywords]
+            read = {node.attr for arg in args for node in ast.walk(arg)
+                    if isinstance(node, ast.Attribute)}
+            read |= {node.id for arg in args for node in ast.walk(arg)
+                     if isinstance(node, ast.Name)}
+            assert "present" not in read | {k.arg for k in call.keywords}, \
+                (path.name, call.lineno)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 from collections.abc import Mapping
@@ -68,6 +69,16 @@ def test_explicit_zero_row_marks_absence():
     assert_array_equal(with_row.values, without.values)
     assert_array_equal(with_row.quantities, without.quantities)
     assert_array_equal(with_row.present, without.present)
+    # zeros put in through dataclasses.replace mark absence as well
+    full = load_panel(csv(
+        "a,t1,10,2", "b,t1,6,3", "a,t2,8,2", "b,t2,9,3",
+        "a,t3,4,1", "b,t3,3,1",
+    ))
+    values, quantities = full.values.copy(), full.quantities.copy()
+    values[1, 1] = quantities[1, 1] = 0.0
+    replaced = dataclasses.replace(full, values=values, quantities=quantities)
+    assert full.present.all()
+    assert_array_equal(replaced.present, without.present)
 
 
 @pytest.mark.parametrize("row", ["a,t2,5,0", "a,t2,0,3", "a,t2,-1,2", "a,t2,4,-2"])
@@ -148,7 +159,7 @@ def test_emit_load_roundtrip_is_exact():
 def test_roundtrip_preserves_full_precision():
     values = np.array([[1.0 / 3.0, 0.1], [2.0 / 7.0, 1e-15]])
     quantities = np.array([[1.0 / 9.0, 3.0], [3.0, 2.0]])
-    panel = Panel.from_arrays(("a", "b"), ("t1", "t2"), values, quantities)
+    panel = Panel(("a", "b"), ("t1", "t2"), values, quantities)
     back = load_panel(io.StringIO(emit_panel(panel)))
     assert_array_equal(back.values, panel.values)
     assert_array_equal(back.quantities, panel.quantities)
@@ -162,19 +173,23 @@ def test_arrays_are_read_only():
         panel.present[0, 0] = False
 
 
-def test_from_arrays_validates_sign_combinations():
-    with pytest.raises(InconsistentCell):
-        Panel.from_arrays(("a",), ("t1", "t2"),
-                          np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
+def test_panel_validates_sign_combinations():
+    for values, quantities in (([[1.0, 2.0]], [[1.0, 0.0]]), ([[1.0, 0.0]], [[1.0, 2.0]])):
+        with pytest.raises(InconsistentCell, match=r"cell \(a, t2\) mixes"):
+            Panel(("a",), ("t1", "t2"), np.array(values), np.array(quantities))
     with pytest.raises(ValidationError):
-        Panel.from_arrays(("a", "a"), ("t1", "t2"),
-                          np.ones((2, 2)), np.ones((2, 2)))
+        Panel(("a", "a"), ("t1", "t2"),
+              np.ones((2, 2)), np.ones((2, 2)))
+    # a replaced value matrix is checked against the quantities as well
+    panel = Panel(("a", "b"), ("t1", "t2"), np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(InconsistentCell, match=r"cell \(b, t1\) mixes"):
+        dataclasses.replace(panel, values=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_unit_with_no_items_rejected():
     values = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):
-        Panel.from_arrays(("a", "b"), ("t1", "t2"), values, values.copy())
+        Panel(("a", "b"), ("t1", "t2"), values, values.copy())
 
 
 def test_basket_drops_thin_items_and_reports():
@@ -213,7 +228,7 @@ def mask_panel(mask):
     values = np.where(mask, rng.uniform(0.5, 8.0, mask.shape), 0.0)
     items = tuple(f"i{k}" for k in range(mask.shape[0]))
     units = tuple(f"u{k}" for k in range(mask.shape[1]))
-    return Panel.from_arrays(items, units, values, mask.astype(float))
+    return Panel(items, units, values, mask.astype(float))
 
 
 def random_mask(seed, n, t, density):
@@ -352,8 +367,13 @@ def test_with_unit_appends_column():
 
 def test_mode_validation():
     with pytest.raises(ValidationError):
-        Panel.from_arrays(("a",), ("t1", "t2"), np.ones((1, 2)), np.ones((1, 2)),
-                          mode="frequency")
+        Panel(("a",), ("t1", "t2"), np.ones((1, 2)), np.ones((1, 2)),
+              mode="frequency")
+    # a presence mask where a caller once passed one lands in base_unit
+    mask = np.ones((1, 2), dtype=bool)
+    for base in (mask, True, 1.0):
+        with pytest.raises(ValidationError, match="base_unit must be an integer"):
+            Panel(("a",), ("t1", "t2"), np.ones((1, 2)), np.ones((1, 2)), base)
 
 
 # --- columnar fast path against the strict row parser -----------------------

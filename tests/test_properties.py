@@ -1,5 +1,7 @@
 """Property tests: axioms of the two-period form plus estimator invariances."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import axiom_checks as ax
-from mplindex import MplIndexError, Panel, estimate_deflators
-from helpers import random_panel
+from mplindex import MplIndexError, Panel, estimate_deflators, load_panel
+from helpers import emit_panel, random_panel
 
 N_DRAWS = 200
 
@@ -32,8 +34,8 @@ def test_value_scaling_of_one_unit_moves_only_that_index():
         target = int(rng.integers(1, t))
         values = panel.values.copy()
         values[:, target] *= a
-        scaled = Panel.from_arrays(panel.items, panel.units, values,
-                                   panel.quantities)
+        scaled = Panel(panel.items, panel.units, values,
+                       panel.quantities)
         est = estimate_deflators(panel)
         est_scaled = estimate_deflators(scaled)
         expected = est.indexes.copy()
@@ -50,8 +52,8 @@ def test_global_value_scaling_is_absorbed_by_prices():
         panel = random_panel(rng, int(rng.integers(2, 8)), int(rng.integers(2, 6)),
                              missing=float(rng.uniform(0, 0.2)))
         a = float(rng.uniform(0.25, 4.0))
-        scaled = Panel.from_arrays(panel.items, panel.units, a * panel.values,
-                                   panel.quantities)
+        scaled = Panel(panel.items, panel.units, a * panel.values,
+                       panel.quantities)
         est = estimate_deflators(panel)
         est_scaled = estimate_deflators(scaled)
         assert_allclose(est_scaled.indexes, est.indexes, rtol=1e-10)
@@ -67,8 +69,8 @@ def test_item_quantity_rescaling_leaves_indexes_unchanged():
         panel = random_panel(rng, n, int(rng.integers(2, 6)),
                              missing=float(rng.uniform(0, 0.2)))
         g = rng.uniform(0.25, 4.0, n)
-        rescaled = Panel.from_arrays(panel.items, panel.units, panel.values,
-                                     panel.quantities / g[:, None])
+        rescaled = Panel(panel.items, panel.units, panel.values,
+                         panel.quantities / g[:, None])
         est = estimate_deflators(panel)
         est_rescaled = estimate_deflators(rescaled)
         assert_allclose(est_rescaled.indexes, est.indexes, rtol=1e-10)
@@ -85,7 +87,7 @@ def test_unit_permutation_permutes_results():
                              missing=float(rng.uniform(0, 0.15)))
         perm = rng.permutation(t)
         base_new = int(np.flatnonzero(perm == panel.base_unit)[0])
-        shuffled = Panel.from_arrays(
+        shuffled = Panel(
             panel.items, tuple(panel.units[j] for j in perm),
             panel.values[:, perm], panel.quantities[:, perm],
             base_unit=base_new,
@@ -101,8 +103,11 @@ def test_absent_cells_and_explicit_zero_cells_agree():
     """A panel built with explicit zero pairs equals one with implied zeros."""
     rng = np.random.default_rng(707)
     panel = random_panel(rng, 6, 4, missing=0.25)
-    rebuilt = Panel(panel.items, panel.units, panel.values, panel.quantities,
-                    panel.present, base_unit=panel.base_unit, mode=panel.mode)
+    absent = np.argwhere(~panel.present)
+    assert absent.size
+    text = emit_panel(panel) + "".join(
+        f"{panel.items[i]},{panel.units[t]},0,0\n" for i, t in absent)
+    rebuilt = load_panel(io.StringIO(text), units=panel.units, base_unit=panel.base_unit)
     a = estimate_deflators(panel)
     b = estimate_deflators(rebuilt)
     assert_array_equal(a.deflators, b.deflators)
@@ -111,14 +116,12 @@ def test_absent_cells_and_explicit_zero_cells_agree():
 
 def scaled_panel(panel, value_exp, quantity_exps, perm=None):
     """Values times 10**value_exp and item i's quantities times
-    10**quantity_exps[i]; units reordered by perm with the base following.
-    The presence mask is passed explicitly, so absent cells are zeros the
-    mask marks absent rather than zeros found in the arrays."""
+    10**quantity_exps[i]; units reordered by perm with the base following."""
     perm = np.arange(panel.n_units) if perm is None else perm
     g = 10.0 ** np.asarray(quantity_exps[:panel.n_items], dtype=float)
     return Panel(panel.items, tuple(panel.units[j] for j in perm),
                  (panel.values * 10.0 ** value_exp)[:, perm],
-                 (panel.quantities * g[:, None])[:, perm], panel.present[:, perm],
+                 (panel.quantities * g[:, None])[:, perm],
                  base_unit=int(np.flatnonzero(perm == panel.base_unit)[0]))
 
 
@@ -158,8 +161,8 @@ def test_permutation_and_absent_cells_at_extreme_scales(seed, n, t, missing, val
         return
     assert_allclose(got.indexes, expected.indexes[perm], rtol=1e-12)
     # the same cells with absences found from the zeros
-    implied = Panel.from_arrays(scaled.items, scaled.units, scaled.values,
-                                scaled.quantities, base_unit=scaled.base_unit)
+    implied = Panel(scaled.items, scaled.units, scaled.values,
+                    scaled.quantities, base_unit=scaled.base_unit)
     again = estimate_deflators(implied)
     assert_array_equal(again.deflators, got.deflators)
     assert_array_equal(again.ref_prices, got.ref_prices)
@@ -188,8 +191,7 @@ def test_per_unit_power_of_two_scales_move_only_their_own_figures(
     k, g = np.array(unit_exps[:t]), np.array(item_exps[:n])
     k_base = int(k[panel.base_unit])
     scaled = Panel(panel.items, panel.units, np.ldexp(panel.values, k),
-                   np.ldexp(panel.quantities, g[:, None]), panel.present,
-                   base_unit=panel.base_unit)
+                   np.ldexp(panel.quantities, g[:, None]), base_unit=panel.base_unit)
     for method in ("full_partition", "corollary3"):
         plain, got = fit_or_refusal(panel, method), fit_or_refusal(scaled, method)
         if isinstance(plain, str):

@@ -36,6 +36,8 @@ def test_config_validation():
         SimulationConfig(estimators=())
     with pytest.raises(ValidationError):
         SimulationConfig(estimators=("mpl", "geks"))
+    with pytest.raises(ValidationError, match="listed twice"):
+        SimulationConfig(estimators=("mpl", "mpl"))
     with pytest.raises(ValidationError):
         SimulationConfig(k=0.0)
 
@@ -176,7 +178,7 @@ def test_all_replications_failing_is_an_error(monkeypatch):
 def test_mpl_without_residual_dof_reports_nan_se():
     # a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
     values = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
-    panel = Panel.from_arrays(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
+    panel = Panel(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
     config = SimulationConfig(replications=5, noise_sd_max=0.1, seed=3,
                               estimators=("mpl", "tpd"), dof_rule="observed")
     report = simulate(panel, config)
@@ -228,7 +230,7 @@ def assert_same_report(got, want):
 def zero_dof_panel():
     # a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
     values = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
-    return Panel.from_arrays(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
+    return Panel(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
 
 
 ALL = ("mpl", "tpd", "tpd_weighted")

@@ -20,7 +20,7 @@ def ones_panel(*columns, base=0):
     v = np.column_stack(columns).astype(float)
     items = tuple(f"i{k}" for k in range(v.shape[0]))
     units = tuple(f"t{k}" for k in range(v.shape[1]))
-    return Panel.from_arrays(items, units, v, np.ones_like(v), base_unit=base)
+    return Panel(items, units, v, np.ones_like(v), base_unit=base)
 
 
 F1 = ones_panel([1.0, 2.0], [2.0, 4.0])
@@ -89,8 +89,8 @@ def test_changed_mask_agrees_with_prior_comparison():
     assert_array_equal(result.changed_mask, expected)
     # a prior fitted on differently named units cannot vouch for any entry
     other_panel = random_panel(np.random.default_rng(1), 5, 3)
-    other_panel = Panel.from_arrays(other_panel.items, ("x0", "x1", "x2"),
-                                    other_panel.values, other_panel.quantities)
+    other_panel = Panel(other_panel.items, ("x0", "x1", "x2"),
+                        other_panel.values, other_panel.quantities)
     other = estimate_deflators(other_panel)
     assert update_multilateral(panel, new, prior=other).changed_mask.all()
 
@@ -98,8 +98,8 @@ def test_changed_mask_agrees_with_prior_comparison():
 def test_new_unit_basket_violation():
     # item c appears only in t1; a newcomer that skips c leaves it thin
     values = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 5.0]])
-    panel = Panel.from_arrays(("a", "b", "c"), ("t0", "t1"),
-                              values, np.where(values > 0, 1.0, 0.0))
+    panel = Panel(("a", "b", "c"), ("t0", "t1"),
+                  values, np.where(values > 0, 1.0, 0.0))
     with pytest.raises(BasketViolation):
         update_multilateral(panel, ("t2", np.array([1.0, 1.0, 0.0]),
                                     np.array([1.0, 1.0, 0.0])))
@@ -115,8 +115,8 @@ SPLIT_VALUES = np.array([[1.0, 2.0, 0.0, 0.0],
                          [3.0, 5.0, 0.0, 0.0],
                          [0.0, 0.0, 1.0, 2.0],
                          [0.0, 0.0, 3.0, 1.0]])
-SPLIT = Panel.from_arrays(("a", "b", "c", "d"), ("t0", "t1", "t2", "t3"),
-                          SPLIT_VALUES, (SPLIT_VALUES > 0).astype(float))
+SPLIT = Panel(("a", "b", "c", "d"), ("t0", "t1", "t2", "t3"),
+              SPLIT_VALUES, (SPLIT_VALUES > 0).astype(float))
 
 
 def test_newcomer_covering_one_block_of_split_panel_is_unidentified():
@@ -136,8 +136,8 @@ def test_new_unit_label_and_length_validation():
 
 
 def test_period_update_scalar_fixture_is_exact():
-    panel = Panel.from_arrays(("a",), ("t1", "t2"),
-                              np.array([[10.0, 20.0]]), np.ones((1, 2)))
+    panel = Panel(("a",), ("t1", "t2"),
+                  np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(panel)
     result = update_multiperiod(prior, panel, ("t3", np.array([20.0]), np.ones(1)))
     est = result.estimate
@@ -190,8 +190,8 @@ def test_period_update_carries_prior_variances():
 
 def test_period_update_without_prior_noise_scale():
     # one item in two units leaves the prior fit no residual dof
-    panel = Panel.from_arrays(("a",), ("t1", "t2"), np.array([[2.0, 3.0]]),
-                              np.ones((1, 2)))
+    panel = Panel(("a",), ("t1", "t2"), np.array([[2.0, 3.0]]),
+                  np.ones((1, 2)))
     prior = estimate_deflators(panel)
     assert prior.var_deflators is None
     est = update_multiperiod(prior, panel,
@@ -262,13 +262,13 @@ def test_period_update_stores_no_schur_inverse(variance_method):
 def test_period_update_requires_matching_prior():
     rng = np.random.default_rng(6)
     panel = random_panel(rng, 3, 3)
-    renamed = Panel.from_arrays(panel.items, ("x0", "x1", "x2"),
-                                panel.values, panel.quantities)
+    renamed = Panel(panel.items, ("x0", "x1", "x2"),
+                    panel.values, panel.quantities)
     with pytest.raises(ValidationError):
         update_multiperiod(estimate_deflators(renamed), panel,
                            ("new", np.ones(3), np.ones(3)))
-    rebased = Panel.from_arrays(panel.items, panel.units,
-                                panel.values, panel.quantities, base_unit=1)
+    rebased = Panel(panel.items, panel.units,
+                    panel.values, panel.quantities, base_unit=1)
     with pytest.raises(ValidationError):
         update_multiperiod(estimate_deflators(rebased), panel,
                            ("new", np.ones(3), np.ones(3)))
@@ -281,8 +281,8 @@ def test_bootstrap_from_single_unit():
     rng = np.random.default_rng(42)
     v = rng.uniform(1.0, 9.0, (2, 2))
     q = rng.uniform(1.0, 9.0, (2, 2))
-    panel2 = Panel.from_arrays(("a", "b"), ("t1", "t2"), v, q)
-    seed = Panel.from_arrays(("a", "b"), ("t1",), v[:, :1], q[:, :1])
+    panel2 = Panel(("a", "b"), ("t1", "t2"), v, q)
+    seed = Panel(("a", "b"), ("t1",), v[:, :1], q[:, :1])
     boot = update_multilateral(seed, ("t2", v[:, 1], q[:, 1]))
     full = estimate_deflators(panel2)
     assert_allclose(boot.estimate.deflators, full.deflators, rtol=1e-12)
@@ -293,19 +293,19 @@ def test_bootstrap_from_single_unit():
 def test_chained_unit_updates_match_batch():
     rng = np.random.default_rng(88)
     panel = random_panel(rng, 4, 5, missing=0.15)
-    grown = Panel.from_arrays(panel.items, panel.units[:2],
-                              panel.values[:, :2], panel.quantities[:, :2])
+    grown = Panel(panel.items, panel.units[:2],
+                  panel.values[:, :2], panel.quantities[:, :2])
     for t in range(2, 5):
         grown = update_multilateral(
             grown, (panel.units[t], panel.values[:, t], panel.quantities[:, t])
         ).estimate
         # rebuild the panel the cheap way for the next round
-        grown = Panel.from_arrays(panel.items, panel.units[: t + 1],
-                                  panel.values[:, : t + 1],
-                                  panel.quantities[:, : t + 1])
+        grown = Panel(panel.items, panel.units[: t + 1],
+                      panel.values[:, : t + 1],
+                      panel.quantities[:, : t + 1])
     final = update_multilateral(
-        Panel.from_arrays(panel.items, panel.units[:4],
-                          panel.values[:, :4], panel.quantities[:, :4]),
+        Panel(panel.items, panel.units[:4],
+              panel.values[:, :4], panel.quantities[:, :4]),
         (panel.units[4], panel.values[:, 4], panel.quantities[:, 4]),
     ).estimate
     batch = estimate_deflators(panel)
@@ -322,7 +322,7 @@ def test_period_update_rescales_shared_extreme_magnitudes():
     g = 3 * np.arange(5) - 200
     k = -540 + 50 * np.array([1, -2, 0, 3, -1])
     far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, k[:-1]),
-                      np.ldexp(panel.quantities, g[:, None]), panel.present)
+                      np.ldexp(panel.quantities, g[:, None]))
     far_new = ("new", np.ldexp(new[1], k[-1]), np.ldexp(new[2], g))
     far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new).estimate
     shift = k[panel.base_unit] - k
