@@ -21,7 +21,6 @@ from .errors import (
     MplIndexError,
     RedrawExhausted,
     SingularSystem,
-    UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
 )
@@ -29,7 +28,6 @@ from .estimator import (
     DeflatorEstimate,
     IndexSeries,
     estimate_deflators,
-    index_variance,
     pseudo_reciprocal,
     to_index_series,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "SingularSystem",
-    "UndefinedVariance",
     "UnidentifiedModel",
     "UpdateResult",
     "ValidationError",
@@ -86,7 +83,6 @@ __all__ = [
     "fit_dummy_index",
     "gram_blocks",
     "implied_prices",
-    "index_variance",
     "load_panel",
     "mpl_two_period",
     "presence_components",

@@ -46,7 +46,7 @@ OVERFLOW_MESSAGE = ("Gram blocks overflow: values or quantities are too large "
                     "or too small in magnitude")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramBlocks:
     """Closed-form blocks of X'X and X'y for the deflator design.
 

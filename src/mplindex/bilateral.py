@@ -20,7 +20,7 @@ from .panel import Panel, implied_prices
 CLASSICAL_KINDS = ("laspeyres", "paasche", "marshall_edgeworth", "walsh")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilateralInput:
     """Strictly positive price and quantity vectors for two units."""
 

@@ -28,7 +28,7 @@ from .errors import UnidentifiedModel
 from .panel import Panel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DummyFit:
     """Two-way dummy regression result on the log-price scale.
 

@@ -68,12 +68,8 @@ class SingularSystem(EstimationError):
         self.column = column
 
 
-class UndefinedVariance(EstimationError):
-    """A variance was requested but the noise scale is undefined (no residual dof)."""
-
-
 class DegenerateDeflator(EstimationError):
-    """A deflator estimate is zero where a reciprocal or variance is required."""
+    """A deflator cannot be estimated: its scalar Schur complement is not positive."""
 
 
 class DegenerateForm(EstimationError):

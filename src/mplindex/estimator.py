@@ -26,10 +26,8 @@ from .algebra import OVERFLOW_MESSAGE, factor_two_way
 from .dummy import require_connected
 from .errors import (
     BasketViolation,
-    DegenerateDeflator,
     EstimationError,
     InvalidDimension,
-    UndefinedVariance,
     ValidationError,
 )
 from .panel import Panel
@@ -46,15 +44,17 @@ def pseudo_reciprocal(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeflatorEstimate:
     """Joint fit of unit deflators and reference prices on one panel.
 
     deflators and indexes have length T in panel unit order with the base
-    entry pinned to 1.  var_deflators holds the deflator variances in the
-    same order with 0 at the base; a fit without sigma2 leaves it None.  They
-    are computed once, under variance_method; refit to get the other
-    convention.  No covariance between deflators is kept.
+    entry pinned to 1.  se holds the standard errors of log d_t, which are
+    those of log index_t, in the same order: sqrt(var(d_t)) / d_t, 0 at the
+    base and NaN elsewhere when the fit has no residual dof.  It does not
+    depend on any unit's scale.  It is computed once, under variance_method;
+    refit to get the other convention.  No covariance between deflators is
+    kept.
     """
 
     units: tuple[str, ...]
@@ -69,7 +69,7 @@ class DeflatorEstimate:
     dof_rule: str
     sigma2: float | None
     variance_method: str
-    var_deflators: np.ndarray | None
+    se: np.ndarray
 
     @property
     def n_units(self) -> int:
@@ -77,17 +77,8 @@ class DeflatorEstimate:
 
     @property
     def index_se(self) -> np.ndarray:
-        """Delta-method standard errors on the index scale, 0 at the base.
-
-        NaN off the base when the variance is undefined: no residual dof or
-        a zero deflator (see index_variance).
-        """
-        try:
-            return np.sqrt(index_variance(self))
-        except (UndefinedVariance, DegenerateDeflator):
-            se = np.full(self.n_units, np.nan)
-            se[self.base_unit] = 0.0
-            return se
+        """Delta-method standard errors on the index scale, 0 at the base."""
+        return self.indexes * self.se
 
 
 def _check_basket(panel: Panel):
@@ -105,7 +96,7 @@ def _normal(x):
     return np.isfinite(x) & (np.abs(x) >= sys.float_info.min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Scaling:
     """The exact power-of-two scaling that every MPL fit runs on.
 
@@ -138,20 +129,19 @@ class _Scaling:
         """The first units' deflators as the scaled fit has them."""
         return np.ldexp(deflators, self.units[:len(deflators)] - self.base)
 
-    def undo(self, deflators, var, prices, ssr, units=slice(None)):
-        """The units' deflators and variances (or None), prices and SSR, unscaled.
+    def undo(self, deflators, prices, ssr, units=slice(None)):
+        """The units' deflators, the prices and the SSR, unscaled.
 
-        Raises EstimationError when a nonzero deflator or variance leaves
-        the normal float range; a price or the SSR reads inf or 0 there.
+        Raises EstimationError when a nonzero deflator leaves the normal
+        float range; a price or the SSR reads inf or 0 there.
         """
-        shift = self.base - self.units[units]
         with np.errstate(over="ignore"):
-            out = (np.ldexp(deflators, shift), None if var is None else np.ldexp(var, 2 * shift),
-                   np.ldexp(prices, self.base - self.items), float(np.ldexp(ssr, 2 * self.base)))
-        if not all(x is None or (_normal(y) | np.equal(x, 0)).all()
-                   for x, y in zip((deflators, var), out)):
+            unscaled = np.ldexp(deflators, self.base - self.units[units])
+            prices = np.ldexp(prices, self.base - self.items)
+            ssr = float(np.ldexp(ssr, 2 * self.base))
+        if not (_normal(unscaled) | np.equal(deflators, 0)).all():
             raise EstimationError(OVERFLOW_MESSAGE)
-        return out
+        return unscaled, prices, ssr
 
 
 def _stacked_ssr(quantities: np.ndarray, values: np.ndarray, delta: np.ndarray,
@@ -188,8 +178,8 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
     on the values, so each fit scales them unit by unit, factors it and
     undoes the scaling (_Scaling).  Scaled, the blocks neither under- nor
     overflow: what magnitude alone still refuses, with EstimationError, is
-    a deflator or variance that leaves the normal float range once
-    unscaled, or a unit or item whose entries span more than that range.
+    a deflator that leaves the normal float range once unscaled, or a unit
+    or item whose entries span more than that range.
     """
     if variance_method not in VARIANCE_METHODS:
         raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
@@ -224,22 +214,23 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
         deflators = np.ones(t)
         deflators[nonbase] = delta_nb
         ssr = _stacked_ssr(q, v, deflators, prices)
-        var = None
-        if dof > 0:
-            var = np.zeros(t)
-            if variance_method == "corollary3":
-                var[nonbase] = ssr / dof * (1.0 / deflator_gram)
-            else:
-                var[nonbase] = ssr / dof * factor.unit_variances
-        deflators, var, prices, ssr = _Scaling(
-            k_units, k_items, int(k_units[base])).undo(deflators, var, prices, ssr)
+        # sd(d_t) and d_t carry the same scale, so the scaled ratio is final
+        se = np.zeros(t)
+        if dof <= 0:
+            se[nonbase] = np.nan
+        elif variance_method == "corollary3":
+            se[nonbase] = np.sqrt(ssr / dof / deflator_gram) / delta_nb
+        else:
+            se[nonbase] = np.sqrt(ssr / dof * factor.unit_variances) / delta_nb
+        deflators, prices, ssr = _Scaling(
+            k_units, k_items, int(k_units[base])).undo(deflators, prices, ssr)
         sigma2 = ssr / dof if dof > 0 else None
         return DeflatorEstimate(
             units=panel.units, items=panel.items, base_unit=base,
             mode=panel.mode, deflators=deflators,
             indexes=pseudo_reciprocal(deflators), ref_prices=prices,
             ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
-            variance_method=variance_method, var_deflators=var,
+            variance_method=variance_method, se=se,
         )
 
     return fit
@@ -249,38 +240,18 @@ def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
                        dof_rule: str = "paper") -> DeflatorEstimate:
     """Estimate all unit deflators and reference prices in closed form.
 
-    variance_method picks the deflator variances: "corollary3" uses the
-    approximation sigma2 / (v_t'v_t), "full_partition" uses sigma2 times the
-    diagonal of the exact Schur-complement inverse.  dof_rule "paper" divides the
-    SSR by N*T - (N+T-1); "observed" counts only present cells (absent cells
-    have identically zero residuals, so only the divisor changes).
+    variance_method picks the deflator variances behind se: "corollary3"
+    uses the approximation sigma2 / (v_t'v_t), "full_partition" uses sigma2
+    times the diagonal of the exact Schur-complement inverse.  dof_rule
+    "paper" divides the SSR by N*T - (N+T-1); "observed" counts only present
+    cells (absent cells have identically zero residuals, so only the divisor
+    changes).
     Raises UnidentifiedModel when the presence graph is disconnected.
     """
     return deflator_fitter(panel, variance_method, dof_rule)(panel.values)
 
 
-def index_variance(estimate: DeflatorEstimate) -> np.ndarray:
-    """Delta-method variance of the index: var(d_t) / d_t^4, base entry 0.
-
-    Raises UndefinedVariance when the noise scale is undefined and
-    DegenerateDeflator when a deflator is zero.
-    """
-    if estimate.sigma2 is None:
-        raise UndefinedVariance("noise scale is undefined (no residual dof)")
-    zero = np.flatnonzero(estimate.deflators == 0)
-    if zero.size:
-        raise DegenerateDeflator(
-            f"deflator for unit {estimate.units[zero[0]]!r} is zero; "
-            "index variance undefined"
-        )
-    # with d = mant * 2**exp, var / d**4 = (var * 2**(-4 exp)) / mant**4; the
-    # power-of-two scaling is exact, and nothing under- or overflows where
-    # the result does not
-    mant, exp = np.frexp(estimate.deflators)
-    return np.ldexp(estimate.var_deflators, -4 * exp) / mant**4
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSeries:
     """Publishable index table: one row per unit, symmetric k-sigma bounds.
 

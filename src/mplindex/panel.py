@@ -41,7 +41,7 @@ def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """Immutable N x T value/quantity panel.
 
@@ -177,7 +177,7 @@ class PairOverlaps(Mapping):
         return int(np.count_nonzero(self.present[:, a] & self.present[:, b]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasketReport:
     """What build_reference_basket did and what it noticed.
 

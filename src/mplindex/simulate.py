@@ -53,6 +53,10 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
+        for name in ("replications", "seed"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+                raise ValidationError(f"{name} must be an integer, not {type(count).__name__}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         if not math.isfinite(self.noise_mean):
@@ -73,7 +77,7 @@ class SimulationConfig:
             raise ValidationError(f"k must be finite and positive, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorSummary:
     """Replication averages and bands for one estimator."""
 
@@ -90,7 +94,7 @@ class EstimatorSummary:
     draws: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
     units: tuple[str, ...]
     config: SimulationConfig

@@ -34,7 +34,7 @@ from .estimator import (
 from .panel import Panel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateResult:
     """Updated estimate plus a mask of which published indexes moved.
 
@@ -87,15 +87,18 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
     deflator's variance follows the prior's variance_method: sigma2 over the
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
-    The prior deflator variances are carried unchanged (NaN when the prior
-    had no sigma2).  The system is solved on the scaling every MPL fit
-    runs on (estimator._Scaling), with the frozen deflators moved into it.
-    Raises EstimationError when the scaled Schur complement is subnormal or
-    the system is not finite, and, decided on the unscaled figures, when the
-    new deflator or its variance leaves the normal float range.
+    The prior's se is carried unchanged.  The system is solved on the
+    scaling every MPL fit runs on (estimator._Scaling), with the frozen
+    deflators moved into it.  Raises ValidationError when the prior was
+    fitted on other units, items or base, and EstimationError when the
+    scaled Schur complement is subnormal or the system is not finite, and,
+    decided on the unscaled figures, when the new deflator leaves the
+    normal float range.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
+    if prior.items != panel.items:
+        raise ValidationError("prior estimate and panel items disagree")
     if prior.base_unit != panel.base_unit:
         raise ValidationError("prior estimate and panel base unit disagree")
     extended = panel.with_unit(*new_period)
@@ -135,23 +138,17 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     gram = float(v_new @ v_new) if prior.variance_method == "corollary3" else denom
     ssr = _stacked_ssr(q, v, np.append(frozen, delta_new), prices)
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
-    var_new = [ssr / dof / gram] if dof > 0 else None
-    (delta_new,), var_new, prices, ssr = scaling.undo(
-        [delta_new], var_new, prices, ssr, units=slice(-1, None))
+    se_new = np.sqrt(ssr / dof / gram) / delta_new if dof > 0 else np.nan
+    (delta_new,), prices, ssr = scaling.undo([delta_new], prices, ssr, units=slice(-1, None))
     sigma2 = ssr / dof if dof > 0 else None
-    deflators = np.append(prior.deflators, delta_new)
-    prior_var = prior.var_deflators
-    if prior_var is None:
-        prior_var = np.full(prior.n_units, np.nan)
-        prior_var[prior.base_unit] = 0.0
 
-    indexes = np.append(prior.indexes, pseudo_reciprocal([delta_new])[0])
     estimate = DeflatorEstimate(
         units=extended.units, items=extended.items, base_unit=extended.base_unit,
-        mode=extended.mode, deflators=deflators, indexes=indexes,
+        mode=extended.mode, deflators=np.append(prior.deflators, delta_new),
+        indexes=np.append(prior.indexes, pseudo_reciprocal([delta_new])),
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         sigma2=sigma2, variance_method=prior.variance_method,
-        var_deflators=np.append(prior_var, np.nan if var_new is None else var_new),
+        se=np.append(prior.se, se_new),
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

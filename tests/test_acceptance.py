@@ -19,7 +19,6 @@ from mplindex import (
     SimulationConfig,
     estimate_deflators,
     fit_dummy_index,
-    index_variance,
     mpl_two_period,
     simulate,
     to_index_series,
@@ -194,9 +193,9 @@ def test_c06_regression_fixture():
     assert abs(est.deflators[1] - 0.44) <= 1e-12
     assert abs(est.sigma2 - 0.08) <= 1e-12
     cor3_est = estimate_deflators(panel, variance_method="corollary3")
-    assert abs(cor3_est.var_deflators[1] - 0.0032) <= 1e-12
-    assert abs(est.var_deflators[1] - 0.0064) <= 1e-12
-    var = index_variance(cor3_est)
+    assert abs((cor3_est.se[1] * cor3_est.deflators[1])**2 - 0.0032) <= 1e-12
+    assert abs((est.se[1] * est.deflators[1])**2 - 0.0064) <= 1e-12
+    var = cor3_est.index_se**2
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
 
 

@@ -312,19 +312,27 @@ def test_huge_values_fit_as_unscaled(run, tmp_path):
     assert_same_figures(series_rows(proc.stdout), series_rows(out))
 
 
-def test_overflowing_new_period_exits_2(run, tmp_path):
+def test_new_period_at_1e160_scales_the_plain_figures(run, tmp_path):
+    # its deflator variance would overflow; its log standard error does not
+    # depend on the scale, so the new period's index and se are 1e160 times
+    # those of the same period at x1, and the history is as it was
     src = write(tmp_path, "panel.csv", HEADER + "".join(
         f"{item},t{t},{v},1\n"
         for item, row in (("a", (1, 2, 3)), ("b", (2, 3, 5)), ("c", (3, 4, 2)))
         for t, v in enumerate(row)))
-    new = write(tmp_path, "new.csv", HEADER + "a,t3,2e160,1\nb,t3,3e160,2\nc,t3,5e160,1\n")
-    code, out, err = run("update-period", "--input", src, "--new", new)
-    assert (code, out) == (2, "")
-    proc = run_module("update-period", "--input", src, "--new", new)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == err == ("estimation error: Gram blocks overflow: values "
-                                  "or quantities are too large or too small in "
-                                  "magnitude\n")
+
+    def new(scale):
+        return write(tmp_path, f"new{scale}.csv", HEADER + "".join(
+            f"{item},t3,{v}{scale},{q}\n" for item, v, q in (("a", 2, 1), ("b", 3, 2), ("c", 5, 1))))
+
+    code, out, err = run("update-period", "--input", src, "--new", new(""))
+    assert (code, err) == (0, "")
+    proc = run_module("update-period", "--input", src, "--new", new("e160"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run("update-period", "--input", src, "--new", new("e160")) == (0, proc.stdout, "")
+    plain, rows = series_rows(out), series_rows(proc.stdout)
+    assert_same_figures(rows[:-1], plain[:-1])
+    assert_same_figures(rows[-1:], plain[-1:], 1e160)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -769,14 +777,13 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
     panel = mplindex.load_panel(src)
     new_period = ("t3", np.array([2e150, 3e150, 5e150]), np.array([1.0, 2.0, 1.0]))
     est = mplindex.update_multiperiod(estimate_deflators(panel), panel, new_period).estimate
-    d = np.longdouble(est.deflators[-1])
-    reference = np.sqrt(np.longdouble(est.var_deflators[-1])) / (d * d)
+    reference = np.longdouble(est.se[-1]) / np.longdouble(est.deflators[-1])
     assert math.isfinite(se)
     assert abs(np.longdouble(se) - reference) <= 1e-15 * reference
 
 
 @pytest.mark.parametrize("variance", ["full", "corollary3"])
-def test_update_period_refuses_a_subnormal_new_period(run, tmp_path, variance):
+def test_update_period_far_from_the_prior_scales_the_plain_figures(run, tmp_path, variance):
     rng = np.random.default_rng(3)
     panel = Panel([f"i{k}" for k in range(30)], [f"t{k}" for k in range(6)],
                   rng.uniform(1, 10, (30, 6)), rng.uniform(1, 10, (30, 6)))
@@ -796,16 +803,13 @@ def test_update_period_refuses_a_subnormal_new_period(run, tmp_path, variance):
 
     assert update(1.0) == (0, "")
     exact = json.loads(report.read_text())["series"][-1]
-    # x1e-160 makes v_new'v_new subnormal: the index came out 1.1e-6 off
-    # with an infinite se, and exit 0
-    code, err = update(1e-160)
-    assert code == 2
-    assert err.startswith("estimation error: ")
-    assert not report.exists()
-    assert update(1e-150) == (0, "")
-    row = json.loads(report.read_text())["series"][-1]
-    assert row["index"] == pytest.approx(exact["index"] * 1e-150, rel=1e-12)
-    assert row["se"] == pytest.approx(exact["se"] * 1e-150, rel=1e-12)
+    # unscaled, v_new'v_new is subnormal at x1e-160, and the new deflator's
+    # variance leaves the float range at x1e+-160
+    for scale in (1e-150, 1e-160, 1e160, 1e-300, 1e300):
+        assert update(scale) == (0, "")
+        row = json.loads(report.read_text())["series"][-1]
+        assert row["index"] == pytest.approx(exact["index"] * scale, rel=1e-12)
+        assert row["se"] == pytest.approx(exact["se"] * scale, rel=1e-12)
 
 
 def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
@@ -882,10 +886,11 @@ def scaled_unit_runs(run, tmp_path, scale):
     return runs
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e170, 1e-170, 1e300, 1e-300])
 def test_one_unit_at_its_own_scale_fits(run, tmp_path, scale):
     # a unit's own scale is absorbed by its deflator: it moves that unit's
-    # index and se by the same factor and sways no decision of the fit
+    # index and se by the same factor and sways no decision of the fit, also
+    # where the unit's deflator variance would leave the float range
     plain = scaled_unit_runs(run, tmp_path, 1.0)
     assert [err for _, err, _, _ in plain] == ["", "", "revised units: t1, t2, t3, t4, t5\n"]
     for (_, plain_err, before, unit), (code, err, rows, _) in zip(
@@ -895,12 +900,3 @@ def test_one_unit_at_its_own_scale_fits(run, tmp_path, scale):
             factor = scale if t == unit else 1.0
             assert b["index"] == pytest.approx(a["index"] * factor, rel=1e-12)
             assert b["se"] == pytest.approx(a["se"] * factor, rel=1e-12)
-
-
-@pytest.mark.parametrize("scale", [1e170, 1e-170])
-def test_a_unit_whose_variance_leaves_the_float_range_is_refused(run, tmp_path, scale):
-    # its deflator variance would read 0 or inf, so its se would too
-    for code, err, rows, _ in scaled_unit_runs(run, tmp_path, scale):
-        assert code == 2
-        assert err.startswith("estimation error: ")
-        assert rows is None

@@ -11,18 +11,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mplindex import (
     BasketViolation,
     DeflatorEstimate,
-    DegenerateDeflator,
     EstimationError,
     InvalidDimension,
     Panel,
-    UndefinedVariance,
     UnidentifiedModel,
     ValidationError,
     algebra,
     build_reference_basket,
     estimate_deflators,
     gram_blocks,
-    index_variance,
     load_panel,
     pseudo_reciprocal,
     to_index_series,
@@ -76,11 +73,12 @@ def test_two_unit_regression_values():
     assert abs(est.ssr - 0.08) <= 1e-12
     assert est.dof == 1
     assert abs(est.sigma2 - 0.08) <= 1e-12
-    # full partition: scalar Schur complement 25 - 12.5 = 12.5
-    assert_allclose(est.var_deflators, [0.0, 0.0064], rtol=0, atol=1e-14)
+    # full partition: scalar Schur complement 25 - 12.5 = 12.5; se * d is
+    # the deflator's standard error
+    assert_allclose((est.se * est.deflators)**2, [0.0, 0.0064], rtol=0, atol=1e-14)
     cor3 = estimate_deflators(F3, variance_method="corollary3")
-    assert_allclose(cor3.var_deflators, [0.0, 0.0032], rtol=0, atol=1e-14)
-    var = index_variance(cor3)
+    assert_allclose((cor3.se * cor3.deflators)**2, [0.0, 0.0032], rtol=0, atol=1e-14)
+    var = cor3.index_se**2
     assert var[0] == 0.0
     assert abs(var[1] - 0.0032 / 0.44**4) <= 1e-9
 
@@ -107,10 +105,10 @@ def test_matches_dense_ols_on_random_panels():
         assert_allclose(est.ref_prices, fit.beta[t - 1:], rtol=1e-10)
         # dof = (n-1)(t-1) >= 1, so the noise scale is always defined
         assert est.sigma2 == pytest.approx(fit.sigma2, rel=1e-9)
-        assert_allclose(est.var_deflators[nb],
+        assert_allclose((est.se * est.deflators)[nb]**2,
                         est.sigma2 * np.diag(fit.blocks.lam11),
                         rtol=1e-8, atol=1e-13)
-        assert est.var_deflators[panel.base_unit] == 0.0
+        assert est.se[panel.base_unit] == 0.0
         assert est.deflators[panel.base_unit] == 1.0
         assert est.indexes[panel.base_unit] == 1.0
 
@@ -157,9 +155,8 @@ def test_undefined_variance_when_no_dof():
                   np.array([[2.0, 3.0]]), np.array([[1.0, 1.0]]))
     est = estimate_deflators(panel)
     assert est.sigma2 is None
-    assert est.var_deflators is None
-    with pytest.raises(UndefinedVariance):
-        index_variance(est)
+    assert est.se[0] == est.index_se[0] == 0.0
+    assert np.isnan(est.se[1]) and np.isnan(est.index_se[1])
 
 
 def test_variance_method_switch():
@@ -167,8 +164,8 @@ def test_variance_method_switch():
     full = estimate_deflators(F3, variance_method="full_partition")
     assert (cor3.variance_method, full.variance_method) == \
         ("corollary3", "full_partition")
-    assert_allclose(cor3.var_deflators[1], 0.0032, rtol=0, atol=1e-14)
-    assert_allclose(full.var_deflators[1], 0.0064, rtol=0, atol=1e-14)
+    assert_allclose((cor3.se[1] * cor3.deflators[1])**2, 0.0032, rtol=0, atol=1e-14)
+    assert_allclose((full.se[1] * full.deflators[1])**2, 0.0064, rtol=0, atol=1e-14)
     for field in ("deflators", "indexes", "ref_prices", "ssr", "sigma2"):
         assert_array_equal(getattr(cor3, field), getattr(full, field),
                            err_msg=field)
@@ -188,7 +185,8 @@ def test_corollary3_fit_forms_no_inverse(monkeypatch):
         est = estimate_deflators(panel, variance_method="corollary3")
         gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
         nb = panel.nonbase_units
-        assert_allclose(est.var_deflators[nb], est.sigma2 / gram, rtol=1e-14)
+        assert_allclose(est.se[nb], np.sqrt(est.sigma2 / gram) / est.deflators[nb],
+                        rtol=1e-14)
         series = to_index_series(est)
         assert np.isfinite(series.se).all()
         with pytest.raises(AssertionError, match=f"{side} unit variances"):
@@ -207,7 +205,7 @@ def test_rescaled_fit_is_bit_identical_to_the_plain_solve():
     assert_array_equal(est.deflators[nb], deflators)
     assert_array_equal(est.ref_prices, prices)
     assert est.ssr == _stacked_ssr(panel.quantities, panel.values.copy(), est.deflators, prices)
-    assert_array_equal(est.var_deflators[nb], est.sigma2 * var)
+    assert_array_equal(est.se[nb], np.sqrt(est.sigma2 * var) / deflators)
     # powers of two far from 1, shared and per unit: the fit scales them
     # away exactly and back where they belong
     g = np.arange(panel.n_items) - 300
@@ -217,7 +215,7 @@ def test_rescaled_fit_is_bit_identical_to_the_plain_solve():
                     np.ldexp(panel.quantities, g[:, None]))
     far = estimate_deflators(shifted)
     assert_array_equal(far.deflators, np.ldexp(est.deflators, k_base - k))
-    assert_array_equal(far.var_deflators, np.ldexp(est.var_deflators, 2 * (k_base - k)))
+    assert_array_equal(far.se, est.se)
     assert_array_equal(far.ref_prices, np.ldexp(est.ref_prices, k_base - g))
     assert far.ssr == math.ldexp(est.ssr, 2 * k_base)
     assert far.sigma2 == math.ldexp(est.sigma2, 2 * k_base)
@@ -268,28 +266,11 @@ def test_many_units_indexes_against_long_double(seed, tmp_path):
     assert error <= 2.6e-15
 
 
-def test_index_variance_identity_at_unit_deflator():
-    est = estimate_deflators(F3)
-    forced = dataclasses.replace(est, deflators=np.array([1.0, 1.0]))
-    var = index_variance(forced)
-    assert var[1] == pytest.approx(est.var_deflators[1], rel=1e-15)
-
-
-def test_index_variance_degenerate_deflator():
-    est = estimate_deflators(F3)
-    broken = dataclasses.replace(est, deflators=np.array([1.0, 0.0]))
-    with pytest.raises(DegenerateDeflator):
-        index_variance(broken)
-    series = to_index_series(broken)  # must not raise
-    assert series.se[0] == 0.0
-    assert np.isnan(series.se[1])
-
-
 def test_index_series_bounds_and_pct():
     est = estimate_deflators(F1)
-    # rig the variance so the index standard error is exactly 0.1
+    # rig the log standard error so the index standard error is exactly 0.1
     rigged = dataclasses.replace(
-        est, sigma2=1.0, var_deflators=np.array([0.0, 0.000625]),
+        est, sigma2=1.0, se=np.array([0.0, 0.05]),
         variance_method="full_partition",
     )
     series = to_index_series(rigged, k=3.0)
@@ -312,7 +293,7 @@ def test_index_series_pct_change_chain():
         units=("t1", "t2", "t3"), items=("a",), base_unit=0, mode="time",
         deflators=pseudo_reciprocal(levels), indexes=levels,
         ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper", sigma2=None,
-        variance_method="full_partition", var_deflators=None,
+        variance_method="full_partition", se=np.array([0.0, np.nan, np.nan]),
     )
     series = to_index_series(est)
     assert np.isnan(series.pct_change[0])

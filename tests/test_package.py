@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 import mplindex
@@ -118,3 +119,41 @@ def test_panel_derives_presence_from_its_values():
                      if isinstance(node, ast.Name)}
             assert "present" not in read | {k.arg for k in call.keywords}, \
                 (path.name, call.lineno)
+
+
+def _small_panel(n_units=3):
+    values = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [3.0, 4.0, 2.0]])[:, :n_units]
+    return mplindex.Panel(("a", "b", "c"), ("t1", "t2", "t3")[:n_units], values,
+                          np.ones_like(values))
+
+
+_SIMULATION = mplindex.SimulationConfig(replications=2, noise_sd_max=0.01, estimators=("mpl",))
+
+# one build of each public dataclass; each call makes a new object with the
+# same contents
+_DATACLASSES = {
+    "Panel": _small_panel,
+    "BasketReport": lambda: mplindex.build_reference_basket(_small_panel())[1],
+    "DeflatorEstimate": lambda: mplindex.estimate_deflators(_small_panel()),
+    "IndexSeries": lambda: mplindex.to_index_series(mplindex.estimate_deflators(_small_panel())),
+    "DummyFit": lambda: mplindex.fit_dummy_index(_small_panel()),
+    "UpdateResult": lambda: mplindex.update_multilateral(
+        _small_panel(), ("t4", np.array([2.0, 1.0, 4.0]), np.ones(3))),
+    "BilateralInput": lambda: mplindex.bilateral_from_panel(_small_panel(2)),
+    "GramBlocks": lambda: mplindex.gram_blocks(_small_panel()),
+    "EstimatorSummary": lambda: mplindex.simulate(_small_panel(), _SIMULATION).summaries["mpl"],
+    "SimulationReport": lambda: mplindex.simulate(_small_panel(), _SIMULATION),
+    "SimulationConfig": lambda: mplindex.SimulationConfig(seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DATACLASSES))
+def test_dataclasses_holding_arrays_compare_and_hash_by_identity(name):
+    # a generated __eq__ or __hash__ would compare or hash the arrays and
+    # raise numpy's ambiguous-truth ValueError or TypeError; SimulationConfig
+    # holds no array and keeps value equality
+    first, second = _DATACLASSES[name](), _DATACLASSES[name]()
+    assert type(first).__name__ == name
+    by_value = name == "SimulationConfig"
+    assert first == first and (first == second) == by_value
+    assert len({first, second}) == (1 if by_value else 2)

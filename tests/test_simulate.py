@@ -40,6 +40,11 @@ def test_config_validation():
         SimulationConfig(estimators=("mpl", "mpl"))
     with pytest.raises(ValidationError):
         SimulationConfig(k=0.0)
+    # counts that are not integers, a bool among them
+    for field, value in (("replications", 2.5), ("replications", "3"),
+                         ("replications", True), ("seed", 1.5)):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            SimulationConfig(noise_sd_max=0.01, **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [

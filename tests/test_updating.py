@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
     BasketViolation,
-    EstimationError,
     Panel,
     UnidentifiedModel,
     ValidationError,
@@ -73,7 +72,7 @@ def test_matches_fresh_estimation_with_missing_cells():
             quantities[0] = 0.0
         result = update_multilateral(panel, ("new", values, quantities))
         fresh = estimate_deflators(panel.with_unit("new", values, quantities))
-        for field in ("deflators", "indexes", "ref_prices", "var_deflators",
+        for field in ("deflators", "indexes", "ref_prices", "se",
                       "ssr", "sigma2"):
             assert_array_equal(getattr(result.estimate, field),
                                getattr(fresh, field), err_msg=field)
@@ -181,11 +180,12 @@ def test_period_update_carries_prior_variances():
     values = rng.uniform(0.5, 8.0, 4)
     quantities = rng.uniform(0.5, 8.0, 4)
     est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
-    assert_array_equal(est.var_deflators[:3], prior.var_deflators)
+    assert_array_equal(est.se[:3], prior.se)
     e = (panel.quantities**2).sum(axis=1)
     d = e + quantities**2
     denom = float(np.sum(values * values * e / d))
-    assert est.var_deflators[3] == pytest.approx(est.sigma2 / denom, rel=1e-12)
+    assert est.se[3] == pytest.approx(np.sqrt(est.sigma2 / denom) / est.deflators[3],
+                                      rel=1e-12)
 
 
 def test_period_update_without_prior_noise_scale():
@@ -193,20 +193,28 @@ def test_period_update_without_prior_noise_scale():
     panel = Panel(("a",), ("t1", "t2"), np.array([[2.0, 3.0]]),
                   np.ones((1, 2)))
     prior = estimate_deflators(panel)
-    assert prior.var_deflators is None
+    assert prior.sigma2 is None
+    assert prior.se[0] == 0.0 and np.isnan(prior.se[1])
     est = update_multiperiod(prior, panel,
                              ("t3", np.array([4.0]), np.ones(1))).estimate
     assert est.sigma2 is not None
-    assert est.var_deflators[0] == 0.0 and np.isnan(est.var_deflators[1])
-    assert np.isfinite(est.var_deflators[2])
+    assert est.se[0] == 0.0 and np.isnan(est.se[1])
+    assert np.isfinite(est.se[2])
 
 
-def test_period_update_overflow_is_refused():
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+def test_period_update_far_from_the_prior_scales_the_plain_figures(scale):
+    # the new deflator's variance would leave the float range; its log
+    # standard error does not depend on the scale
     panel = random_panel(np.random.default_rng(2), 3, 3)
-    huge = np.array([2.0, 3.0, 5.0]) * 1e160
-    with pytest.raises(EstimationError, match="^Gram blocks overflow"):
-        update_multiperiod(estimate_deflators(panel), panel,
-                           ("new", huge, np.array([1.0, 2.0, 1.0])))
+    prior = estimate_deflators(panel)
+    values, quantities = np.array([2.0, 3.0, 5.0]), np.array([1.0, 2.0, 1.0])
+    plain = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    far = update_multiperiod(prior, panel, ("new", values * scale, quantities)).estimate
+    assert far.indexes[-1] == pytest.approx(plain.indexes[-1] * scale, rel=1e-12)
+    assert far.index_se[-1] == pytest.approx(plain.index_se[-1] * scale, rel=1e-12)
+    assert far.se[-1] == pytest.approx(plain.se[-1], rel=1e-12)
+    assert_array_equal(far.se[:-1], prior.se)
 
 
 @pytest.mark.parametrize("dof_rule", ["paper", "observed"])
@@ -228,7 +236,8 @@ def test_period_update_reports_what_it_computed(dof_rule, variance_method):
     d = e + quantities**2
     basis = {"full_partition": float(np.sum(values * values * e / d)),
              "corollary3": float(values @ values)}[variance_method]
-    assert est.var_deflators[-1] == pytest.approx(est.sigma2 / basis, rel=1e-12)
+    assert est.se[-1] == pytest.approx(np.sqrt(est.sigma2 / basis) / est.deflators[-1],
+                                       rel=1e-12)
 
 
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
@@ -241,7 +250,7 @@ def test_period_update_keeps_published_standard_errors(variance_method):
     est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
     published = to_index_series(prior).se
     assert_array_equal(to_index_series(est).se[:-1], published)
-    assert_array_equal(est.var_deflators[:4], prior.var_deflators)
+    assert_array_equal(est.se[:4], prior.se)
 
 
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
@@ -252,8 +261,8 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     est = update_multiperiod(
         prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
     ).estimate
-    # what is published comes from the carried variances alone
-    se = np.sqrt(est.var_deflators / est.deflators ** 4)
+    # what is published comes from the carried standard errors alone
+    se = est.indexes * est.se
     series = to_index_series(est)
     assert_array_equal(series.se, se)
     assert_array_equal(series.lower, est.indexes - 3.0 * se)
@@ -262,16 +271,16 @@ def test_period_update_stores_no_schur_inverse(variance_method):
 def test_period_update_requires_matching_prior():
     rng = np.random.default_rng(6)
     panel = random_panel(rng, 3, 3)
-    renamed = Panel(panel.items, ("x0", "x1", "x2"),
-                    panel.values, panel.quantities)
-    with pytest.raises(ValidationError):
-        update_multiperiod(estimate_deflators(renamed), panel,
-                           ("new", np.ones(3), np.ones(3)))
-    rebased = Panel(panel.items, panel.units,
-                    panel.values, panel.quantities, base_unit=1)
-    with pytest.raises(ValidationError):
-        update_multiperiod(estimate_deflators(rebased), panel,
-                           ("new", np.ones(3), np.ones(3)))
+    # a prior fitted on other units, another base or other items
+    for other, fitted_on in (
+            ("units", Panel(panel.items, ("x0", "x1", "x2"), panel.values, panel.quantities)),
+            ("base unit", Panel(panel.items, panel.units, panel.values, panel.quantities,
+                                base_unit=1)),
+            ("items", Panel(("x", "y", "z"), panel.units, panel.values, panel.quantities))):
+        with pytest.raises(ValidationError,
+                           match=f"^prior estimate and panel {other} disagree$"):
+            update_multiperiod(estimate_deflators(fitted_on), panel,
+                               ("new", np.ones(3), np.ones(3)))
 
 
 def test_bootstrap_from_single_unit():
@@ -328,5 +337,5 @@ def test_period_update_rescales_shared_extreme_magnitudes():
     shift = k[panel.base_unit] - k
     assert_array_equal(far.deflators, np.ldexp(plain.deflators, shift))
     assert_array_equal(far.indexes, np.ldexp(plain.indexes, -shift))
-    assert_array_equal(far.var_deflators, np.ldexp(plain.var_deflators, 2 * shift))
+    assert_array_equal(far.se, plain.se)
     assert_array_equal(far.ref_prices, np.ldexp(plain.ref_prices, k[panel.base_unit] - g))
