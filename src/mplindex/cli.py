@@ -305,11 +305,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_io_flags(p, variance=True, bounds=True):
+def _add_io_flags(p, variance=True, bounds=True, formats=True):
     p.add_argument("--input", required=True, help="long CSV panel (item_id,unit_id,value,quantity)")
     p.add_argument("--mode", choices=["time", "space"], default="time")
     p.add_argument("--base", default=None, help="base unit label or index (default: first)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    if formats:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None, help="write report here instead of stdout")
     if bounds:
         p.add_argument("--k", type=float, default=3.0,
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a panel and report basket decisions")
-    _add_io_flags(p, variance=False, bounds=False)
+    _add_io_flags(p, variance=False, bounds=False, formats=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("mpl", help="estimate the multi-period/multilateral index")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that refuses
+an argument of the wrong numeric type.
 
 Two families matter for exit-code mapping in the CLI: ValidationError
 (bad input data, exit 1) and EstimationError (a numerical step cannot
@@ -6,6 +7,8 @@ be completed, exit 2).
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class MplIndexError(Exception):
@@ -78,3 +81,10 @@ class DegenerateForm(EstimationError):
 
 class RedrawExhausted(EstimationError):
     """Noise persistently drives simulated values nonpositive."""
+
+
+def require_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise ValidationError unless value is a kind of number; a bool never is."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValidationError(f"{name} must be {what}, not {type(value).__name__}")

@@ -29,6 +29,7 @@ from .errors import (
     EstimationError,
     InvalidDimension,
     ValidationError,
+    require_number,
 )
 from .panel import Panel
 
@@ -277,8 +278,9 @@ def to_index_series(fit, k: float = 3.0) -> IndexSeries:
     se is the fit's index_se, so it is NaN off the base where the variance
     is undefined, and so are the bounds.  pct_change is period-over-period in
     time mode (first entry NaN) and None in space mode.  Raises
-    ValidationError unless k is finite and positive.
+    ValidationError unless k is a finite, positive real number.
     """
+    require_number("k", k)
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"k must be finite and positive, got {k}")
     index, se = fit.indexes, fit.index_se

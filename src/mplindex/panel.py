@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,7 @@ from .errors import (
     FormatError,
     InconsistentCell,
     ValidationError,
+    require_number,
 )
 
 CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
@@ -102,11 +104,9 @@ class Panel:
             raise ValidationError(
                 f"unit {self.units[empty_units[0]]!r} has no present items"
             )
-        base = self.base_unit
-        if not isinstance(base, (int, np.integer)) or isinstance(base, bool):
-            raise ValidationError(f"base_unit must be an integer, not {type(base).__name__}")
-        if not 0 <= base < t:
-            raise ValidationError(f"base_unit {base} out of range for T={t}")
+        require_number("base_unit", self.base_unit, numbers.Integral)
+        if not 0 <= self.base_unit < t:
+            raise ValidationError(f"base_unit {self.base_unit} out of range for T={t}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -460,10 +460,7 @@ def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units
         order = [column[u] for u in units]
         values, quantities, unit_order = values[:, order], quantities[:, order], units
 
-    t = len(unit_order)
     base = _resolve_base(tuple(unit_order), base_unit)
-    if not 0 <= base < t:
-        raise ValidationError(f"base unit index {base} out of range for T={t}")
     return Panel(item_order, unit_order, values, quantities, base_unit=base, mode=mode)
 
 

@@ -6,21 +6,23 @@ off the base where the fit has no residual dof); a replication fails only
 when the fit raises.  Presence and quantities never change, so what depends
 on them alone is done once per run: each estimator is prepared once
 (deflator_fitter, dummy_fitter) and no panel is rebuilt per replication.
-Replication r draws from its own child of the root seed sequence, so
-results are bit-identical for any execution order or worker count.
-Nonpositive perturbed values are redrawn; persistent failure to stay
-positive aborts the whole run.
+One draw function (_value_draws) writes every replication's values into
+one reused buffer.  Replication r draws from its own child of the root seed
+sequence, so results are bit-identical for any execution order or worker
+count.  Nonpositive perturbed values are redrawn from the same generator;
+persistent failure to stay positive aborts the whole run.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dummy import dummy_fitter
-from .errors import EstimationError, RedrawExhausted, ValidationError
+from .errors import EstimationError, RedrawExhausted, ValidationError, require_number
 from .estimator import deflator_fitter
 from .panel import Panel
 
@@ -54,9 +56,9 @@ class SimulationConfig:
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
         for name in ("replications", "seed"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-                raise ValidationError(f"{name} must be an integer, not {type(count).__name__}")
+            require_number(name, getattr(self, name), numbers.Integral)
+        for name in ("noise_mean", "noise_sd_max", "k"):
+            require_number(name, getattr(self, name))
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         if not math.isfinite(self.noise_mean):
@@ -115,75 +117,41 @@ def _draw_positive(rng, base: np.ndarray, mean: float, sd: float) -> np.ndarray:
     )
 
 
-def _perturb_values(panel: Panel, config: SimulationConfig, rng,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """One replication's value matrix; quantities and presence are untouched.
-
-    The draws go unit by unit.  out, when given, is written in place: it
-    must hold the panel's values on the base unit and zeros where absent.
-    """
-    sd = rng.uniform(0.0, config.noise_sd_max)
-    values = panel.values.copy() if out is None else out
-    base = panel.base_unit
-    if config.scheme == "additive_on_base":
-        for t in range(panel.n_units):
-            if t == base:
-                continue
-            mask = panel.present[:, t]
-            values[mask, t] = _draw_positive(
-                rng, panel.values[mask, t], config.noise_mean, sd
-            )
-    else:  # random_walk
-        if base != 0:
-            raise ValidationError("random_walk scheme requires the base unit first")
-        # walk state: last simulated (or original, if never present) value per item
-        state = values[:, 0].copy()
-        never = ~panel.present[:, 0]
-        state[never] = 0.0
-        for t in range(1, panel.n_units):
-            mask = panel.present[:, t]
-            start = state[mask]
-            # an item absent so far starts its walk from its own current value
-            fresh = start <= 0
-            start = np.where(fresh, panel.values[mask, t], start)
-            values[mask, t] = _draw_positive(rng, start, config.noise_mean, sd)
-            state[mask] = values[mask, t]
-    return values
-
-
 def _value_draws(panel: Panel, config: SimulationConfig):
     """Prepare the replications' value draws; returns draw(seed) -> values.
 
-    Every replication's values go to one buffer, which draw returns.  The
-    drawn cells are the present cells off the base unit, as flat indexes in
-    unit-major order: the order _perturb_values draws them.  So under
-    additive_on_base one normal call over all of them gives the values the
-    per-unit loop gives, unless a draw is not positive and needs redrawing.
-    Then the replication is drawn again through the loop from a fresh
-    generator on its seed; random_walk always goes through the loop.  draw
-    raises what Panel raises for drawn values that are not finite and
-    positive, as building the replication's panel would.
+    Every replication's values go to one buffer, which draw returns; the
+    base unit's column and the absent cells keep the panel's values.  The
+    generator on seed first draws the replication's noise sd.  Under
+    additive_on_base the present cells off the base, in unit-major order,
+    are then drawn off the panel's values in one call; under random_walk
+    each unit in turn steps off the last drawn value of each item, or off
+    its own value where the item was absent so far.  Nonpositive draws are
+    redrawn from the same generator (_draw_positive).  draw raises what
+    Panel raises for drawn values that are not finite, as building the
+    replication's panel would.
     """
+    if config.scheme == "random_walk" and panel.base_unit != 0:
+        raise ValidationError("random_walk scheme requires the base unit first")
     units, items = np.nonzero(panel.present.T)
     off_base = units != panel.base_unit
     cells = items[off_base] * panel.n_units + units[off_base]
     start = panel.values.take(cells)
+    rows = [np.flatnonzero(panel.present[:, t]) for t in range(panel.n_units)]
     values = panel.values.copy()
 
     def draw(seed) -> np.ndarray:
-        drawn = None
+        rng = np.random.default_rng(seed)
+        sd = rng.uniform(0.0, config.noise_sd_max)
         if config.scheme == "additive_on_base":
-            rng = np.random.default_rng(seed)
-            sd = rng.uniform(0.0, config.noise_sd_max)
-            drawn = start + rng.normal(config.noise_mean, sd, size=start.size)
-            if (drawn <= 0).any():
-                drawn = None
-            else:
-                values.ravel()[cells] = drawn
-        if drawn is None:
-            _perturb_values(panel, config, np.random.default_rng(seed), out=values)
-            drawn = values.take(cells)
-        if not (np.isfinite(drawn) & (drawn > 0)).all():
+            values.ravel()[cells] = _draw_positive(rng, start, config.noise_mean, sd)
+        else:  # random_walk
+            walk = panel.values[:, 0].copy()
+            for t in range(1, panel.n_units):
+                at = rows[t]
+                step = np.where(walk[at] <= 0, panel.values[at, t], walk[at])
+                values[at, t] = walk[at] = _draw_positive(rng, step, config.noise_mean, sd)
+        if not np.isfinite(values).all():
             replace(panel, values=values)
         return values
 

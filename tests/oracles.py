@@ -3,11 +3,12 @@
 Nothing in the package imports this module; it keeps the straightforward
 implementations the fast paths replaced, so tests can compare against them:
 the dense stacked deflator design with its pivoted-QR least-squares fit, the
-normal matrix assembled from the closed-form blocks, the dense dummy fit and
-the replication loop that builds and fits a panel per replication.  It also
-holds the two forms the paper gives for the two-period index, which the
-tests check mpl_two_period and classical_index against: the quadratic-form
-index and the convex mean of price relatives.
+normal matrix assembled from the closed-form blocks, the dense dummy fit,
+the unit-by-unit replication draw and the replication loop that builds and
+fits a panel per replication.  It also holds the two forms the paper gives
+for the two-period index, which the tests check mpl_two_period and
+classical_index against: the quadratic-form index and the convex mean of
+price relatives.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from mplindex import (
     GramBlocks,
     InvalidDimension,
     Panel,
+    RedrawExhausted,
     SimulationConfig,
     SimulationReport,
     SingularSystem,
@@ -38,7 +40,7 @@ from mplindex import (
 )
 from mplindex.algebra import PIVOT_RTOL
 from mplindex.bilateral import _quantity_weights
-from mplindex.simulate import _perturb_values
+from mplindex.simulate import MAX_REDRAWS, _value_draws
 from helpers import solve_two_way
 
 
@@ -277,9 +279,52 @@ def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.
     return np.ldexp(deflators, k[base] - k[nb])
 
 
+def per_unit_values(panel: Panel, config: SimulationConfig, rng) -> tuple[np.ndarray, bool]:
+    """One replication's value matrix drawn unit by unit, and whether any
+    nonpositive draw was redrawn.
+
+    Each unit off the base draws its present cells in one normal call and
+    redraws its own nonpositive cells before the next unit draws, so a
+    redraw shifts the stream every later unit draws from.  Without a redraw
+    that is the stream of simulate's one call over all the cells.
+    """
+    sd = rng.uniform(0.0, config.noise_sd_max)
+    redrawn = False
+
+    def positive(start):
+        nonlocal redrawn
+        out = start + rng.normal(config.noise_mean, sd, size=start.shape)
+        for _ in range(MAX_REDRAWS):
+            bad = out <= 0
+            if not bad.any():
+                return out
+            redrawn = True
+            out[bad] = start[bad] + rng.normal(config.noise_mean, sd, size=int(bad.sum()))
+        raise RedrawExhausted("noise kept values nonpositive")
+
+    values = panel.values.copy()
+    if config.scheme == "additive_on_base":
+        for t in panel.nonbase_units:
+            mask = panel.present[:, t]
+            values[mask, t] = positive(panel.values[mask, t])
+        return values, redrawn
+    assert panel.base_unit == 0, "random_walk needs the base unit first"
+    # walk state: last simulated (or original, if never present) value per item
+    state = values[:, 0].copy()
+    for t in range(1, panel.n_units):
+        mask = panel.present[:, t]
+        start = state[mask]
+        # an item absent so far starts its walk from its own current value
+        start = np.where(start <= 0, panel.values[mask, t], start)
+        values[mask, t] = positive(start)
+        state[mask] = values[mask, t]
+    return values, redrawn
+
+
 def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationReport:
-    """simulate as a loop of whole fits: per replication, the per-unit draw,
-    a freshly validated Panel and estimate_deflators or fit_dummy_index on it.
+    """simulate as a loop of whole fits: per replication, the values
+    simulate._value_draws draws, a freshly validated Panel and
+    estimate_deflators or fit_dummy_index on it.
     """
     fits = {
         "mpl": lambda p: estimate_deflators(p, variance_method=config.variance_method,
@@ -291,8 +336,9 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
     draws = {name: [] for name in config.estimators}
     ses = {name: [] for name in config.estimators}
     failed = {name: [] for name in config.estimators}
+    draw = _value_draws(panel, config)
     for r in range(config.replications):
-        values = _perturb_values(panel, config, np.random.default_rng(children[r]))
+        values = draw(children[r]).copy()
         sim_panel = Panel(panel.items, panel.units, values, panel.quantities,
                           base_unit=panel.base_unit, mode=panel.mode)
         for name in config.estimators:

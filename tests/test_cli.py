@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +15,7 @@ import pytest
 
 import mplindex
 from mplindex import Panel, estimate_deflators, to_index_series
-from mplindex.cli import emit_report, run_cli
+from mplindex.cli import build_parser, emit_report, run_cli
 from mplindex.simulate import _ESTIMATOR_FUNCS
 from helpers import emit_panel, random_panel
 
@@ -372,6 +373,8 @@ BAD_FLAGS = [
     # commands that print no bounds take no --k
     ("validate", ["--k", "3"]),
     ("bilateral", ["--k", "3"]),
+    # validate writes plain text only
+    ("validate", ["--format", "json"]),
 ]
 
 
@@ -747,6 +750,18 @@ def test_paper_header_and_update_flags_are_accepted(run, tmp_path):
         assert code == 0, err
         assert (code, out, err) == run(command, "--input", src, "--new", new)
         assert [row["unit"] for row in json.loads(out)["series"]] == ["t1", "t2", "t3"]
+
+
+def test_readme_cli_examples_parse():
+    # a flag removed or renamed in the CLI can no longer survive in the docs
+    block = readme_block("## CLI", "```").replace("\\\n", " ")
+    examples = [shlex.split(line)[3:] for line in block.splitlines()
+                if line.startswith("python -m mplindex ")]
+    assert {argv[0] for argv in examples} == {
+        "validate", "mpl", "bilateral", "tpd", "update-unit", "update-period", "simulate"}
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # raises on an unknown flag or a bad choice
 
 
 # a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof

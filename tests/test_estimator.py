@@ -24,7 +24,7 @@ from mplindex import (
     pseudo_reciprocal,
     to_index_series,
 )
-from mplindex.estimator import _stacked_ssr
+from mplindex.estimator import _stacked_ssr, deflator_fitter
 from helpers import random_panel, solve_two_way
 from oracles import build_design_system, long_double_deflators, ols_fit
 
@@ -287,6 +287,12 @@ def test_index_series_rejects_bad_k(k):
         to_index_series(estimate_deflators(F3), k=k)
 
 
+@pytest.mark.parametrize("k", [None, "3", True])
+def test_index_series_rejects_a_k_that_is_not_a_number(k):
+    with pytest.raises(ValidationError, match="^k must be a real number"):
+        to_index_series(estimate_deflators(F3), k=k)
+
+
 def test_index_series_pct_change_chain():
     levels = np.array([1.0, 1.1, 1.21])
     est = DeflatorEstimate(
@@ -344,3 +350,29 @@ def test_exactly_fitting_split_panel_raises_unidentified():
     with pytest.raises(UnidentifiedModel) as exc:
         estimate_deflators(panel)
     assert exc.value.components == ((("u0", "u1"), ("a",)), (("u2", "u3"), ("b",)))
+
+
+@pytest.mark.parametrize("method, band", [
+    # the full inverse's se matches the spread of log d_t
+    ("full_partition", (0.9, 1.1)),
+    # sigma2 / sum(v_t^2) leaves out the reference prices' uncertainty and
+    # understates the spread by about a third
+    ("corollary3", (0.6, 0.8)),
+])
+def test_se_against_the_spread_under_the_papers_model(method, band):
+    """se of log d_t over the empirical sd of log index_t across 1000 fits
+    of v_it = (q_it p_i + e_it) / d_t, e ~ N(0, 0.5^2), on every non-base unit."""
+    rng = np.random.default_rng(0)
+    n, t, sigma, fits = 30, 6, 0.5, 1000
+    prices = rng.uniform(5.0, 10.0, (n, 1))
+    quantities = rng.uniform(2.0, 10.0, (n, t))
+    deflators = np.linspace(1.0, 1.5, t)
+    panel = Panel([f"i{i}" for i in range(n)], [f"t{u}" for u in range(t)],
+                  quantities * prices / deflators, quantities)
+    fit = deflator_fitter(panel, variance_method=method)
+    noise = rng.normal(0.0, sigma, (fits, n, t))
+    estimates = [fit((quantities * prices + e) / deflators) for e in noise]
+    log_index = np.log([est.indexes for est in estimates])
+    ratio = (np.mean([est.se for est in estimates], axis=0)[1:]
+             / log_index.std(axis=0, ddof=1)[1:])
+    assert ((band[0] <= ratio) & (ratio <= band[1])).all(), ratio

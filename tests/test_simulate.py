@@ -1,4 +1,3 @@
-import importlib
 from collections import Counter
 
 import numpy as np
@@ -17,12 +16,9 @@ from mplindex import (
     estimator,
     simulate,
 )
-from mplindex.simulate import _ESTIMATOR_FUNCS, _perturb_values
+from mplindex.simulate import _ESTIMATOR_FUNCS, SCHEMES, _value_draws
 from helpers import random_panel
-from oracles import simulate_reference
-
-# the package exports the function simulate under the module's name
-simulate_module = importlib.import_module("mplindex.simulate")
+from oracles import per_unit_values, simulate_reference
 
 
 def test_config_validation():
@@ -45,6 +41,11 @@ def test_config_validation():
                          ("replications", True), ("seed", 1.5)):
         with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
             SimulationConfig(noise_sd_max=0.01, **{field: value})
+    # settings that are not real numbers, a bool among them
+    for field, value in (("noise_mean", "0.1"), ("noise_sd_max", None),
+                         ("noise_sd_max", True), ("k", "3"), ("k", True)):
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number"):
+            SimulationConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -104,8 +105,7 @@ def test_replication_draws_do_not_depend_on_total_count():
 def test_additive_scheme_leaves_base_and_absences_alone():
     panel = random_panel(np.random.default_rng(4), 6, 4, missing=0.2)
     config = SimulationConfig(noise_mean=0.2, noise_sd_max=0.5, seed=7)
-    rng = np.random.default_rng(11)
-    values = _perturb_values(panel, config, rng)
+    values = _value_draws(panel, config)(11)
     b = panel.base_unit
     assert_array_equal(values[:, b], panel.values[:, b])
     assert_array_equal(values[~panel.present], 0.0)
@@ -118,7 +118,7 @@ def test_random_walk_scheme():
     panel = random_panel(np.random.default_rng(5), 5, 4, missing=0.15)
     config = SimulationConfig(scheme="random_walk", noise_mean=0.0,
                               noise_sd_max=0.4, seed=13)
-    values = _perturb_values(panel, config, np.random.default_rng(17))
+    values = _value_draws(panel, config)(17)
     assert_array_equal(values[:, 0], panel.values[:, 0])
     assert_array_equal(values[~panel.present], 0.0)
     assert (values[panel.present] > 0).all()
@@ -261,23 +261,34 @@ def test_simulate_matches_the_per_replication_fits(panel, options):
     assert_same_report(simulate(panel, config), simulate_reference(panel, config))
 
 
-def test_redraws_replay_the_per_unit_loop(monkeypatch):
-    # noise about as large as the values: most replications redraw a cell
-    panel = random_panel(np.random.default_rng(36), 8, 5, missing=0.2, base=1)
-    config = SimulationConfig(replications=30, noise_mean=0.0, noise_sd_max=2.0,
-                              seed=5, estimators=ALL, dump_draws=True)
-    loops = Counter()
-    perturb = simulate_module._perturb_values
-
-    def counted(*args, **kwargs):
-        loops["replayed"] += 1
-        return perturb(*args, **kwargs)
-
-    monkeypatch.setattr(simulate_module, "_perturb_values", counted)
-    report = simulate(panel, config)
-    assert 0 < loops["replayed"] < config.replications
-    monkeypatch.undo()
-    assert_same_report(report, simulate_reference(panel, config))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_value_draws_match_the_per_unit_loop(scheme):
+    # noise about as large as the values: many replications redraw a cell
+    config = SimulationConfig(scheme=scheme, noise_mean=0.0, noise_sd_max=2.0)
+    redrawn_count = draws = 0
+    for k in range(40):
+        rng = np.random.default_rng(k)
+        n_units = int(rng.integers(2, 7))
+        base = 0 if scheme == "random_walk" else int(rng.integers(n_units))
+        panel = random_panel(rng, int(rng.integers(2, 9)), n_units, missing=0.2, base=base)
+        draw = _value_draws(panel, config)
+        for seed in range(5):
+            values = draw(seed).copy()
+            want, redrawn = per_unit_values(panel, config, np.random.default_rng(seed))
+            draws += 1
+            redrawn_count += redrawn
+            # the walk draws unit by unit as the loop does, redraws and all;
+            # one call over every cell gives the loop's stream until a redraw
+            if scheme == "random_walk" or not redrawn:
+                assert values.tobytes() == want.tobytes(), (k, seed)
+                continue
+            b = panel.base_unit
+            assert_array_equal(values[:, b], panel.values[:, b])
+            assert_array_equal(values[~panel.present], 0.0)
+            assert (values[panel.present] > 0).all()
+            draw(seed + 1)
+            assert draw(seed).tobytes() == values.tobytes()
+    assert 0 < redrawn_count < draws
 
 
 @pytest.mark.parametrize("options, error", [
