@@ -23,23 +23,22 @@ of redrawn values) factors once.  The kit for it runs on numpy alone:
 np.linalg.cholesky for the factor L and a recursive blocked _tri_inv on
 BLAS-3 products for L^{-1}, which is all a factor keeps; every solve
 multiplies by it.  Callers need only the solve and the variances of the
-unit effects, diag(S^{-1}), which the factor returns; L never leaves this
-module.
+unit effects, diag(S^{-1}), which the factor holds; L never leaves this
+module.  With diag(A) and diag(S) they give the one forward-error bound,
+_error_bound, that decides a refusal on either side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import EstimationError, SingularSystem
 from .panel import Panel
 
-# a system is declared singular when its smallest pivot falls below
-# this fraction of the largest one
-PIVOT_RTOL = 1e-12
+# a factored system is refused when its forward-error bound exceeds this
+BETA_TOL = 1e-6
 # triangular blocks of at most this order are inverted by LAPACK in one call
 _BLOCK = 64
 OVERFLOW_MESSAGE = ("Gram blocks overflow: values or quantities are too large "
@@ -137,21 +136,18 @@ class _UnitSide(_Factor):
     """The items eliminated: S = A - B'C^{-1}B = LL'.
 
     solve gives S a = s - B'C^{-1}r, then b = C^{-1}(r - B a).
+    unit_variances is diag(S^{-1}), the column sums of squares of L^{-1}.
     """
 
     def __init__(self, chol, item_diag, cross, bc):
         super().__init__(chol)
         self._item_diag, self._cross, self._bc = item_diag, cross, bc
+        self.unit_variances = (self._inv * self._inv).sum(axis=0)
 
     def solve(self, item_rhs, unit_rhs):
         """The unit effects a and the item effects b for r = item_rhs, s = unit_rhs."""
         units = self._chol_solve(unit_rhs - self._bc.T @ item_rhs)
         return units, (item_rhs - self._cross @ units) / self._item_diag
-
-    @cached_property
-    def unit_variances(self):
-        """diag(S^{-1}), the column sums of squares of L^{-1}."""
-        return (self._inv * self._inv).sum(axis=0)
 
 
 class _ItemSide(_Factor):
@@ -162,15 +158,16 @@ class _ItemSide(_Factor):
     the plain solve is a few times less accurate than the unit side's, and
     the step brings it to the exact solution of the given blocks (where
     long double is wider than float64; elsewhere it is an ordinary
-    refinement step).  diag(S^{-1}) comes by the Woodbury identity
-    S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: it is diag(A^{-1}) plus the
+    refinement step).  unit_variances is diag(S^{-1}), by the Woodbury
+    identity S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: diag(A^{-1}) plus the
     column sums of squares of L^{-1}BA^{-1}.
     """
 
     def __init__(self, chol, item_diag, cross, unit_diag, a_inv, ba):
         super().__init__(chol)
-        self._item_diag, self._cross, self._unit_diag = item_diag, cross, unit_diag
-        self._a_inv, self._ba = a_inv, ba
+        self._item_diag, self._cross, self._unit_diag, self._ba = item_diag, cross, unit_diag, ba
+        w = self._inv @ ba
+        self.unit_variances = a_inv + (w * w).sum(axis=0)
 
     def _plain_solve(self, r, s):
         b = self._chol_solve(r - self._ba @ s)
@@ -185,11 +182,18 @@ class _ItemSide(_Factor):
             (unit_rhs - np.einsum("i,ij->j", b, x) - self._unit_diag * a).astype(float))
         return units + d_units, items + d_items
 
-    @cached_property
-    def unit_variances(self):
-        """diag(S^{-1}), the unit block of the inverse matrix's diagonal."""
-        w = self._inv @ self._ba
-        return self._a_inv + (w * w).sum(axis=0)
+
+def _error_bound(unit_diag, schur_diag, unit_variances):
+    """beta = 10 eps (sum_t A_t / S_tt) (sum_t S_tt (S^{-1})_tt), or inf.
+
+    The first sum measures the cancellation in forming S = A - B'C^{-1}B,
+    the second is trace(S_e^{-1}) >= ||S_e^{-1}||_2 for S_e, S scaled to
+    unit diagonal; the 10 covers right-hand sides from rounded data (TPD).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = (10.0 * np.finfo(np.float64).eps * (unit_diag / schur_diag).sum()
+                * (schur_diag * unit_variances).sum())
+    return float(beta) if np.isfinite(beta) and (schur_diag > 0).all() else np.inf
 
 
 def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
@@ -204,16 +208,14 @@ def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
     (_eliminate_units).
 
     The factor's solve(r, s) returns the unit effects a and the item
-    effects b of [[C, B], [B', A]] [b; a] = [r; s], and unit_variances is
-    diag(S^{-1}), the unit block of the inverse matrix's diagonal, worked
-    out the first time it is read and then kept.
-    Every refusal is decided here.  SingularSystem names the item column
-    when a pivot of C is not positive, and EstimationError is raised when C
-    or its inverse is not finite.  Every other refusal is decided on S,
-    whichever side is factored: SingularSystem names the unit column when S
-    has a leading minor that is not positive definite (the first one) or
-    its pivot ratio falls below PIVOT_RTOL, and EstimationError is raised
-    when S is not finite.
+    effects b of [[C, B], [B', A]] [b; a] = [r; s], and its unit_variances
+    is diag(S^{-1}), the unit block of the inverse matrix's diagonal.
+    Every refusal is decided here.  EstimationError is raised when C, its
+    inverse or S is not finite.  SingularSystem names the item column when
+    a pivot of C is not positive, and the unit column when S has a leading
+    minor that is not positive definite (the first one) or _error_bound
+    exceeds BETA_TOL (the largest A_t (S^{-1})_tt); the item side leaves
+    every system it finds over that bound to the unit side.
     """
     if (item_diag <= 0).any():
         i = int(np.argmin(item_diag))
@@ -247,40 +249,32 @@ def _eliminate_items(item_diag, cross, unit_diag, c_inv, unit_labels):
         j = _first_failed_minor(schur)
         raise SingularSystem("Schur complement is not positive definite",
                              column=unit_labels[j]) from None
-    pivots = np.diagonal(chol) ** 2
-    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
-        j = int(np.argmin(pivots))
-        raise SingularSystem("Schur complement is numerically singular",
-                             column=unit_labels[j])
-    return _UnitSide(chol, item_diag, cross, bc)
+    factor = _UnitSide(chol, item_diag, cross, bc)
+    beta = _error_bound(unit_diag, np.diag(schur), factor.unit_variances)
+    if beta > BETA_TOL:
+        j = int(np.argmax(unit_diag * factor.unit_variances))
+        raise SingularSystem(f"Schur complement is numerically singular: error "
+                             f"bound {beta:.3g} > {BETA_TOL:g}", column=unit_labels[j])
+    return factor
 
 
 def _eliminate_units(item_diag, cross, unit_diag):
     """The item-side factor, or None to leave the decision to _eliminate_items.
 
-    It accepts only a system that _eliminate_items would accept too, and
-    returns None when a unit pivot is not positive or not finite, K is not
-    finite, not positive definite or has a positive off-diagonal entry (B
-    not of one sign), or the bound below cannot rule out a pivot ratio of
-    S under PIVOT_RTOL.  The bound: scaled to unit diagonals, K and S share
-    their smallest eigenvalue lam, so every pivot of S lies in
-    [lam min(A), max(A)]; K is then an M-matrix, K^{-1} >= 0, and
-    lam >= 1 / max(c * K^{-1} c) with c = sqrt(diag(C)).
+    It returns None when K is not finite or not positive definite, or when
+    _error_bound, on diag(S) formed at O(NK), exceeds BETA_TOL; a unit
+    pivot that is not positive and finite makes one of them so.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a_inv = 1.0 / unit_diag
         ba = cross * a_inv
         k = np.diag(item_diag) - ba @ cross.T
-    if not ((unit_diag > 0).all() and np.isfinite(unit_diag).all()
-            and np.isfinite(a_inv).all() and np.isfinite(k).all()
-            and (np.triu(k, 1) <= 0).all()):
+        schur_diag = unit_diag - (cross * cross).T @ (1.0 / item_diag)
+    if not np.isfinite(k).all():
         return None
     try:
         factor = _ItemSide(np.linalg.cholesky(k), item_diag, cross, unit_diag, a_inv, ba)
     except np.linalg.LinAlgError:
         return None
-    c = np.sqrt(item_diag)
-    lam = 1.0 / (c * factor._chol_solve(c)).max()
-    if not lam * unit_diag.min() >= PIVOT_RTOL * unit_diag.max():
-        return None
-    return factor
+    beta = _error_bound(unit_diag, schur_diag, factor.unit_variances)
+    return factor if beta <= BETA_TOL else None

@@ -29,6 +29,8 @@ from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, s
 from .updating import update_multilateral, update_multiperiod
 
 _VARIANCE_FLAG = {"corollary3": "corollary3", "full": "full_partition"}
+COROLLARY3_NOTE = ("note: corollary3 standard errors understate the spread by about a "
+                   "third under the paper's model; see README \"Variance conventions\"")
 _log = logging.getLogger("mplindex")
 
 
@@ -223,6 +225,8 @@ def _new_unit_from_file(path: str, panel: Panel, dropped: tuple[str, ...]):
 def _write_series(args, fit) -> int:
     """Publish a fit's index series with --k bounds to --output or stdout."""
     _write(emit_report(to_index_series(fit, k=args.k), args.format), args.output)
+    if fit.variance_method == "corollary3":
+        _log.info(COROLLARY3_NOTE)
     return 0
 
 
@@ -299,6 +303,8 @@ def _cmd_simulate(args) -> int:
         "mode": panel.mode, "base": panel.units[panel.base_unit],
     })
     _write(text, args.output)
+    if "mpl" in config.estimators and config.variance_method == "corollary3":
+        _log.info(COROLLARY3_NOTE)
     total_failures = sum(s.failures for s in report.summaries.values())
     if total_failures:
         _log.info("note: %d failed replications excluded", total_failures)

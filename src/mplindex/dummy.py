@@ -170,8 +170,7 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         return w.sum(axis=1), w[:, nonbase], w.sum(axis=0)[nonbase]
 
     if not weighted:
-        # S^{-1} is exactly the unit block of the full inverse Gram matrix,
-        # and the factor keeps its diagonal once worked out
+        # the factor of the presence mask, with its diag(S^{-1}), serves every fit
         fixed = factor_two_way(*blocks(present.astype(np.float64)), *labels)
 
     def fit(values: np.ndarray) -> DummyFit:

@@ -5,7 +5,8 @@ implementations the fast paths replaced, so tests can compare against them:
 the dense stacked deflator design with its pivoted-QR least-squares fit, the
 normal matrix assembled from the closed-form blocks, the dense dummy fit,
 the unit-by-unit replication draw and the replication loop that builds and
-fits a panel per replication.  It also holds the two forms the paper gives
+fits a panel per replication.  It solves the MPL and weighted TPD normal
+equations exactly, in fractions, for the accuracy tests.  It also holds the two forms the paper gives
 for the two-period index, which the tests check mpl_two_period and
 classical_index against: the quadratic-form index and the convex mean of
 price relatives.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
@@ -38,10 +40,13 @@ from mplindex import (
     gram_blocks,
     implied_prices,
 )
-from mplindex.algebra import PIVOT_RTOL
 from mplindex.bilateral import _quantity_weights
 from mplindex.simulate import MAX_REDRAWS, _value_draws
 from helpers import solve_two_way
+
+# ols_fit declares the design rank deficient when its smallest QR pivot
+# falls below this fraction of the largest one
+PIVOT_RTOL = 1e-12
 
 
 def transition_matrix(n: int) -> np.ndarray:
@@ -277,6 +282,83 @@ def long_double_deflators(panel: Panel, blocks: GramBlocks | None = None) -> np.
                                           unit_res.astype(float), *labels)
         prices, deflators = prices + step_p, deflators + step_d
     return np.ldexp(deflators, k[base] - k[nb])
+
+
+def _exact_unit_effects(item_diag, cross, unit_diag, item_rhs, unit_rhs) -> np.ndarray:
+    """Unit effects a of [[C, B], [B', A]] [b; a] = [r; s], solved exactly.
+
+    The blocks are lists of Fractions, cross a list of rows.  The items are
+    eliminated, S = A - B'C^{-1}B and s - B'C^{-1}r are formed without
+    rounding, and S, positive definite, is solved by Gaussian elimination.
+    Returns the effects rounded once to float64.
+    """
+    n, k = len(item_diag), len(unit_diag)
+    bc = [[b / c for b in row] for row, c in zip(cross, item_diag)]
+    rows = []
+    for t in range(k):
+        row = [-sum(cross[i][t] * bc[i][u] for i in range(n) if cross[i][t])
+               for u in range(k)]
+        row[t] += unit_diag[t]
+        row.append(unit_rhs[t] - sum(bc[i][t] * item_rhs[i] for i in range(n)))
+        rows.append(row)
+    for j in range(k):
+        for r in range(j + 1, k):
+            f = rows[r][j] / rows[j][j]
+            if f:
+                for col in range(j, k + 1):
+                    rows[r][col] -= f * rows[j][col]
+    effects = [Fraction(0)] * k
+    for j in reversed(range(k)):
+        rest = sum(rows[j][col] * effects[col] for col in range(j + 1, k))
+        effects[j] = (rows[j][k] - rest) / rows[j][j]
+    return np.array([float(x) for x in effects])
+
+
+def _fractions(x: np.ndarray) -> list:
+    return [_fractions(row) for row in x] if x.ndim > 1 else [Fraction(v) for v in x]
+
+
+def exact_deflators(panel: Panel) -> np.ndarray:
+    """Deflators of the MPL normal equations of the panel's float64 data.
+
+    Solves the unit-side Schur system in fractions.Fraction, so the result
+    is the exact solution rounded once: length T, 1 at the base.
+    """
+    nb, base = panel.nonbase_units, panel.base_unit
+    v, q = _fractions(panel.values), _fractions(panel.quantities)
+    items = range(panel.n_items)
+    cross = [[-q[i][t] * v[i][t] for t in nb] for i in items]
+    deflators = np.ones(panel.n_units)
+    deflators[nb] = _exact_unit_effects(
+        [sum(x * x for x in q[i]) for i in items], cross,
+        [sum(v[i][t] ** 2 for i in items) for t in nb],
+        [q[i][base] * v[i][base] for i in items], [Fraction(0)] * len(nb))
+    return deflators
+
+
+def exact_weighted_tpd(panel: Panel) -> np.ndarray:
+    """Log unit effects of the weighted TPD normal equations, solved exactly.
+
+    The data are those the fit starts from: the float64 within-unit shares,
+    formed as fit_dummy_index forms them, and np.log(v / q) on the present
+    cells.  The sums over them are exact.  Length T, 0 at the base.
+    """
+    nb = panel.nonbase_units
+    values, present = panel.values, panel.present
+    k = np.frexp(values.max(axis=0))[1]
+    shares = np.ldexp(values, -k)
+    shares /= shares.sum(axis=0)
+    logp = np.zeros_like(values)
+    logp[present] = np.log(values[present] / panel.quantities[present])
+    w, y = _fractions(shares), _fractions(logp)
+    items = range(panel.n_items)
+    wy = [[a * b for a, b in zip(wi, yi)] for wi, yi in zip(w, y)]
+    effects = np.zeros(panel.n_units)
+    effects[nb] = _exact_unit_effects(
+        [sum(w[i]) for i in items], [[w[i][t] for t in nb] for i in items],
+        [sum(w[i][t] for i in items) for t in nb],
+        [sum(wy[i]) for i in items], [sum(wy[i][t] for i in items) for t in nb])
+    return effects
 
 
 def per_unit_values(panel: Panel, config: SimulationConfig, rng) -> tuple[np.ndarray, bool]:

@@ -15,7 +15,7 @@ import pytest
 
 import mplindex
 from mplindex import Panel, estimate_deflators, to_index_series
-from mplindex.cli import build_parser, emit_report, run_cli
+from mplindex.cli import COROLLARY3_NOTE, build_parser, emit_report, run_cli
 from mplindex.simulate import _ESTIMATOR_FUNCS
 from helpers import emit_panel, random_panel
 
@@ -470,6 +470,29 @@ def test_update_period_keeps_prior_standard_errors(run, tmp_path):
         assert b[-1]["se"] > 0
 
 
+def test_corollary3_bands_carry_a_note(run, tmp_path):
+    # every command that publishes corollary3 bands notes once on stderr that
+    # they are too narrow; the exit code and the report stay as they were
+    panel = random_panel(np.random.default_rng(5), 6, 4)
+    src = write(tmp_path, "panel.csv", emit_panel(panel))
+    new = write(tmp_path, "new.csv", HEADER + "".join(
+        f"{item},t9,{2.0 + k},{1.5 + k}\n" for k, item in enumerate(panel.items)))
+    note = COROLLARY3_NOTE + "\n"
+    for argv, noted in ((["mpl"], True), (["update-unit", "--new", new], True),
+                        (["update-period", "--new", new], True),
+                        (["simulate", "--estimators", "mpl,tpd", "--reps", "3"], True),
+                        (["simulate", "--estimators", "tpd", "--reps", "3"], False)):
+        full = run(*argv, "--input", src)
+        cor3 = run(*argv, "--input", src, "--variance", "corollary3")
+        assert (full[0], cor3[0]) == (0, 0), argv
+        assert note not in full[2]
+        assert cor3[2] == (note if noted else "") + full[2], argv
+        if argv == ["mpl"]:
+            assert cor3[1] == emit_report(to_index_series(
+                estimate_deflators(panel, "corollary3")), "json")
+    assert "README" in note and "Variance conventions" in note
+
+
 def test_update_unit_matches_fresh_run(run, tmp_path):
     rng = np.random.default_rng(3)
     panel = random_panel(rng, 5, 3, missing=0.1)
@@ -816,12 +839,13 @@ def test_update_period_far_from_the_prior_scales_the_plain_figures(run, tmp_path
         assert out == ""
         return code, err
 
-    assert update(1.0) == (0, "")
+    notes = COROLLARY3_NOTE + "\n" if variance == "corollary3" else ""
+    assert update(1.0) == (0, notes)
     exact = json.loads(report.read_text())["series"][-1]
     # unscaled, v_new'v_new is subnormal at x1e-160, and the new deflator's
     # variance leaves the float range at x1e+-160
     for scale in (1e-150, 1e-160, 1e160, 1e-300, 1e300):
-        assert update(scale) == (0, "")
+        assert update(scale) == (0, notes)
         row = json.loads(report.read_text())["series"][-1]
         assert row["index"] == pytest.approx(exact["index"] * scale, rel=1e-12)
         assert row["se"] == pytest.approx(exact["se"] * scale, rel=1e-12)
@@ -907,7 +931,8 @@ def test_one_unit_at_its_own_scale_fits(run, tmp_path, scale):
     # index and se by the same factor and sways no decision of the fit, also
     # where the unit's deflator variance would leave the float range
     plain = scaled_unit_runs(run, tmp_path, 1.0)
-    assert [err for _, err, _, _ in plain] == ["", "", "revised units: t1, t2, t3, t4, t5\n"]
+    assert [err for _, err, _, _ in plain] == ["", COROLLARY3_NOTE + "\n",
+                                              "revised units: t1, t2, t3, t4, t5\n"]
     for (_, plain_err, before, unit), (code, err, rows, _) in zip(
             plain, scaled_unit_runs(run, tmp_path, scale)):
         assert (code, err) == (0, plain_err)

@@ -240,8 +240,8 @@ def test_item_with_zero_weight_is_singular():
 @pytest.mark.parametrize("share", [1e-15, 1e-17])
 def test_numerically_singular_schur_complement(share):
     # unit t2 reaches the other units only through item a's tiny share; at
-    # 1e-17 the Schur pivot cancels to zero, at 1e-15 it falls below
-    # PIVOT_RTOL of the largest one
+    # 1e-17 the Schur pivot cancels to zero, at 1e-15 the forward-error
+    # bound, which sees S_22 formed as 1 - 1 + 1e-15, exceeds BETA_TOL
     values = np.array([[2.0, 3.0, share],
                        [1.0, 4.0, 0.0],
                        [0.0, 0.0, 1.0]])

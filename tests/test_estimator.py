@@ -16,7 +16,6 @@ from mplindex import (
     Panel,
     UnidentifiedModel,
     ValidationError,
-    algebra,
     build_reference_basket,
     estimate_deflators,
     gram_blocks,
@@ -171,16 +170,12 @@ def test_variance_method_switch():
                            err_msg=field)
 
 
-def test_corollary3_fit_forms_no_inverse(monkeypatch):
-    # corollary3 reads no diag(S^{-1}) from either side's factor
-    for side in (algebra._UnitSide, algebra._ItemSide):
-        def forbidden(self, name=side.__name__):
-            raise AssertionError(f"{name} unit variances formed")
-
-        monkeypatch.setattr(side, "unit_variances", property(forbidden))
+def test_corollary3_se_uses_the_deflator_gram():
+    # corollary3's se is sigma2 / (v_t'v_t) on either side of the factor,
+    # although both sides form diag(S^{-1}) for their error bound
     rng = np.random.default_rng(8)
     # 6 items over 4 non-base units eliminate the items, 3 over 7 the units
-    for (n, t), side in (((6, 5), "_UnitSide"), ((3, 8), "_ItemSide")):
+    for n, t in ((6, 5), (3, 8)):
         panel = random_panel(rng, n, t, missing=0.1)
         est = estimate_deflators(panel, variance_method="corollary3")
         gram = (np.delete(panel.values, panel.base_unit, axis=1) ** 2).sum(axis=0)
@@ -189,8 +184,6 @@ def test_corollary3_fit_forms_no_inverse(monkeypatch):
                         rtol=1e-14)
         series = to_index_series(est)
         assert np.isfinite(series.se).all()
-        with pytest.raises(AssertionError, match=f"{side} unit variances"):
-            estimate_deflators(panel, variance_method="full_partition")
 
 
 def test_rescaled_fit_is_bit_identical_to_the_plain_solve():

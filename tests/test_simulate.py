@@ -324,24 +324,28 @@ def test_replications_repeat_no_presence_work(monkeypatch):
 
     spy(estimator, "require_connected")
     spy(dummy, "require_connected")
-    tpd_factors = []
     factor_two_way = dummy.factor_two_way
+    tpd_factoring = False
 
     def counted_factor(*args):
+        nonlocal tpd_factoring
         counts["factor_two_way"] += 1
-        tpd_factors.append(factor_two_way(*args))
-        return tpd_factors[-1]
+        tpd_factoring = True
+        try:
+            return factor_two_way(*args)
+        finally:
+            tpd_factoring = False
 
     monkeypatch.setattr(dummy, "factor_two_way", counted_factor)
-    # count the diag(S^{-1}) worked out on the TPD fitter's factors, on
-    # either side, through the property's own caching
+    # a factor forms its diag(S^{-1}) when it is built: count the factors
+    # built for the TPD fitter, on either side
     for side in (algebra._UnitSide, algebra._ItemSide):
-        def counted_variances(factor, compute=side.unit_variances.func):
-            if any(factor is made for made in tpd_factors):
+        def counted_init(factor, *args, init=side.__init__):
+            if tpd_factoring:
                 counts["unit_variances"] += 1
-            return compute(factor)
+            init(factor, *args)
 
-        monkeypatch.setattr(side.unit_variances, "func", counted_variances)
+        monkeypatch.setattr(side, "__init__", counted_init)
     post_init = Panel.__post_init__
 
     def counted_panel(self):
