@@ -7,7 +7,7 @@ from .bilateral import (
     classical_index,
     mpl_two_period,
 )
-from .dummy import DummyFit, fit_dummy_index, presence_components
+from .dummy import DummyFit, fit_dummy_index
 from .errors import (
     BasketViolation,
     DegenerateDeflator,
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .estimator import (
     DeflatorEstimate,
+    IndexFit,
     IndexSeries,
     estimate_deflators,
     pseudo_reciprocal,
@@ -38,6 +39,7 @@ from .panel import (
     build_reference_basket,
     implied_prices,
     load_panel,
+    presence_components,
 )
 from .simulate import (
     EstimatorSummary,
@@ -64,6 +66,7 @@ __all__ = [
     "FormatError",
     "GramBlocks",
     "InconsistentCell",
+    "IndexFit",
     "IndexSeries",
     "InvalidDimension",
     "MplIndexError",

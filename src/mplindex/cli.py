@@ -23,7 +23,7 @@ import numpy as np
 from .bilateral import CLASSICAL_KINDS, bilateral_from_panel, classical_index, mpl_two_period
 from .dummy import fit_dummy_index
 from .errors import EstimationError, MplIndexError, ValidationError
-from .estimator import IndexSeries, estimate_deflators, to_index_series
+from .estimator import IndexFit, IndexSeries, estimate_deflators, to_index_series
 from .panel import Panel, build_reference_basket, load_panel
 from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, simulate
 from .updating import update_multilateral, update_multiperiod
@@ -73,94 +73,68 @@ def _json_value(obj) -> str:
     return _json_scalar(obj)
 
 
-def _csv(header: str, rows) -> str:
+def _csv(columns, rows) -> str:
     """CSV text under csv quoting: a field holding a comma or a quote is
     quoted, every other field is written as it is; lines end in "\n"."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header.split(","))
+    writer.writerow(columns)
     writer.writerows(rows)
     return out.getvalue()
 
 
-def _series_rows(series: IndexSeries):
-    """(unit, index, se, lo, hi, pct_change) per unit; pct_change NaN in space mode."""
-    pct = series.pct_change
-    if pct is None:
-        pct = np.full(len(series.units), np.nan)
-    return zip(series.units, series.index, series.se, series.lower, series.upper, pct)
+def _table(result, meta: dict):
+    """(meta, column names, rows) of an index series or a simulation report.
+
+    Each row holds its labels as text and its figures as floats; the CSV
+    and the JSON forms of a report render these same rows.
+    """
+    if isinstance(result, IndexSeries):
+        pct = result.pct_change
+        if pct is None:
+            pct = np.full(len(result.units), np.nan)
+        return ({"mode": result.mode, "base": result.units[result.base_unit],
+                 "variance_method": result.variance_method, "dof_rule": result.dof_rule},
+                ("unit", "index", "se", "lo", "hi", "pct_change"),
+                list(zip(result.units, result.index, result.se, result.lower,
+                         result.upper, pct)))
+    cfg, summaries = result.config, result.summaries
+    return ({"mode": meta.get("mode"), "base": meta.get("base"), "scheme": cfg.scheme,
+             "replications": cfg.replications, "seed": cfg.seed, "k": cfg.k,
+             "noise_mean": cfg.noise_mean, "noise_sd_max": cfg.noise_sd_max,
+             "estimators": list(cfg.estimators),
+             "failures": {name: s.failures for name, s in summaries.items()}},
+            ("estimator", "unit", "index", "se", "emp_sd", "lo_emp", "hi_emp",
+             "lo_model", "hi_model"),
+            [(name, *row) for name, s in summaries.items()
+             for row in zip(result.units, s.mean_index, s.mean_se, s.emp_sd, s.lo_emp,
+                            s.hi_emp, s.lo_model, s.hi_model)])
 
 
 def emit_report(result, fmt: str, meta: dict | None = None) -> str:
     """Serialize an index series, a simulation report or a bilateral table.
 
     An index series carries its own JSON meta; the other reports take mode
-    and base from ``meta``.
+    and base from ``meta``.  JSON leaves out a NaN pct_change.
     """
     meta = meta or {}
-    if isinstance(result, IndexSeries):
-        if fmt == "csv":
-            return _csv("unit,index,se,lo,hi,pct_change",
-                        ([unit, *map(_fmt, numbers)]
-                         for unit, *numbers in _series_rows(result)))
-        doc_meta = {
-            "mode": result.mode,
-            "base": result.units[result.base_unit],
-            "variance_method": result.variance_method,
-            "dof_rule": result.dof_rule,
-        }
-        rows = []
-        for unit, index, se, lo, hi, pct in _series_rows(result):
-            row = {"unit": unit, "index": index, "se": se, "lo": lo, "hi": hi}
-            if not math.isnan(pct):
-                row["pct_change"] = pct
-            rows.append(row)
-        return _json_value({"meta": doc_meta, "series": rows}) + "\n"
-
-    if isinstance(result, SimulationReport):
-        if fmt == "csv":
-            return _csv("estimator,unit,index,se,emp_sd,lo_emp,hi_emp,lo_model,hi_model", (
-                [name, unit, _fmt(s.mean_index[t]), _fmt(s.mean_se[t]),
-                 _fmt(s.emp_sd[t]), _fmt(s.lo_emp[t]), _fmt(s.hi_emp[t]),
-                 _fmt(s.lo_model[t]), _fmt(s.hi_model[t])]
-                for name, s in result.summaries.items()
-                for t, unit in enumerate(result.units)))
-        cfg = result.config
-        doc = {
-            "meta": {
-                "mode": meta.get("mode"),
-                "base": meta.get("base"),
-                "scheme": cfg.scheme,
-                "replications": cfg.replications,
-                "seed": cfg.seed,
-                "k": cfg.k,
-                "noise_mean": cfg.noise_mean,
-                "noise_sd_max": cfg.noise_sd_max,
-                "estimators": list(cfg.estimators),
-                "failures": {name: s.failures for name, s in result.summaries.items()},
-            },
-            "series": [
-                {
-                    "estimator": name, "unit": unit,
-                    "index": s.mean_index[t], "se": s.mean_se[t],
-                    "emp_sd": s.emp_sd[t],
-                    "lo_emp": s.lo_emp[t], "hi_emp": s.hi_emp[t],
-                    "lo_model": s.lo_model[t], "hi_model": s.hi_model[t],
-                }
-                for name, s in result.summaries.items()
-                for t, unit in enumerate(result.units)
-            ],
-        }
-        if cfg.dump_draws:
-            doc["draws"] = {name: s.draws for name, s in result.summaries.items()}
-        return _json_value(doc) + "\n"
-
     if isinstance(result, dict):  # bilateral kind -> value table
         if fmt == "csv":
-            return _csv("kind,value", ([kind, _fmt(value)] for kind, value in result.items()))
+            return _csv(("kind", "value"), ([kind, _fmt(value)] for kind, value in result.items()))
         return _json_value({"meta": meta, "indexes": result}) + "\n"
+    if not isinstance(result, (IndexSeries, SimulationReport)):
+        raise TypeError(f"cannot serialize {type(result).__name__}")
 
-    raise TypeError(f"cannot serialize {type(result).__name__}")
+    doc_meta, columns, rows = _table(result, meta)
+    if fmt == "csv":
+        return _csv(columns, ([x if isinstance(x, str) else _fmt(x) for x in row]
+                              for row in rows))
+    doc = {"meta": doc_meta, "series": [
+        {c: x for c, x in zip(columns, row) if not (c == "pct_change" and math.isnan(x))}
+        for row in rows]}
+    if isinstance(result, SimulationReport) and result.config.dump_draws:
+        doc["draws"] = {name: s.draws for name, s in result.summaries.items()}
+    return _json_value(doc) + "\n"
 
 
 def _write(text: str, output: str | None):
@@ -222,7 +196,7 @@ def _new_unit_from_file(path: str, panel: Panel, dropped: tuple[str, ...]):
     return addition.units[0], values, quantities
 
 
-def _write_series(args, fit) -> int:
+def _write_series(args, fit: IndexFit) -> int:
     """Publish a fit's index series with --k bounds to --output or stdout."""
     _write(emit_report(to_index_series(fit, k=args.k), args.format), args.output)
     if fit.variance_method == "corollary3":

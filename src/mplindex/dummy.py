@@ -12,9 +12,11 @@ shared two-way factor (algebra.factor_two_way) absorbs the smaller of the
 two diagonal blocks, so a fit costs O(NT min(N, T) + min(N, T)^3) time and
 O(NT) memory and never forms the dummy design.  The standard errors of
 the unit effects come from diag(S^{-1}), which the factor returns, as the
-MPL deflator variances do; connectivity is checked with boolean frontier
-sweeps.  The log prices are taken as log v - log q where v / q leaves the
-normal float range, so no present cell's price is out of reach.
+MPL deflator variances do; connectivity is checked by
+panel.require_connected.  The log prices are taken as log v - log q where
+v / q leaves the normal float range, so no present cell's price is out of
+reach.  A fit is an IndexFit (estimator), so it reaches a report as an MPL
+fit does.
 """
 
 from __future__ import annotations
@@ -24,106 +26,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import factor_two_way
-from .errors import UnidentifiedModel
-from .panel import Panel
+from .estimator import IndexFit
+# presence_components is re-exported as mplindex.dummy.presence_components
+from .panel import Panel, presence_components, require_connected  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
-class DummyFit:
+class DummyFit(IndexFit):
     """Two-way dummy regression result on the log-price scale.
 
-    log_unit_effects and se have length T with zeros at the base unit;
-    indexes = exp(log_unit_effects).  item_effects are the N item dummies.
-    variance_method and dof_rule label its standard errors: weighted or
-    ordinary least squares, dof counted on the present cells.
+    log_unit_effects has length T with 0 at the base unit, and indexes =
+    exp(log_unit_effects); item_effects are the N item dummies.  ssr is the
+    weighted SSR of the log prices, and dof counts the present cells
+    (dof_rule "observed").  variance_method is "dummy_wls" or "dummy_ols",
+    for weighted or ordinary least squares.
     """
 
-    units: tuple[str, ...]
-    items: tuple[str, ...]
-    base_unit: int
-    mode: str
     log_unit_effects: np.ndarray
-    indexes: np.ndarray
     item_effects: np.ndarray
-    se: np.ndarray
-    weighted: bool
-    sigma2: float | None
-    dof: int
-
-    @property
-    def index_se(self) -> np.ndarray:
-        """Delta-method standard errors on the index scale."""
-        return self.indexes * self.se
-
-    @property
-    def variance_method(self) -> str:
-        return "dummy_wls" if self.weighted else "dummy_ols"
-
-    @property
-    def dof_rule(self) -> str:
-        return "observed"
-
-
-def _reach(present, items, units):
-    """Grow item and unit masks, in place, to their part of the presence graph.
-
-    A boolean frontier sweep from the units: each step reaches the items
-    present in the units reached last, then the units holding those items.
-    Every unit of an item already in items must be in units.  No edge list
-    is built.
-    """
-    frontier = units.copy()
-    while frontier.any():
-        new_items = present[:, frontier].any(axis=1) & ~items
-        items |= new_items
-        frontier = present[new_items].any(axis=0) & ~units
-        units |= frontier
-
-
-def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Connected components of the bipartite presence graph.
-
-    Nodes are the N items followed by the T units; each present cell is an
-    edge.  Returns (unit labels, item labels) per component, components in
-    order of their first item and members in panel order (every unit holds
-    an item, so each component is reached from its first item).
-    """
-    n, t = panel.n_items, panel.n_units
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    while not seen.all():
-        first = np.argmin(seen)
-        items = np.zeros(n, dtype=bool)
-        items[first] = True
-        units = panel.present[first].copy()
-        _reach(panel.present, items, units)
-        seen |= items
-        out.append((tuple(panel.units[u] for u in np.flatnonzero(units)),
-                    tuple(panel.items[i] for i in np.flatnonzero(items))))
-    return out
-
-
-def require_connected(panel: Panel) -> None:
-    """Raise UnidentifiedModel unless the presence graph is connected.
-
-    One sweep from the base unit; presence_components runs only to describe
-    a failure.
-    """
-    items = np.zeros(panel.n_items, dtype=bool)
-    units = np.zeros(panel.n_units, dtype=bool)
-    units[panel.base_unit] = True
-    _reach(panel.present, items, units)
-    if units.all() and items.all():
-        return
-    comps = presence_components(panel)
-    desc = "; ".join(
-        f"units {{{', '.join(u)}}} with items {{{', '.join(i)}}}"
-        for u, i in comps
-    )
-    raise UnidentifiedModel(
-        f"presence graph splits into {len(comps)} components: {desc}",
-        components=tuple(comps),
-    )
 
 
 def _log_prices(values: np.ndarray, quantities: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -202,20 +122,19 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         logp -= item_effects[:, None]
         logp -= log_effects[None, :]
         ssr = float((w * logp * logp).sum())
-        sigma2 = ssr / dof if dof > 0 else None
         if extreme:
             item_effects = item_effects + shift
 
         se = np.zeros(t)
-        if sigma2 is None:
-            se[nonbase] = np.nan
-        else:
-            se[nonbase] = np.sqrt(sigma2 * factor.unit_variances)
+        se[nonbase] = np.sqrt(ssr / dof * factor.unit_variances) if dof > 0 else np.nan
+        # an effect past about 709 reads inf, which checked_indexes refuses
+        with np.errstate(over="ignore"):
+            indexes = np.exp(log_effects)
         return DummyFit(
             units=panel.units, items=panel.items, base_unit=panel.base_unit,
-            mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
-            item_effects=item_effects, se=se, weighted=weighted,
-            sigma2=sigma2, dof=dof,
+            mode=panel.mode, indexes=indexes, se=se, ssr=ssr, dof=dof,
+            dof_rule="observed", variance_method="dummy_wls" if weighted else "dummy_ols",
+            log_unit_effects=log_effects, item_effects=item_effects,
         )
 
     return fit

@@ -12,6 +12,11 @@ step.  The published index is the pseudo-reciprocal of the deflators, so the
 base unit always reads 1.  deflator_fitter does the part of a fit that
 depends on presence and quantities alone once, so redrawn values (the
 replication harness) fit without repeating it.
+
+IndexFit is the one result type that MPL and the dummy baseline share and
+that to_index_series, simulate and the CLI read.  An index reaches a report
+only through checked_indexes, which refuses one that is not a positive
+normal float.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OVERFLOW_MESSAGE, factor_two_way
-from .dummy import require_connected
 from .errors import (
     BasketViolation,
     EstimationError,
@@ -31,7 +35,7 @@ from .errors import (
     ValidationError,
     require_number,
 )
-from .panel import Panel
+from .panel import Panel, require_connected
 
 VARIANCE_METHODS = ("corollary3", "full_partition")
 DOF_RULES = ("paper", "observed")
@@ -46,40 +50,58 @@ def pseudo_reciprocal(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DeflatorEstimate:
-    """Joint fit of unit deflators and reference prices on one panel.
+class IndexFit:
+    """What every fit publishes: per-unit indexes, their log standard errors
+    and the residual figures behind them.
 
-    deflators and indexes have length T in panel unit order with the base
-    entry pinned to 1.  se holds the standard errors of log d_t, which are
-    those of log index_t, in the same order: sqrt(var(d_t)) / d_t, 0 at the
-    base and NaN elsewhere when the fit has no residual dof.  It does not
-    depend on any unit's scale.  It is computed once, under variance_method;
-    refit to get the other convention.  No covariance between deflators is
-    kept.
+    indexes and se have length T in panel unit order, with the base entry
+    pinned to 1 and 0.  se holds the standard errors of log index_t: 0 at
+    the base and NaN elsewhere when the fit has no residual dof.  It is
+    computed once, under variance_method, with the dof counted by dof_rule;
+    no covariance between units is kept.  ssr is the fit's sum of squared
+    residuals on its own scale and dof its residual degrees of freedom.
+    to_index_series, simulate and the CLI read only these fields.
     """
 
     units: tuple[str, ...]
     items: tuple[str, ...]
     base_unit: int
     mode: str
-    deflators: np.ndarray
     indexes: np.ndarray
-    ref_prices: np.ndarray
+    se: np.ndarray
     ssr: float
     dof: int
     dof_rule: str
-    sigma2: float | None
     variance_method: str
-    se: np.ndarray
 
     @property
-    def n_units(self) -> int:
-        return len(self.units)
+    def sigma2(self) -> float | None:
+        """The noise variance ssr / dof, or None without residual dof."""
+        return self.ssr / self.dof if self.dof > 0 else None
 
     @property
     def index_se(self) -> np.ndarray:
         """Delta-method standard errors on the index scale, 0 at the base."""
         return self.indexes * self.se
+
+
+@dataclass(frozen=True, eq=False)
+class DeflatorEstimate(IndexFit):
+    """Joint fit of unit deflators and reference prices on one panel.
+
+    deflators have length T with the base entry pinned to 1, and indexes
+    are their pseudo-reciprocals; se, the standard errors of log d_t, are
+    those of log index_t and do not depend on any unit's scale.  ref_prices
+    has one entry per item.  variance_method is "full_partition" or
+    "corollary3"; refit to get the other convention.
+    """
+
+    deflators: np.ndarray
+    ref_prices: np.ndarray
+
+    @property
+    def n_units(self) -> int:
+        return len(self.units)
 
 
 def _check_basket(panel: Panel):
@@ -225,12 +247,11 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
             se[nonbase] = np.sqrt(ssr / dof * factor.unit_variances) / delta_nb
         deflators, prices, ssr = _Scaling(
             k_units, k_items, int(k_units[base])).undo(deflators, prices, ssr)
-        sigma2 = ssr / dof if dof > 0 else None
         return DeflatorEstimate(
             units=panel.units, items=panel.items, base_unit=base,
             mode=panel.mode, deflators=deflators,
             indexes=pseudo_reciprocal(deflators), ref_prices=prices,
-            ssr=ssr, dof=dof, dof_rule=dof_rule, sigma2=sigma2,
+            ssr=ssr, dof=dof, dof_rule=dof_rule,
             variance_method=variance_method, se=se,
         )
 
@@ -272,18 +293,36 @@ class IndexSeries:
     dof_rule: str
 
 
-def to_index_series(fit, k: float = 3.0) -> IndexSeries:
-    """Index, standard errors and k-sigma bounds of a DeflatorEstimate or DummyFit.
+def checked_indexes(fit: IndexFit) -> np.ndarray:
+    """The fit's indexes, once each is a positive normal float.
+
+    Raises EstimationError naming the first unit whose index is not: a log
+    effect or a deflator past the float range gives an index of inf, 0 or a
+    subnormal, which no band or ratio survives.
+    """
+    index = fit.indexes
+    bad = ~(_normal(index) & (index > 0))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise EstimationError(f"index of unit {fit.units[t]} is not a positive normal "
+                              f"float: {index[t]:.17g}")
+    return index
+
+
+def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
+    """Index, standard errors and k-sigma bounds of a fit.
 
     se is the fit's index_se, so it is NaN off the base where the variance
     is undefined, and so are the bounds.  pct_change is period-over-period in
     time mode (first entry NaN) and None in space mode.  Raises
-    ValidationError unless k is a finite, positive real number.
+    ValidationError unless k is a finite, positive real number, and
+    EstimationError when an index is not a positive normal float
+    (checked_indexes).
     """
     require_number("k", k)
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"k must be finite and positive, got {k}")
-    index, se = fit.indexes, fit.index_se
+    index, se = checked_indexes(fit), fit.index_se
     pct = None
     if fit.mode == "time":
         pct = np.full(len(fit.units), np.nan)

@@ -1,9 +1,12 @@
-"""Value/quantity panel container, CSV ingestion and the reference-basket rule.
+"""Value/quantity panel container, CSV ingestion, the reference-basket rule
+and the connectivity of the presence graph.
 
 A panel holds two aligned nonnegative matrices (values and quantities) over
 N items and T units, where a unit is a time period (mode "time") or an area
 (mode "space").  A cell is present when both entries are strictly positive;
-absent cells carry exact zeros in both matrices.
+absent cells carry exact zeros in both matrices.  Every estimator needs the
+bipartite item/unit presence graph connected (require_connected), which is
+checked with boolean frontier sweeps.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     EmptyBasket,
     FormatError,
     InconsistentCell,
+    UnidentifiedModel,
     ValidationError,
     require_number,
 )
@@ -505,3 +509,65 @@ def implied_prices(panel: Panel) -> np.ndarray:
         np.divide(panel.values, panel.quantities, out=prices, where=panel.present)
     prices.flags.writeable = False
     return prices
+
+
+def _reach(present, items, units):
+    """Grow item and unit masks, in place, to their part of the presence graph.
+
+    A boolean frontier sweep from the units: each step reaches the items
+    present in the units reached last, then the units holding those items.
+    Every unit of an item already in items must be in units.  No edge list
+    is built.
+    """
+    frontier = units.copy()
+    while frontier.any():
+        new_items = present[:, frontier].any(axis=1) & ~items
+        items |= new_items
+        frontier = present[new_items].any(axis=0) & ~units
+        units |= frontier
+
+
+def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Connected components of the bipartite presence graph.
+
+    Nodes are the N items followed by the T units; each present cell is an
+    edge.  Returns (unit labels, item labels) per component, components in
+    order of their first item and members in panel order (every unit holds
+    an item, so each component is reached from its first item).
+    """
+    n, t = panel.n_items, panel.n_units
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    while not seen.all():
+        first = np.argmin(seen)
+        items = np.zeros(n, dtype=bool)
+        items[first] = True
+        units = panel.present[first].copy()
+        _reach(panel.present, items, units)
+        seen |= items
+        out.append((tuple(panel.units[u] for u in np.flatnonzero(units)),
+                    tuple(panel.items[i] for i in np.flatnonzero(items))))
+    return out
+
+
+def require_connected(panel: Panel) -> None:
+    """Raise UnidentifiedModel unless the presence graph is connected.
+
+    One sweep from the base unit; presence_components runs only to describe
+    a failure.
+    """
+    items = np.zeros(panel.n_items, dtype=bool)
+    units = np.zeros(panel.n_units, dtype=bool)
+    units[panel.base_unit] = True
+    _reach(panel.present, items, units)
+    if units.all() and items.all():
+        return
+    comps = presence_components(panel)
+    desc = "; ".join(
+        f"units {{{', '.join(u)}}} with items {{{', '.join(i)}}}"
+        for u, i in comps
+    )
+    raise UnidentifiedModel(
+        f"presence graph splits into {len(comps)} components: {desc}",
+        components=tuple(comps),
+    )

@@ -3,9 +3,11 @@
 Each replication perturbs the value matrix (quantities stay fixed), re-runs
 the requested estimators and records each fit's indexes and index_se (NaN
 off the base where the fit has no residual dof); a replication fails only
-when the fit raises.  Presence and quantities never change, so what depends
-on them alone is done once per run: each estimator is prepared once
-(deflator_fitter, dummy_fitter) and no panel is rebuilt per replication.
+when the fit raises or an index is not a positive normal float
+(estimator.checked_indexes, the check every published index passes).
+Presence and quantities never change, so what depends on them alone is
+done once per run: each estimator is prepared once (deflator_fitter,
+dummy_fitter) and no panel is rebuilt per replication.
 One draw function (_value_draws) writes every replication's values into
 one reused buffer.  Replication r draws from its own child of the root seed
 sequence, so results are bit-identical for any execution order or worker
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dummy import dummy_fitter
 from .errors import EstimationError, RedrawExhausted, ValidationError, require_number
-from .estimator import deflator_fitter
+from .estimator import IndexFit, checked_indexes, deflator_fitter
 from .panel import Panel
 
 SCHEMES = ("additive_on_base", "random_walk")
@@ -159,7 +161,7 @@ def _value_draws(panel: Panel, config: SimulationConfig):
 
 
 # name -> callable(panel, config) returning the fit of the panel's presence
-# and quantities to a value matrix: values -> fit (see deflator_fitter)
+# and quantities to a value matrix: values -> IndexFit (see deflator_fitter)
 _ESTIMATOR_FUNCS = {
     "mpl": lambda panel, config: deflator_fitter(
         panel, variance_method=config.variance_method, dof_rule=config.dof_rule),
@@ -191,11 +193,11 @@ def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
             try:
                 if name not in fitters:
                     fitters[name] = _ESTIMATOR_FUNCS[name](panel, config)
-                fit = fitters[name](values)
+                fit: IndexFit = fitters[name](values)
+                draws[name].append(checked_indexes(fit))
             except EstimationError:
                 failed[name].append(r)
                 continue
-            draws[name].append(fit.indexes)
             ses[name].append(fit.index_se)
 
     summaries = {}

@@ -5,7 +5,8 @@ panel: every deflator is re-estimated jointly, and the update raises
 UnidentifiedModel when the newcomer leaves the presence graph split.  A
 multiperiod update (new period) keeps all previously published deflators
 fixed and solves a scalar system for the new one, so the published history
-never revises.
+never revises.  Both return a DeflatorEstimate, so an update reaches a
+report through the same checked path as a fresh fit.
 """
 
 from __future__ import annotations
@@ -140,15 +141,13 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
     se_new = np.sqrt(ssr / dof / gram) / delta_new if dof > 0 else np.nan
     (delta_new,), prices, ssr = scaling.undo([delta_new], prices, ssr, units=slice(-1, None))
-    sigma2 = ssr / dof if dof > 0 else None
 
     estimate = DeflatorEstimate(
         units=extended.units, items=extended.items, base_unit=extended.base_unit,
         mode=extended.mode, deflators=np.append(prior.deflators, delta_new),
         indexes=np.append(prior.indexes, pseudo_reciprocal([delta_new])),
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
-        sigma2=sigma2, variance_method=prior.variance_method,
-        se=np.append(prior.se, se_new),
+        variance_method=prior.variance_method, se=np.append(prior.se, se_new),
     )
     changed = np.zeros(extended.n_units, dtype=bool)
     changed[-1] = True

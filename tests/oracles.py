@@ -242,8 +242,8 @@ def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
-        item_effects=beta[t - 1:], se=se, weighted=weighted,
-        sigma2=sigma2, dof=dof,
+        item_effects=beta[t - 1:], se=se, ssr=ssr, dof=dof, dof_rule="observed",
+        variance_method="dummy_wls" if weighted else "dummy_ols",
     )
 
 

@@ -669,6 +669,54 @@ def test_tpd_at_opposite_extremes_publishes_the_unscaled_index(run, tmp_path, we
     assert_same_figures(series_rows(extreme), series_rows(out))
 
 
+# t2's prices are 1e310 and 3e310: its log effect is about 714, past the
+# range of exp, and its deflator about 1e-310, below the normal floats
+HUGE_T2 = "a,t1,1,1\nb,t1,2,1\na,t2,1e300,1e-10\nb,t2,3e300,1e-10\n"
+# t2's deflator is about 7e307, a normal float, and its index a subnormal
+SUBNORMAL_T2 = "a,t1,1e8,1\nb,t1,2e8,1\na,t2,1e-300,1\nb,t2,3e-300,1\na,t3,2e8,1\nb,t3,3e8,1\n"
+T2_REFUSED = "estimation error: index of unit t2 is not a positive normal float: "
+
+
+@pytest.mark.parametrize("rows, command, message", [
+    (HUGE_T2, ["tpd"], T2_REFUSED + "inf\n"),
+    (HUGE_T2, ["tpd", "--weighted"], T2_REFUSED + "inf\n"),
+    (HUGE_T2, ["mpl"], None),
+    (HUGE_T2, ["simulate", "--estimators", "tpd", "--reps", "2", "--noise-sd-max", "0.01"], None),
+    (SUBNORMAL_T2, ["mpl"], T2_REFUSED + "1.477777777777778e-308\n"),
+], ids=["tpd", "tpd_weighted", "mpl", "simulate_tpd", "mpl_subnormal"])
+def test_index_outside_the_float_range_is_refused(run, tmp_path, rows, command, message):
+    # a warning would raise here, as pytest turns it into an error
+    src = write(tmp_path, "panel.csv", HEADER + rows)
+    report = tmp_path / "report.csv"
+    code, out, err = run(*command, "--input", src, "--format", "csv", "--output", str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith("estimation error: ") and err.count("\n") == 1
+    assert "Warning" not in err
+    assert not report.exists()
+    if message is not None:
+        assert err == message
+
+
+@pytest.mark.parametrize("command", ["update-unit", "update-period"])
+def test_new_file_with_two_units_exits_1(run, tmp_path, command):
+    src = write(tmp_path, "panel.csv", F1_CSV)
+    new = write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nb,t3,5,1\na,t4,4,1\nb,t4,6,1\n")
+    report = tmp_path / "report.json"
+    assert run(command, "--input", src, "--new", new, "--output", str(report)) == (
+        1, "", f"validation error: expected exactly one unit in {new}, found 2\n")
+    assert not report.exists()
+
+
+def test_degenerate_new_period_exits_2(run, tmp_path):
+    # each item's quantities are scaled by their largest, 1 in the new period,
+    # so the history's 1e-200 square to 0 and the Schur complement with them
+    src = write(tmp_path, "panel.csv", HEADER + "a,t1,1e-200,1e-200\nb,t1,2e-200,1e-200\n"
+                "a,t2,2e-200,1e-200\nb,t2,3e-200,1e-200\n")
+    new = write(tmp_path, "new.csv", HEADER + "a,t3,1,1\nb,t3,1,1\n")
+    assert run("update-period", "--input", src, "--new", new) == (
+        2, "", "estimation error: scalar Schur complement for the new period is not positive\n")
+
+
 @pytest.mark.parametrize("encoding, line, reason", [
     ("utf-16", 1, "invalid start byte"),
     ("latin-1", 6, "invalid continuation byte"),

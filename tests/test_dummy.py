@@ -70,7 +70,7 @@ def test_weighted_equals_unweighted_under_constant_shares():
     assert_allclose(weighted.log_unit_effects, plain.log_unit_effects,
                     rtol=0, atol=1e-12)
     assert_allclose(weighted.se, plain.se, rtol=1e-10, atol=1e-15)
-    assert weighted.weighted and not plain.weighted
+    assert (weighted.variance_method, plain.variance_method) == ("dummy_wls", "dummy_ols")
 
 
 def test_weighted_fit_runs_on_sparse_panel():

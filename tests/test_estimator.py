@@ -263,7 +263,7 @@ def test_index_series_bounds_and_pct():
     est = estimate_deflators(F1)
     # rig the log standard error so the index standard error is exactly 0.1
     rigged = dataclasses.replace(
-        est, sigma2=1.0, se=np.array([0.0, 0.05]),
+        est, se=np.array([0.0, 0.05]),
         variance_method="full_partition",
     )
     series = to_index_series(rigged, k=3.0)
@@ -291,7 +291,7 @@ def test_index_series_pct_change_chain():
     est = DeflatorEstimate(
         units=("t1", "t2", "t3"), items=("a",), base_unit=0, mode="time",
         deflators=pseudo_reciprocal(levels), indexes=levels,
-        ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper", sigma2=None,
+        ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper",
         variance_method="full_partition", se=np.array([0.0, np.nan, np.nan]),
     )
     series = to_index_series(est)

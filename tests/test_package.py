@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -60,6 +61,36 @@ def test_traced_functions_resolve(tmp_path):
     assert code == 0
     assert {"cli.run", "panel.load", "estimator.fit", "estimator.series",
             "cli.emit"} <= {span["name"] for span in tracer.spans}
+
+
+def test_estimator_does_not_depend_on_the_dummy_module():
+    # the MPL module reads connectivity from panel and owns the result type
+    # the dummy fit extends, so it imports nothing from dummy
+    path = pathlib.Path(mplindex.__file__).resolve().parent / "estimator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if "dummy" in name.split(".")]
+    assert mplindex.estimator.require_connected.__module__ == "mplindex.panel"
+    assert mplindex.dummy.presence_components is mplindex.panel.presence_components
+
+
+def test_both_fits_are_index_fits():
+    # one result type: sigma2 is derived, never stored, and the dummy fit
+    # states its variance method and dof rule as fields
+    fields = {f.name for f in dataclasses.fields(mplindex.IndexFit)}
+    assert fields == {"units", "items", "base_unit", "mode", "indexes", "se", "ssr",
+                      "dof", "dof_rule", "variance_method"}
+    for cls in (mplindex.DeflatorEstimate, mplindex.DummyFit):
+        assert issubclass(cls, mplindex.IndexFit)
+    fit = mplindex.fit_dummy_index(_small_panel(), weighted=True)
+    assert (fit.variance_method, fit.dof_rule) == ("dummy_wls", "observed")
+    assert not hasattr(fit, "weighted")
+    assert fit.sigma2 == fit.ssr / fit.dof
 
 
 def test_only_algebra_touches_the_factor():
