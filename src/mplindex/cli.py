@@ -156,44 +156,24 @@ def _load(args) -> Panel:
     return _read_panel(args.input, mode=args.mode, base_unit=args.base)
 
 
-def _prepare(args) -> tuple[Panel, tuple[str, ...]]:
-    """The input's reference basket and the items the basket rule dropped."""
+def _note_dropped(dropped: tuple[str, ...]):
+    if dropped:
+        _log.info("note: dropped items outside the reference basket: %s", ", ".join(dropped))
+
+
+def _prepare(args) -> Panel:
+    """The input's reference basket."""
     panel, report = build_reference_basket(_load(args))
-    if report.dropped_items:
-        _log.info("note: dropped items outside the reference basket: %s",
-                  ", ".join(report.dropped_items))
-    return panel, report.dropped_items
+    _note_dropped(report.dropped_items)
+    return panel
 
 
-def _new_unit_from_file(path: str, panel: Panel, dropped: tuple[str, ...]):
-    """Read a one-unit long CSV and align it to the basket's item list.
-
-    Items the basket rule dropped from the input are named as outside the
-    reference basket; labels the input never had, as outside the panel.
-    """
-    addition = _read_panel(path)
-    if addition.n_units != 1:
-        raise ValidationError(
-            f"expected exactly one unit in {path}, found {addition.n_units}"
-        )
-    row_of = {item: i for i, item in enumerate(panel.items)}
-    unknown = [i for i in addition.items if i not in row_of]
-    outside = [i for i in unknown if i not in dropped]
-    if outside:
-        raise ValidationError(
-            f"new unit contains items outside the panel: {', '.join(outside[:5])}"
-        )
-    if unknown:
-        raise ValidationError(
-            "new unit contains items outside the reference basket (present in "
-            f"fewer than two units of the input): {', '.join(unknown[:5])}"
-        )
-    rows = [row_of[item] for item in addition.items]
-    values = np.zeros(panel.n_items)
-    quantities = np.zeros(panel.n_items)
-    values[rows] = addition.values[:, 0]
-    quantities[rows] = addition.quantities[:, 0]
-    return addition.units[0], values, quantities
+def _read_unit(path: str) -> Panel:
+    """A one-unit long CSV, as the panel Panel.with_unit appends."""
+    unit = _read_panel(path)
+    if unit.n_units != 1:
+        raise ValidationError(f"expected exactly one unit in {path}, found {unit.n_units}")
+    return unit
 
 
 def _write_series(args, fit: IndexFit) -> int:
@@ -221,14 +201,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_mpl(args) -> int:
-    panel, _ = _prepare(args)
+    panel = _prepare(args)
     est = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                              dof_rule=args.dof)
     return _write_series(args, est)
 
 
 def _cmd_bilateral(args) -> int:
-    panel, _ = _prepare(args)
+    panel = _prepare(args)
     inp = bilateral_from_panel(panel)
     table = {kind: classical_index(inp, kind) for kind in CLASSICAL_KINDS}
     table["mpl"] = mpl_two_period(inp)
@@ -240,15 +220,14 @@ def _cmd_bilateral(args) -> int:
 
 
 def _cmd_tpd(args) -> int:
-    return _write_series(args, fit_dummy_index(_prepare(args)[0], weighted=args.weighted))
+    return _write_series(args, fit_dummy_index(_prepare(args), weighted=args.weighted))
 
 
 def _cmd_update_unit(args) -> int:
-    panel, dropped = _prepare(args)
-    new_unit = _new_unit_from_file(args.new, panel, dropped)
-    result = update_multilateral(panel, new_unit,
+    result = update_multilateral(_load(args), _read_unit(args.new),
                                  variance_method=_VARIANCE_FLAG[args.variance],
                                  dof_rule=args.dof)
+    _note_dropped(result.dropped_items)
     _write_series(args, result.estimate)
     changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
     _log.info("revised units: %s", ", ".join(changed) or "none")
@@ -256,15 +235,15 @@ def _cmd_update_unit(args) -> int:
 
 
 def _cmd_update_period(args) -> int:
-    panel, dropped = _prepare(args)
+    panel = _prepare(args)
     prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                                dof_rule=args.dof)
-    new_period = _new_unit_from_file(args.new, panel, dropped)
+    new_period = _read_unit(args.new)
     return _write_series(args, update_multiperiod(prior, panel, new_period).estimate)
 
 
 def _cmd_simulate(args) -> int:
-    panel, _ = _prepare(args)
+    panel = _prepare(args)
     config = SimulationConfig(
         scheme=args.scheme, replications=args.reps, noise_mean=args.noise_mean,
         noise_sd_max=args.noise_sd_max, seed=args.seed, k=args.k,

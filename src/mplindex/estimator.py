@@ -99,10 +99,6 @@ class DeflatorEstimate(IndexFit):
     deflators: np.ndarray
     ref_prices: np.ndarray
 
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
-
 
 def _check_basket(panel: Panel):
     short = np.flatnonzero(panel.present.sum(axis=1) < 2)

@@ -127,20 +127,27 @@ class Panel:
         """Column indices of every unit except the base, in panel order."""
         return [u for u in range(self.n_units) if u != self.base_unit]
 
-    def with_unit(self, label: str, values, quantities) -> "Panel":
-        """Return a new panel with one extra unit column appended."""
-        label = str(label)
-        if label in self.units:
-            raise ValidationError(f"unit {label!r} already in panel")
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
-        q = np.asarray(quantities, dtype=np.float64).reshape(-1)
-        if v.shape != (self.n_items,) or q.shape != (self.n_items,):
-            raise ValidationError(
-                f"new unit arrays must have length {self.n_items}"
-            )
-        return replace(self, units=self.units + (label,),
-                       values=np.column_stack([self.values, v]),
-                       quantities=np.column_stack([self.quantities, q]))
+    def with_unit(self, unit: "Panel") -> "Panel":
+        """Return a new panel with a one-unit panel's column appended.
+
+        The new unit's cells are matched to this panel's rows by item label.
+        Items only the new unit holds follow this panel's own items, in the
+        new unit's order, absent in every earlier unit: the panel load_panel
+        reads from the two long CSVs concatenated.
+        """
+        if unit.n_units != 1:
+            raise ValidationError(f"new unit must be a one-unit panel, got {unit.n_units} units")
+        if unit.units[0] in self.units:
+            raise ValidationError(f"unit {unit.units[0]!r} already in panel")
+        own = set(self.items)
+        items = self.items + tuple(i for i in unit.items if i not in own)
+        row = {item: k for k, item in enumerate(items)}
+        rows = [row[item] for item in unit.items]
+        pad = ((0, len(items) - self.n_items), (0, 1))
+        values, quantities = np.pad(self.values, pad), np.pad(self.quantities, pad)
+        values[rows, -1], quantities[rows, -1] = unit.values[:, 0], unit.quantities[:, 0]
+        return replace(self, items=items, units=self.units + unit.units,
+                       values=values, quantities=quantities)
 
 
 class PairOverlaps(Mapping):
@@ -222,16 +229,15 @@ def _resolve_base(units: tuple[str, ...], base_unit) -> int:
     raise ValidationError(f"base unit {base_unit!r} not found among units")
 
 
-def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
+def load_panel(source, mode: str = "time", base_unit=None) -> Panel:
     """Read a long-format CSV (item_id,unit_id,value,quantity) into a Panel.
 
     The header may also read item,unit,value,quantity; both are accepted.
     ``source`` is a path (read as UTF-8) or an open text stream; a binary
     stream raises FormatError.  Rows with value = 0 and quantity = 0 mark
-    explicit absence; any other mix of signs is rejected.  ``units``
-    optionally fixes the unit ordering (default: first appearance).
-    ``base_unit`` is a unit label or positional index (default: first
-    unit).
+    explicit absence; any other mix of signs is rejected.  Items and
+    units are ordered by first appearance.  ``base_unit`` is a unit label
+    or positional index (default: first unit).
 
     Plain input (LF line ends; no quote, CR or NUL; three commas on every
     line) is parsed column by column from its UTF-8 bytes, at most
@@ -251,7 +257,9 @@ def load_panel(source, mode: str = "time", base_unit=None, units=None) -> Panel:
         line = None if hasattr(source, "read") else _undecodable_line(os.fspath(source))
         raise FormatError(f"input is not {exc.encoding} text ({exc.reason})",
                           line=line) from None
-    return _assemble(*parsed, mode, base_unit, units)
+    item_order, unit_order, values, quantities = parsed
+    return Panel(item_order, unit_order, values, quantities,
+                 base_unit=_resolve_base(tuple(unit_order), base_unit), mode=mode)
 
 
 def _parse(source):
@@ -448,24 +456,6 @@ def _parse_rows(lines):
         values[i, j] = value
         quantities[i, j] = quantity
     return list(item_code), list(unit_code), values, quantities
-
-
-def _assemble(item_order, unit_order, values, quantities, mode, base_unit, units) -> Panel:
-    """Apply the units override and the base unit to a parsed panel."""
-    if units is not None:
-        units = [str(u) for u in units]
-        missing = [u for u in unit_order if u not in units]
-        if missing:
-            raise ValidationError(f"unit {missing[0]!r} not covered by the units argument")
-        column = {lab: j for j, lab in enumerate(unit_order)}
-        extra = [u for u in units if u not in column]
-        if extra:
-            raise ValidationError(f"unit {extra[0]!r} in the units argument never appears")
-        order = [column[u] for u in units]
-        values, quantities, unit_order = values[:, order], quantities[:, order], units
-
-    base = _resolve_base(tuple(unit_order), base_unit)
-    return Panel(item_order, unit_order, values, quantities, base_unit=base, mode=mode)
 
 
 def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:

@@ -1,7 +1,9 @@
 """Updates when a unit (area) or a period joins the panel.
 
-A multilateral update (new area) is the fresh estimate on the extended
-panel: every deflator is re-estimated jointly, and the update raises
+A new unit or period is a one-unit Panel, matched to the panel by item
+label.  A multilateral update (new area) is the fresh estimate on the
+extended panel's reference basket: every deflator is re-estimated jointly,
+and the update raises
 UnidentifiedModel when the newcomer leaves the presence graph split.  A
 multiperiod update (new period) keeps all previously published deflators
 fixed and solves a scalar system for the new one, so the published history
@@ -32,7 +34,7 @@ from .estimator import (
     estimate_deflators,
     pseudo_reciprocal,
 )
-from .panel import Panel
+from .panel import Panel, build_reference_basket
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,44 +43,44 @@ class UpdateResult:
 
     changed_mask has one entry per unit of the extended panel; the new unit
     is always True.  Period updates leave every prior entry False by
-    construction; unit updates mark actual differences against the previous
-    fit.
+    construction; unit updates mark actual differences against the fit of
+    the panel's own basket.  dropped_items are the items the extended
+    panel's reference basket left out (always empty for a period update).
     """
 
     estimate: DeflatorEstimate
     changed_mask: np.ndarray
+    dropped_items: tuple[str, ...] = ()
 
 
-def update_multilateral(panel: Panel, new_unit,
+def update_multilateral(panel: Panel, new_unit: Panel,
                         variance_method: str = "full_partition",
-                        dof_rule: str = "paper",
-                        prior: DeflatorEstimate | None = None) -> UpdateResult:
+                        dof_rule: str = "paper") -> UpdateResult:
     """Admit a new unit: the fresh estimate on the extended panel.
 
-    new_unit is a (label, values, quantities) triple sharing the panel's
-    item list (zero-filled where absent).  All deflators are re-estimated
-    jointly, so prior indexes may move; changed_mask records where.  Raises
-    UnidentifiedModel when the extended presence graph is disconnected.
-    Without a prior, the panel is refitted to compare against; a panel that
-    cannot be fitted on its own (one unit, thin basket) marks every unit.
+    new_unit is a one-unit Panel, matched to the panel by item label
+    (Panel.with_unit).  The reference basket is taken on the extended panel
+    and all deflators are re-estimated jointly on it, so prior indexes may
+    move; changed_mask records where, against the fit of the panel's own
+    basket.  A panel that cannot be fitted on its own (one unit, thin
+    basket) marks every unit.  Raises UnidentifiedModel when the extended
+    presence graph is disconnected.
     """
-    extended = panel.with_unit(*new_unit)
-    estimate = estimate_deflators(extended, variance_method, dof_rule)
+    basket, report = build_reference_basket(panel.with_unit(new_unit))
+    estimate = estimate_deflators(basket, variance_method, dof_rule)
 
-    t = extended.n_units
-    changed = np.ones(t, dtype=bool)
-    if prior is None:
-        try:
-            prior = estimate_deflators(panel, variance_method, dof_rule)
-        except MplIndexError:
-            prior = None
-    if prior is not None and prior.units == extended.units[:-1]:
-        changed[: t - 1] = prior.indexes != estimate.indexes[: t - 1]
-    return UpdateResult(estimate=estimate, changed_mask=changed)
+    changed = np.ones(basket.n_units, dtype=bool)
+    try:
+        prior = estimate_deflators(build_reference_basket(panel)[0], variance_method, dof_rule)
+    except MplIndexError:
+        pass
+    else:
+        changed[:-1] = prior.indexes != estimate.indexes[:-1]
+    return UpdateResult(estimate, changed, report.dropped_items)
 
 
 def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
-                       new_period) -> UpdateResult:
+                       new_period: Panel) -> UpdateResult:
     """Admit a new period while freezing every published deflator.
 
     Solves the joint fit of the new deflator and refreshed reference prices
@@ -90,11 +92,13 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
     The prior's se is carried unchanged.  The system is solved on the
     scaling every MPL fit runs on (estimator._Scaling), with the frozen
-    deflators moved into it.  Raises ValidationError when the prior was
-    fitted on other units, items or base, and EstimationError when the
-    scaled Schur complement is subnormal or the system is not finite, and,
-    decided on the unscaled figures, when the new deflator leaves the
-    normal float range.
+    deflators moved into it.  new_period is a one-unit Panel matched to the
+    panel by item label.  The frozen history leaves no room for a new item,
+    so an item the panel (the prior's reference basket) does not hold
+    raises ValidationError, as does a prior fitted on other units, items or
+    base.  EstimationError is raised when the scaled Schur complement is
+    subnormal or the system is not finite, and, decided on the unscaled
+    figures, when the new deflator leaves the normal float range.
     """
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
@@ -102,7 +106,12 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         raise ValidationError("prior estimate and panel items disagree")
     if prior.base_unit != panel.base_unit:
         raise ValidationError("prior estimate and panel base unit disagree")
-    extended = panel.with_unit(*new_period)
+    basket = set(panel.items)
+    outside = [item for item in new_period.items if item not in basket]
+    if outside:
+        raise ValidationError("new period contains items outside the reference basket: "
+                              + ", ".join(outside[:5]))
+    extended = panel.with_unit(new_period)
     _check_basket(extended)
 
     n_present = int(extended.present.sum())

@@ -1,5 +1,5 @@
 """Shared generators for the test suite: valid random panels and bilateral inputs,
-a panel's CSV text and a one-call two-way solve."""
+one-unit panels, a panel's CSV text and a one-call two-way solve."""
 
 from __future__ import annotations
 
@@ -81,6 +81,13 @@ def panel_from_bilateral(inp: BilateralInput, mode="time") -> Panel:
     values = np.column_stack([inp.p1 * inp.q1, inp.p2 * inp.q2])
     quantities = np.column_stack([inp.q1, inp.q2])
     return Panel(items, ("b", "c"), values, quantities, mode=mode)
+
+
+def one_unit(panel: Panel, label, values, quantities) -> Panel:
+    """One-unit panel over panel's items (zero where absent), the form
+    Panel.with_unit and the updates take a new unit or period in."""
+    return Panel(panel.items, (label,), np.reshape(values, (-1, 1)),
+                 np.reshape(quantities, (-1, 1)))
 
 
 def emit_panel(panel: Panel) -> str:

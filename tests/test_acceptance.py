@@ -25,7 +25,7 @@ from mplindex import (
     update_multilateral,
     update_multiperiod,
 )
-from helpers import panel_from_bilateral, random_bilateral, random_panel
+from helpers import one_unit, panel_from_bilateral, random_bilateral, random_panel
 from oracles import (
     build_design_system,
     classical_form_matrix,
@@ -118,8 +118,9 @@ def test_c03_unit_update_equals_reestimation():
         quantities = rng.uniform(0.5, 8.0, n)
         if n > 3 and k % 3 == 0:  # newcomer with a hole of its own
             values[0] = quantities[0] = 0.0
-        result = update_multilateral(panel, ("new", values, quantities))
-        fresh = estimate_deflators(panel.with_unit("new", values, quantities))
+        new = one_unit(panel, "new", values, quantities)
+        result = update_multilateral(panel, new)
+        fresh = estimate_deflators(panel.with_unit(new))
         assert _rel_err(result.estimate.deflators, fresh.deflators) <= 1e-9
         assert _rel_err(result.estimate.ref_prices, fresh.ref_prices) <= 1e-9
         assert _rel_err(result.estimate.ssr, fresh.ssr) <= 1e-9 or fresh.ssr < 1e-20
@@ -151,7 +152,7 @@ def test_c04_period_update_constrained_oracle():
         X[n * t + r, 1 + r] = quantities
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
 
-        result = update_multiperiod(prior, panel, ("new", values, quantities))
+        result = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
         est = result.estimate
         assert _rel_err(est.deflators[-1], beta[0]) <= 1e-9
         assert _rel_err(est.ref_prices, beta[1:]) <= 1e-9
@@ -161,7 +162,7 @@ def test_c04_period_update_constrained_oracle():
     scalar = Panel(("a",), ("t1", "t2"),
                    np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(scalar)
-    final = update_multiperiod(prior, scalar, ("t3", np.array([20.0]), np.ones(1)))
+    final = update_multiperiod(prior, scalar, one_unit(scalar, "t3", [20.0], np.ones(1)))
     assert final.estimate.indexes[2] == 2.0
 
 
@@ -279,9 +280,10 @@ def test_c10_format_reproduction_and_note():
 
     q4 = rng.uniform(10.0, 40.0, n)
     v4 = q4 * prices * 1.07 * rng.uniform(0.95, 1.05, n)
-    result = update_multilateral(panel, ("islands", v4, q4))
+    islands = one_unit(panel, "islands", v4, q4)
+    result = update_multilateral(panel, islands)
     series = to_index_series(result.estimate, k=3.0)
-    dummy = fit_dummy_index(panel.with_unit("islands", v4, q4))
+    dummy = fit_dummy_index(panel.with_unit(islands))
 
     # per-area row: index, standard error and 3-sigma bounds, all finite
     assert series.pct_change is None

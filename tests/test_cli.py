@@ -17,7 +17,7 @@ import mplindex
 from mplindex import Panel, estimate_deflators, to_index_series
 from mplindex.cli import COROLLARY3_NOTE, build_parser, emit_report, run_cli
 from mplindex.simulate import _ESTIMATOR_FUNCS
-from helpers import emit_panel, random_panel
+from helpers import emit_panel, one_unit, random_panel
 
 HEADER = "item_id,unit_id,value,quantity\n"
 F1_CSV = HEADER + "a,t1,1,1\nb,t1,2,1\na,t2,2,1\nb,t2,4,1\n"
@@ -506,7 +506,7 @@ def test_update_unit_matches_fresh_run(run, tmp_path):
     assert code == 0
     assert "revised units:" in err
     combined = write(tmp_path, "combined.csv",
-                     emit_panel(panel.with_unit("new", v, q)))
+                     emit_panel(panel.with_unit(one_unit(panel, "new", v, q))))
     # pin the unit order: a long CSV is ordered by first appearance, which
     # differs between the two files when the base row of an item is absent
     code, fresh, _ = run("mpl", "--input", combined,
@@ -520,39 +520,113 @@ def test_update_unit_matches_fresh_run(run, tmp_path):
 
 
 def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
-    from mplindex.cli import _new_unit_from_file
-
     panel = random_panel(np.random.default_rng(4), 6, 3)
     # a subset of the items, written in reverse panel order
     rows = "".join(f"i{k},new,{k + 1},{10 * (k + 1)}\n" for k in (5, 3, 0))
     new = write(tmp_path, "new.csv", HEADER + rows)
-    unit, values, quantities = _new_unit_from_file(new, panel, ())
-    assert unit == "new"
-    assert values.tolist() == [1, 0, 0, 4, 0, 6]
-    assert quantities.tolist() == [10, 0, 0, 40, 0, 60]
+    extended = panel.with_unit(mplindex.load_panel(new))
+    assert extended.items == panel.items
+    assert extended.values[:, -1].tolist() == [1, 0, 0, 4, 0, 6]
+    assert extended.quantities[:, -1].tolist() == [10, 0, 0, 40, 0, 60]
 
     src = write(tmp_path, "panel.csv", emit_panel(panel))
     bad = write(tmp_path, "bad.csv", HEADER + "i0,new,1,1\nzz,new,1,1\n")
     code, _, err = run("update-period", "--input", src, "--new", bad)
     assert code == 1
-    assert "items outside the panel: zz" in err
+    assert err.endswith("validation error: new period contains items outside the "
+                        "reference basket: zz\n")
 
 
 @pytest.mark.parametrize("command", ["update-unit", "update-period"])
 def test_new_unit_item_the_basket_dropped_is_named_as_such(run, tmp_path, command):
-    # x is present in t1 only, so the basket drops it: it is in the input,
-    # but outside the reference basket
+    # x is present in t1 only, so the input's basket drops it; zz is a label
+    # the input never had
     src = write(tmp_path, "panel.csv", F1_CSV + "x,t1,1,1\n")
-    new = write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nx,t3,2,1\n")
-    assert run(command, "--input", src, "--new", new) == (1, "", (
-        "note: dropped items outside the reference basket: x\n"
-        "validation error: new unit contains items outside the reference basket "
-        "(present in fewer than two units of the input): x\n"))
-    # a label the input never had is still outside the panel
-    new = write(tmp_path, "new.csv", HEADER + "x,t3,2,1\nzz,t3,1,1\n")
-    code, _, err = run(command, "--input", src, "--new", new)
-    assert code == 1
-    assert err.endswith("validation error: new unit contains items outside the panel: zz\n")
+    with_x = write(tmp_path, "with_x.csv", HEADER + "a,t3,3,1\nx,t3,2,1\n")
+    with_zz = write(tmp_path, "with_zz.csv", HEADER + "a,t3,3,1\nb,t3,5,1\nzz,t3,1,1\n")
+    if command == "update-period":
+        # the frozen history has no reference price for either
+        for new, outside in ((with_x, "x"), (with_zz, "zz")):
+            assert run(command, "--input", src, "--new", new) == (1, "", (
+                "note: dropped items outside the reference basket: x\n"
+                "validation error: new period contains items outside the reference "
+                f"basket: {outside}\n"))
+        return
+    # the new unit is x's second presence, so the extended basket keeps x,
+    # as mpl on the two files concatenated does
+    both = write(tmp_path, "both.csv", F1_CSV + "x,t1,1,1\na,t3,3,1\nx,t3,2,1\n")
+    code, out, err = run(command, "--input", src, "--new", with_x)
+    assert (code, out, err) == (0, run("mpl", "--input", both)[1], "revised units: t2, t3\n")
+    # zz is present once, in the new unit, so it is dropped with x
+    code, out, err = run(command, "--input", src, "--new", with_zz)
+    assert code == 0
+    assert err.startswith("note: dropped items outside the reference basket: x, zz\n")
+
+
+def update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags):
+    """(update-unit, mpl) results, each (exit code, report, stderr), for the
+    input plus a new unit and for mpl on the two files concatenated."""
+    src = write(tmp_path, "input.csv", HEADER + input_rows)
+    new = write(tmp_path, "new.csv", HEADER + new_rows)
+    both = write(tmp_path, "both.csv", HEADER + input_rows + new_rows)
+    return (run("update-unit", "--input", src, "--new", new, *flags),
+            run("mpl", "--input", both, *flags))
+
+
+def assert_update_unit_is_mpl(update, mpl):
+    """Same exit code, byte-identical report, and the same stderr apart from
+    update-unit's one revised-units line."""
+    assert update[:2] == mpl[:2]
+    lines = update[2].splitlines(keepends=True)
+    revised = [line for line in lines if line.startswith("revised units: ")]
+    assert len(revised) == (update[0] == 0)
+    assert [line for line in lines if line not in revised] == mpl[2].splitlines(keepends=True)
+
+
+def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
+    rng = np.random.default_rng(24)
+
+    def cell():
+        return f"{float(rng.uniform(0.5, 8.0))!r},{float(rng.uniform(0.5, 8.0))!r}"
+
+    for case in range(40):
+        n, t = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        panel = random_panel(rng, n, t, missing=float(rng.uniform(0.0, 0.3)) if t > 1 else 0.0)
+        input_rows = emit_panel(panel).split("\n", 1)[1]
+        # a new unit with a fresh label holds some or all of the input's items
+        held = [item for item in panel.items if rng.random() < 0.7] or [panel.items[0]]
+        if case % 2:  # an item in one input unit only, which the input's basket drops
+            input_rows += f"thin,{panel.units[int(rng.integers(t))]},{cell()}\n"
+            if rng.random() < 0.5:
+                held.append("thin")
+        if case % 3 == 0:  # an item only the new unit holds
+            held.insert(int(rng.integers(len(held) + 1)), f"only{case}")
+        if case % 8 == 7:  # nothing but that: the basket leaves the new unit empty
+            held = [f"only{case}"]
+        new_rows = "".join(f"{item},new{case},{cell()}\n" for item in rng.permutation(held))
+        flags = ("--base", panel.units[int(rng.integers(t))],
+                 "--mode", ("time", "space")[case % 2],
+                 "--variance", ("full", "corollary3")[case % 5 == 0],
+                 "--dof", ("paper", "observed")[case % 4 == 1])
+        assert_update_unit_is_mpl(*update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags))
+
+
+def test_update_unit_keeps_an_item_only_the_input_basket_dropped(run, tmp_path):
+    # x is in t1 only, so mpl on the input alone drops it; the new unit t4
+    # holds it too, so mpl on both files keeps it, and so does update-unit
+    update, mpl = update_unit_and_mpl(
+        run, tmp_path, "a,t1,1,1\nb,t1,2,1\nx,t1,3,1\na,t2,2,1\nb,t2,3,1\na,t3,3,1\nb,t3,5,2\n",
+        "a,t4,4,1\nb,t4,5,1\nx,t4,6,2\n")
+    assert update == (0, mpl[1], "revised units: t2, t3, t4\n")
+    assert mpl[2] == ""
+
+
+def test_update_unit_extends_a_one_unit_input(run, tmp_path):
+    # the one-unit input cannot be fitted alone, so every unit is revised
+    update, mpl = update_unit_and_mpl(run, tmp_path, "a,t1,1,1\nb,t1,2,1\n",
+                                      "a,t2,2,1\nb,t2,4,1\n")
+    assert update == (0, mpl[1], "revised units: t1, t2\n")
+    assert json.loads(mpl[1])["series"][1]["index"] == 2.0
 
 
 def test_simulate_deterministic_output_files(run, tmp_path):
@@ -861,7 +935,7 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
     se = json.loads(proc.stdout)["series"][-1]["se"]
     # the new deflator is about 6e-151, so d**4 is below the float range
     panel = mplindex.load_panel(src)
-    new_period = ("t3", np.array([2e150, 3e150, 5e150]), np.array([1.0, 2.0, 1.0]))
+    new_period = one_unit(panel, "t3", [2e150, 3e150, 5e150], [1.0, 2.0, 1.0])
     est = mplindex.update_multiperiod(estimate_deflators(panel), panel, new_period).estimate
     reference = np.longdouble(est.se[-1]) / np.longdouble(est.deflators[-1])
     assert math.isfinite(se)

@@ -24,7 +24,7 @@ from mplindex import (
     implied_prices,
     load_panel,
 )
-from helpers import emit_panel, random_panel
+from helpers import emit_panel, one_unit, random_panel
 
 HEADER = "item_id,unit_id,value,quantity"
 
@@ -132,17 +132,6 @@ def test_base_unit_by_label_and_index():
         load_panel(csv(*rows), base_unit="t9")
     with pytest.raises(ValidationError):
         load_panel(csv(*rows), base_unit=5)
-
-
-def test_units_override_reorders_columns():
-    rows = ("a,t1,1,1", "a,t2,2,1", "b,t1,3,1", "b,t2,4,1")
-    panel = load_panel(csv(*rows), units=("t2", "t1"))
-    assert panel.units == ("t2", "t1")
-    assert_array_equal(panel.values, [[2.0, 1.0], [4.0, 3.0]])
-    with pytest.raises(ValidationError):
-        load_panel(csv(*rows), units=("t2",))
-    with pytest.raises(ValidationError):
-        load_panel(csv(*rows), units=("t2", "t1", "t3"))
 
 
 def test_emit_load_roundtrip_is_exact():
@@ -355,14 +344,26 @@ def test_with_unit_appends_column():
     panel = random_panel(np.random.default_rng(1), 3, 3)
     v = np.array([1.0, 2.0, 3.0])
     q = np.array([1.0, 1.0, 1.0])
-    bigger = panel.with_unit("t9", v, q)
+    bigger = panel.with_unit(one_unit(panel, "t9", v, q))
     assert bigger.units == panel.units + ("t9",)
     assert_array_equal(bigger.values[:, -1], v)
     assert_array_equal(bigger.values[:, :-1], panel.values)
     with pytest.raises(ValidationError):
-        panel.with_unit(panel.units[0], v, q)
-    with pytest.raises(ValidationError):
-        panel.with_unit("t9", v[:2], q[:2])
+        panel.with_unit(one_unit(panel, panel.units[0], v, q))
+    # cells are matched by item label; an item only the new unit holds
+    # follows the panel's own items and is absent in every earlier unit,
+    # as load_panel reads the two long CSVs concatenated
+    new = Panel(("zz", "i2", "i0"), ("t9",), [[7.0], [3.0], [1.0]], [[2.0], [1.0], [1.0]])
+    wider = panel.with_unit(new)
+    assert wider.items == panel.items + ("zz",)
+    assert_array_equal(wider.values[:, -1], [1.0, 0.0, 3.0, 7.0])
+    assert_array_equal(wider.quantities[:, -1], [1.0, 0.0, 1.0, 2.0])
+    assert_array_equal(wider.values[:3, :-1], panel.values)
+    assert not wider.present[3, :-1].any()
+    both = load_panel(io.StringIO(emit_panel(panel) + emit_panel(new).split("\n", 1)[1]))
+    assert (both.items, both.units) == (wider.items, wider.units)
+    assert_array_equal(both.values, wider.values)
+    assert_array_equal(both.quantities, wider.quantities)
 
 
 def test_mode_validation():
@@ -486,10 +487,10 @@ def test_loader_cases_hit_the_intended_outcomes():
         "got \ufeffitem_id,unit_id,value,quantity")
 
 
-def test_loader_applies_units_and_base_alike():
+def test_loader_applies_base_and_mode_alike():
     text = LOADER_CASES["plain"][0]
-    for kwargs in ({"units": ("t2", "t1"), "base_unit": "t1"}, {"base_unit": 1},
-                   {"units": ("t2",)}, {"base_unit": "t9"}, {"mode": "space"}):
+    for kwargs in ({"base_unit": "t2"}, {"base_unit": 1}, {"base_unit": "t9"},
+                   {"mode": "space"}):
         assert_same_as_strict(text, **kwargs)
 
 
@@ -550,11 +551,13 @@ def test_random_panels_load_like_strict_parser(seed, n, t, missing, chunk):
     with mock.patch.object(panel_module, "_CHUNK_CHARS", chunk):
         assert panel_module._parse_columns(io.BytesIO(text.encode())) is not None
         assert_same_as_strict(text)
-    back = load_panel(io.StringIO(text), units=panel.units)
+    back = load_panel(io.StringIO(text))
     assert sorted(back.items) == sorted(panel.items)
+    assert sorted(back.units) == sorted(panel.units)
     rows = [back.items.index(item) for item in panel.items]
-    assert_array_equal(back.values[rows], panel.values)
-    assert_array_equal(back.quantities[rows], panel.quantities)
+    cols = [back.units.index(unit) for unit in panel.units]
+    assert_array_equal(back.values[np.ix_(rows, cols)], panel.values)
+    assert_array_equal(back.quantities[np.ix_(rows, cols)], panel.quantities)
 
 
 def big_panel_text(n_items=2000, n_units=50):

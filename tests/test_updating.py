@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
-    BasketViolation,
     Panel,
     UnidentifiedModel,
     ValidationError,
@@ -12,7 +11,7 @@ from mplindex import (
     update_multilateral,
     update_multiperiod,
 )
-from helpers import random_panel
+from helpers import one_unit, random_panel
 
 
 def ones_panel(*columns, base=0):
@@ -45,7 +44,7 @@ def constrained_period_oracle(panel, values, quantities):
 
 
 def test_new_unit_with_proportional_values():
-    result = update_multilateral(F1, ("t3", np.array([3.0, 6.0]), np.ones(2)))
+    result = update_multilateral(F1, one_unit(F1, "t3", [3.0, 6.0], np.ones(2)))
     est = result.estimate
     assert est.units == ("t0", "t1", "t3")
     assert_allclose(est.indexes, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
@@ -55,7 +54,7 @@ def test_new_unit_with_proportional_values():
 
 
 def test_duplicate_base_unit_reads_one():
-    result = update_multilateral(F1, ("t3", np.array([1.0, 2.0]), np.ones(2)))
+    result = update_multilateral(F1, one_unit(F1, "t3", [1.0, 2.0], np.ones(2)))
     assert abs(result.estimate.indexes[-1] - 1.0) <= 1e-12
 
 
@@ -70,8 +69,9 @@ def test_matches_fresh_estimation_with_missing_cells():
         if n > 3:  # leave one item out of the new unit
             values[0] = 0.0
             quantities[0] = 0.0
-        result = update_multilateral(panel, ("new", values, quantities))
-        fresh = estimate_deflators(panel.with_unit("new", values, quantities))
+        new = one_unit(panel, "new", values, quantities)
+        result = update_multilateral(panel, new)
+        fresh = estimate_deflators(panel.with_unit(new))
         for field in ("deflators", "indexes", "ref_prices", "se",
                       "ssr", "sigma2"):
             assert_array_equal(getattr(result.estimate, field),
@@ -81,31 +81,27 @@ def test_matches_fresh_estimation_with_missing_cells():
 def test_changed_mask_agrees_with_prior_comparison():
     rng = np.random.default_rng(13)
     panel = random_panel(rng, 5, 3, missing=0.1)
-    new = ("new", rng.uniform(0.5, 8.0, 5), rng.uniform(0.5, 8.0, 5))
+    new = one_unit(panel, "new", rng.uniform(0.5, 8.0, 5), rng.uniform(0.5, 8.0, 5))
     prior = estimate_deflators(panel)
-    result = update_multilateral(panel, new, prior=prior)
+    result = update_multilateral(panel, new)
     expected = np.append(prior.indexes != result.estimate.indexes[:-1], True)
     assert_array_equal(result.changed_mask, expected)
-    # a prior fitted on differently named units cannot vouch for any entry
-    other_panel = random_panel(np.random.default_rng(1), 5, 3)
-    other_panel = Panel(other_panel.items, ("x0", "x1", "x2"),
-                        other_panel.values, other_panel.quantities)
-    other = estimate_deflators(other_panel)
-    assert update_multilateral(panel, new, prior=other).changed_mask.all()
 
 
 def test_new_unit_basket_violation():
-    # item c appears only in t1; a newcomer that skips c leaves it thin
+    # item c appears only in t1; a newcomer that skips c leaves it thin, so
+    # the extended panel's basket drops it, as mpl on that panel does
     values = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 5.0]])
     panel = Panel(("a", "b", "c"), ("t0", "t1"),
                   values, np.where(values > 0, 1.0, 0.0))
-    with pytest.raises(BasketViolation):
-        update_multilateral(panel, ("t2", np.array([1.0, 1.0, 0.0]),
-                                    np.array([1.0, 1.0, 0.0])))
-    # covering c fixes it
-    ok = update_multilateral(panel, ("t2", np.array([1.0, 1.0, 5.0]),
-                                     np.array([1.0, 1.0, 1.0])))
-    assert ok.estimate.n_units == 3
+    thin = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]))
+    assert thin.dropped_items == ("c",)
+    assert thin.estimate.items == ("a", "b")
+    # covering c keeps it
+    ok = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 5.0], [1.0, 1.0, 1.0]))
+    assert ok.dropped_items == ()
+    assert ok.estimate.items == ("a", "b", "c")
+    assert len(ok.estimate.units) == 3
 
 
 # two blocks: items a, b in t0, t1 and items c, d in t2, t3; neither block
@@ -119,26 +115,35 @@ SPLIT = Panel(("a", "b", "c", "d"), ("t0", "t1", "t2", "t3"),
 
 
 def test_newcomer_covering_one_block_of_split_panel_is_unidentified():
-    newcomer = ("t4", np.array([2.0, 4.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+    newcomer = one_unit(SPLIT, "t4", [2.0, 4.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
     with pytest.raises(UnidentifiedModel, match="components"):
         update_multilateral(SPLIT, newcomer)
     # a newcomer that spans both blocks joins them
-    bridge = ("t4", np.array([2.0, 4.0, 1.0, 2.0]), np.ones(4))
+    bridge = one_unit(SPLIT, "t4", [2.0, 4.0, 1.0, 2.0], np.ones(4))
     assert update_multilateral(SPLIT, bridge).estimate.indexes.min() > 0
 
 
-def test_new_unit_label_and_length_validation():
-    with pytest.raises(ValidationError):
-        update_multilateral(F1, ("t0", np.ones(2), np.ones(2)))
-    with pytest.raises(ValidationError):
-        update_multilateral(F1, ("t9", np.ones(3), np.ones(3)))
+def test_new_unit_label_validation_and_item_matching():
+    with pytest.raises(ValidationError, match="already in panel"):
+        update_multilateral(F1, one_unit(F1, "t0", np.ones(2), np.ones(2)))
+    with pytest.raises(ValidationError, match="one-unit panel"):
+        update_multilateral(F1, F1)
+    # cells are matched by item label, not by position
+    forward = update_multilateral(F1, one_unit(F1, "t9", [3.0, 5.0], [1.0, 2.0])).estimate
+    reverse = Panel(("i1", "i0"), ("t9",), [[5.0], [3.0]], [[2.0], [1.0]])
+    assert_array_equal(update_multilateral(F1, reverse).estimate.indexes, forward.indexes)
+    # an item only the new unit holds is present once, and the basket drops it
+    extra = Panel(("zz", "i0", "i1"), ("t9",), [[7.0], [3.0], [5.0]], [[1.0], [1.0], [2.0]])
+    result = update_multilateral(F1, extra)
+    assert result.dropped_items == ("zz",)
+    assert_array_equal(result.estimate.indexes, forward.indexes)
 
 
 def test_period_update_scalar_fixture_is_exact():
     panel = Panel(("a",), ("t1", "t2"),
                   np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(panel)
-    result = update_multiperiod(prior, panel, ("t3", np.array([20.0]), np.ones(1)))
+    result = update_multiperiod(prior, panel, one_unit(panel, "t3", [20.0], np.ones(1)))
     est = result.estimate
     assert est.indexes[2] == 2.0  # bit-exact, not approximately
     assert est.deflators[2] == 0.5
@@ -160,7 +165,7 @@ def test_period_update_matches_constrained_oracle():
             quantities[-1] = 0.0
         prior, delta_new, prices, ssr = constrained_period_oracle(
             panel, values, quantities)
-        result = update_multiperiod(prior, panel, ("new", values, quantities))
+        result = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
         est = result.estimate
         assert est.deflators[-1] == pytest.approx(delta_new, rel=1e-9)
         assert_allclose(est.ref_prices, prices, rtol=1e-9)
@@ -179,7 +184,7 @@ def test_period_update_carries_prior_variances():
     prior = estimate_deflators(panel)
     values = rng.uniform(0.5, 8.0, 4)
     quantities = rng.uniform(0.5, 8.0, 4)
-    est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
     assert_array_equal(est.se[:3], prior.se)
     e = (panel.quantities**2).sum(axis=1)
     d = e + quantities**2
@@ -195,8 +200,7 @@ def test_period_update_without_prior_noise_scale():
     prior = estimate_deflators(panel)
     assert prior.sigma2 is None
     assert prior.se[0] == 0.0 and np.isnan(prior.se[1])
-    est = update_multiperiod(prior, panel,
-                             ("t3", np.array([4.0]), np.ones(1))).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "t3", [4.0], np.ones(1))).estimate
     assert est.sigma2 is not None
     assert est.se[0] == 0.0 and np.isnan(est.se[1])
     assert np.isfinite(est.se[2])
@@ -209,8 +213,9 @@ def test_period_update_far_from_the_prior_scales_the_plain_figures(scale):
     panel = random_panel(np.random.default_rng(2), 3, 3)
     prior = estimate_deflators(panel)
     values, quantities = np.array([2.0, 3.0, 5.0]), np.array([1.0, 2.0, 1.0])
-    plain = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
-    far = update_multiperiod(prior, panel, ("new", values * scale, quantities)).estimate
+    plain = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
+    far = update_multiperiod(prior, panel,
+                             one_unit(panel, "new", values * scale, quantities)).estimate
     assert far.indexes[-1] == pytest.approx(plain.indexes[-1] * scale, rel=1e-12)
     assert far.index_se[-1] == pytest.approx(plain.index_se[-1] * scale, rel=1e-12)
     assert far.se[-1] == pytest.approx(plain.se[-1], rel=1e-12)
@@ -227,7 +232,7 @@ def test_period_update_reports_what_it_computed(dof_rule, variance_method):
     values[2] = quantities[2] = 0.0
     prior = estimate_deflators(panel, variance_method=variance_method,
                                dof_rule=dof_rule)
-    est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
     assert (est.dof_rule, est.variance_method) == (dof_rule, variance_method)
     # 6 items x 5 units with one absent cell; N+1 = 7 unknowns
     assert est.dof == {"paper": 23, "observed": 22}[dof_rule]
@@ -247,7 +252,7 @@ def test_period_update_keeps_published_standard_errors(variance_method):
     prior = estimate_deflators(panel, variance_method=variance_method)
     values = rng.uniform(0.5, 8.0, 6)
     quantities = rng.uniform(0.5, 8.0, 6)
-    est = update_multiperiod(prior, panel, ("new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
     published = to_index_series(prior).se
     assert_array_equal(to_index_series(est).se[:-1], published)
     assert_array_equal(est.se[:4], prior.se)
@@ -259,7 +264,7 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     panel = random_panel(rng, 6, 4, missing=0.1)
     prior = estimate_deflators(panel, variance_method=variance_method)
     est = update_multiperiod(
-        prior, panel, ("new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
+        prior, panel, one_unit(panel, "new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
     ).estimate
     # what is published comes from the carried standard errors alone
     se = est.indexes * est.se
@@ -280,7 +285,16 @@ def test_period_update_requires_matching_prior():
         with pytest.raises(ValidationError,
                            match=f"^prior estimate and panel {other} disagree$"):
             update_multiperiod(estimate_deflators(fitted_on), panel,
-                               ("new", np.ones(3), np.ones(3)))
+                               one_unit(panel, "new", np.ones(3), np.ones(3)))
+
+
+def test_period_update_refuses_an_item_outside_the_basket():
+    # the frozen history has no reference price for zz
+    panel = random_panel(np.random.default_rng(6), 3, 3)
+    new = Panel(("i0", "zz", "i2"), ("new",), np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValidationError, match="^new period contains items outside the "
+                                              "reference basket: zz$"):
+        update_multiperiod(estimate_deflators(panel), panel, new)
 
 
 def test_bootstrap_from_single_unit():
@@ -292,7 +306,7 @@ def test_bootstrap_from_single_unit():
     q = rng.uniform(1.0, 9.0, (2, 2))
     panel2 = Panel(("a", "b"), ("t1", "t2"), v, q)
     seed = Panel(("a", "b"), ("t1",), v[:, :1], q[:, :1])
-    boot = update_multilateral(seed, ("t2", v[:, 1], q[:, 1]))
+    boot = update_multilateral(seed, one_unit(seed, "t2", v[:, 1], q[:, 1]))
     full = estimate_deflators(panel2)
     assert_allclose(boot.estimate.deflators, full.deflators, rtol=1e-12)
     assert_allclose(boot.estimate.ref_prices, full.ref_prices, rtol=1e-12)
@@ -306,7 +320,7 @@ def test_chained_unit_updates_match_batch():
                   panel.values[:, :2], panel.quantities[:, :2])
     for t in range(2, 5):
         grown = update_multilateral(
-            grown, (panel.units[t], panel.values[:, t], panel.quantities[:, t])
+            grown, one_unit(panel, panel.units[t], panel.values[:, t], panel.quantities[:, t])
         ).estimate
         # rebuild the panel the cheap way for the next round
         grown = Panel(panel.items, panel.units[: t + 1],
@@ -315,7 +329,7 @@ def test_chained_unit_updates_match_batch():
     final = update_multilateral(
         Panel(panel.items, panel.units[:4],
               panel.values[:, :4], panel.quantities[:, :4]),
-        (panel.units[4], panel.values[:, 4], panel.quantities[:, 4]),
+        one_unit(panel, panel.units[4], panel.values[:, 4], panel.quantities[:, 4]),
     ).estimate
     batch = estimate_deflators(panel)
     assert_allclose(final.deflators, batch.deflators, rtol=1e-10)
@@ -326,13 +340,14 @@ def test_period_update_rescales_shared_extreme_magnitudes():
     # one too, carries a shift of its own; scaled by exact powers of two,
     # the update gives the unscaled figures bit for bit
     panel = random_panel(np.random.default_rng(4), 5, 4)
-    new = ("new", np.array([3.0, 1.5, 2.0, 4.0, 2.5]), np.array([1.0, 2.0, 1.5, 1.0, 3.0]))
+    new = one_unit(panel, "new", [3.0, 1.5, 2.0, 4.0, 2.5], [1.0, 2.0, 1.5, 1.0, 3.0])
     plain = update_multiperiod(estimate_deflators(panel), panel, new).estimate
     g = 3 * np.arange(5) - 200
     k = -540 + 50 * np.array([1, -2, 0, 3, -1])
     far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, k[:-1]),
                       np.ldexp(panel.quantities, g[:, None]))
-    far_new = ("new", np.ldexp(new[1], k[-1]), np.ldexp(new[2], g))
+    far_new = one_unit(panel, "new", np.ldexp(new.values[:, 0], k[-1]),
+                       np.ldexp(new.quantities[:, 0], g))
     far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new).estimate
     shift = k[panel.base_unit] - k
     assert_array_equal(far.deflators, np.ldexp(plain.deflators, shift))
