@@ -10,7 +10,6 @@ from .bilateral import (
 from .dummy import DummyFit, fit_dummy_index
 from .errors import (
     BasketViolation,
-    DegenerateDeflator,
     DegenerateForm,
     DuplicateObservation,
     EmptyBasket,
@@ -56,7 +55,6 @@ __all__ = [
     "BasketViolation",
     "BilateralInput",
     "DeflatorEstimate",
-    "DegenerateDeflator",
     "DegenerateForm",
     "DummyFit",
     "DuplicateObservation",

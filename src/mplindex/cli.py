@@ -24,7 +24,7 @@ from .bilateral import CLASSICAL_KINDS, bilateral_from_panel, classical_index, m
 from .dummy import fit_dummy_index
 from .errors import EstimationError, MplIndexError, ValidationError
 from .estimator import IndexFit, IndexSeries, estimate_deflators, to_index_series
-from .panel import Panel, build_reference_basket, load_panel
+from .panel import Panel, build_reference_basket, load_panel, note_dropped
 from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, simulate
 from .updating import update_multilateral, update_multiperiod
 
@@ -156,15 +156,10 @@ def _load(args) -> Panel:
     return _read_panel(args.input, mode=args.mode, base_unit=args.base)
 
 
-def _note_dropped(dropped: tuple[str, ...]):
-    if dropped:
-        _log.info("note: dropped items outside the reference basket: %s", ", ".join(dropped))
-
-
 def _prepare(args) -> Panel:
     """The input's reference basket."""
     panel, report = build_reference_basket(_load(args))
-    _note_dropped(report.dropped_items)
+    note_dropped(report)
     return panel
 
 
@@ -227,7 +222,6 @@ def _cmd_update_unit(args) -> int:
     result = update_multilateral(_load(args), _read_unit(args.new),
                                  variance_method=_VARIANCE_FLAG[args.variance],
                                  dof_rule=args.dof)
-    _note_dropped(result.dropped_items)
     _write_series(args, result.estimate)
     changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
     _log.info("revised units: %s", ", ".join(changed) or "none")
@@ -239,7 +233,7 @@ def _cmd_update_period(args) -> int:
     prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
                                dof_rule=args.dof)
     new_period = _read_unit(args.new)
-    return _write_series(args, update_multiperiod(prior, panel, new_period).estimate)
+    return _write_series(args, update_multiperiod(prior, panel, new_period))
 
 
 def _cmd_simulate(args) -> int:

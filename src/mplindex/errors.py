@@ -3,7 +3,8 @@ an argument of the wrong numeric type.
 
 Two families matter for exit-code mapping in the CLI: ValidationError
 (bad input data, exit 1) and EstimationError (a numerical step cannot
-be completed, exit 2).
+be completed, exit 2).  A magnitude that a solve or an update cannot
+carry in floats is a plain EstimationError with algebra.OVERFLOW_MESSAGE.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class SingularSystem(EstimationError):
             message = f"{message} (dependent column: {column})"
         super().__init__(message)
         self.column = column
-
-
-class DegenerateDeflator(EstimationError):
-    """A deflator cannot be estimated: its scalar Schur complement is not positive."""
 
 
 class DegenerateForm(EstimationError):

@@ -148,14 +148,14 @@ class _Scaling:
         """The first units' deflators as the scaled fit has them."""
         return np.ldexp(deflators, self.units[:len(deflators)] - self.base)
 
-    def undo(self, deflators, prices, ssr, units=slice(None)):
-        """The units' deflators, the prices and the SSR, unscaled.
+    def undo(self, deflators, prices, ssr):
+        """The deflators, the prices and the SSR, unscaled.
 
         Raises EstimationError when a nonzero deflator leaves the normal
         float range; a price or the SSR reads inf or 0 there.
         """
         with np.errstate(over="ignore"):
-            unscaled = np.ldexp(deflators, self.base - self.units[units])
+            unscaled = np.ldexp(deflators, self.base - self.units)
             prices = np.ldexp(prices, self.base - self.items)
             ssr = float(np.ldexp(ssr, 2 * self.base))
         if not (_normal(unscaled) | np.equal(deflators, 0)).all():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 import numbers
 import os
@@ -35,6 +36,8 @@ CSV_HEADER = ("item_id", "unit_id", "value", "quantity")
 # accepted headers: CSV_HEADER and the paper's spelling
 _HEADERS = (CSV_HEADER, ("item", "unit", "value", "quantity"))
 MODES = ("time", "space")
+_log = logging.getLogger("mplindex")
+
 # bytes per read of the columnar parser (capped at the csv field limit): big
 # enough that per-batch overhead vanishes, small enough that a batch's field
 # bytes stay a few MB
@@ -486,6 +489,13 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     )
     overlaps = PairOverlaps(pres, restricted.units)
     return restricted, BasketReport(dropped, overlaps, base_absent)
+
+
+def note_dropped(report: BasketReport) -> None:
+    """Note the items a reference basket dropped on the "mplindex" logger."""
+    if report.dropped_items:
+        _log.info("note: dropped items outside the reference basket: %s",
+                  ", ".join(report.dropped_items))
 
 
 def implied_prices(panel: Panel) -> np.ndarray:

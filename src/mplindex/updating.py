@@ -1,14 +1,15 @@
 """Updates when a unit (area) or a period joins the panel.
 
 A new unit or period is a one-unit Panel, matched to the panel by item
-label.  A multilateral update (new area) is the fresh estimate on the
-extended panel's reference basket: every deflator is re-estimated jointly,
-and the update raises
+label.  A multilateral update (new area) notes the items the extended
+panel's reference basket drops and re-estimates every deflator jointly on
+that basket, as mpl on the concatenated input does; it raises
 UnidentifiedModel when the newcomer leaves the presence graph split.  A
 multiperiod update (new period) keeps all previously published deflators
 fixed and solves a scalar system for the new one, so the published history
-never revises.  Both return a DeflatorEstimate, so an update reaches a
-report through the same checked path as a fresh fit.
+never revises.  Each returns a DeflatorEstimate (a unit update inside an
+UpdateResult), so an update reaches a report through the same checked path
+as a fresh fit.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OVERFLOW_MESSAGE
-from .errors import (
-    DegenerateDeflator,
-    EstimationError,
-    MplIndexError,
-    ValidationError,
-)
+from .errors import EstimationError, MplIndexError, ValidationError
 from .estimator import (
     DeflatorEstimate,
     _check_basket,
@@ -34,23 +30,20 @@ from .estimator import (
     estimate_deflators,
     pseudo_reciprocal,
 )
-from .panel import Panel, build_reference_basket
+from .panel import Panel, build_reference_basket, note_dropped
 
 
 @dataclass(frozen=True, eq=False)
 class UpdateResult:
-    """Updated estimate plus a mask of which published indexes moved.
+    """A unit update's estimate plus a mask of which published indexes moved.
 
     changed_mask has one entry per unit of the extended panel; the new unit
-    is always True.  Period updates leave every prior entry False by
-    construction; unit updates mark actual differences against the fit of
-    the panel's own basket.  dropped_items are the items the extended
-    panel's reference basket left out (always empty for a period update).
+    is always True, and every other entry marks an actual difference
+    against the fit of the panel's own basket.
     """
 
     estimate: DeflatorEstimate
     changed_mask: np.ndarray
-    dropped_items: tuple[str, ...] = ()
 
 
 def update_multilateral(panel: Panel, new_unit: Panel,
@@ -63,10 +56,12 @@ def update_multilateral(panel: Panel, new_unit: Panel,
     and all deflators are re-estimated jointly on it, so prior indexes may
     move; changed_mask records where, against the fit of the panel's own
     basket.  A panel that cannot be fitted on its own (one unit, thin
-    basket) marks every unit.  Raises UnidentifiedModel when the extended
+    basket) marks every unit.  The extended basket's dropped items are
+    noted before the fit.  Raises UnidentifiedModel when the extended
     presence graph is disconnected.
     """
     basket, report = build_reference_basket(panel.with_unit(new_unit))
+    note_dropped(report)
     estimate = estimate_deflators(basket, variance_method, dof_rule)
 
     changed = np.ones(basket.n_units, dtype=bool)
@@ -76,11 +71,11 @@ def update_multilateral(panel: Panel, new_unit: Panel,
         pass
     else:
         changed[:-1] = prior.indexes != estimate.indexes[:-1]
-    return UpdateResult(estimate, changed, report.dropped_items)
+    return UpdateResult(estimate, changed)
 
 
 def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
-                       new_period: Panel) -> UpdateResult:
+                       new_period: Panel) -> DeflatorEstimate:
     """Admit a new period while freezing every published deflator.
 
     Solves the joint fit of the new deflator and refreshed reference prices
@@ -95,11 +90,14 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     deflators moved into it.  new_period is a one-unit Panel matched to the
     panel by item label.  The frozen history leaves no room for a new item,
     so an item the panel (the prior's reference basket) does not hold
-    raises ValidationError, as does a prior fitted on other units, items or
-    base.  EstimationError is raised when the scaled Schur complement is
-    subnormal or the system is not finite, and, decided on the unscaled
-    figures, when the new deflator leaves the normal float range.
+    raises ValidationError, as does a prior that is not a DeflatorEstimate
+    or one fitted on other units, items or base.  EstimationError is raised
+    when the scaled Schur complement underflows or a price is not finite,
+    and, decided on the unscaled figures, when the new deflator leaves the
+    normal float range.
     """
+    if not isinstance(prior, DeflatorEstimate):
+        raise ValidationError(f"prior must be a DeflatorEstimate, not {type(prior).__name__}")
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
     if prior.items != panel.items:
@@ -133,15 +131,14 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         m = (q[:, :-1] * v[:, :-1]) @ frozen
 
         # scalar Schur complement v'v - (q*v)' D^{-1} (q*v) in its summed
-        # positive form v_i^2 e_i / d_i, which avoids cancellation
+        # form v_i^2 e_i / d_i, which avoids cancellation; a sum of
+        # nonnegative terms, so a normal float is a positive one
         denom = float(np.sum(v_new * v_new * e / d))
-        if denom <= 0:
-            raise DegenerateDeflator(
-                "scalar Schur complement for the new period is not positive"
-            )
+        if not _normal(denom):
+            raise EstimationError(OVERFLOW_MESSAGE)
         delta_new = float(np.sum(qv * m / d)) / denom
         prices = (m + qv * delta_new) / d
-    if not (_normal(denom) and np.isfinite(prices).all()):
+    if not np.isfinite(prices).all():
         raise EstimationError(OVERFLOW_MESSAGE)
 
     # read before _stacked_ssr overwrites v
@@ -149,15 +146,13 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     ssr = _stacked_ssr(q, v, np.append(frozen, delta_new), prices)
     dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
     se_new = np.sqrt(ssr / dof / gram) / delta_new if dof > 0 else np.nan
-    (delta_new,), prices, ssr = scaling.undo([delta_new], prices, ssr, units=slice(-1, None))
+    deflators, prices, ssr = scaling.undo(np.append(frozen, delta_new), prices, ssr)
+    delta_new = deflators[-1]
 
-    estimate = DeflatorEstimate(
+    return DeflatorEstimate(
         units=extended.units, items=extended.items, base_unit=extended.base_unit,
         mode=extended.mode, deflators=np.append(prior.deflators, delta_new),
         indexes=np.append(prior.indexes, pseudo_reciprocal([delta_new])),
         ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
         variance_method=prior.variance_method, se=np.append(prior.se, se_new),
     )
-    changed = np.zeros(extended.n_units, dtype=bool)
-    changed[-1] = True
-    return UpdateResult(estimate=estimate, changed_mask=changed)

@@ -1,9 +1,12 @@
 """Shared generators for the test suite: valid random panels and bilateral inputs,
-one-unit panels, a panel's CSV text and a one-call two-way solve."""
+one-unit panels, a panel's CSV text, a one-call two-way solve and the
+package's notes."""
 
 from __future__ import annotations
 
+import contextlib
 import io
+import logging
 
 import numpy as np
 
@@ -88,6 +91,23 @@ def one_unit(panel: Panel, label, values, quantities) -> Panel:
     Panel.with_unit and the updates take a new unit or period in."""
     return Panel(panel.items, (label,), np.reshape(values, (-1, 1)),
                  np.reshape(quantities, (-1, 1)))
+
+
+@contextlib.contextmanager
+def notes():
+    """The messages the "mplindex" logger notes inside the block, at INFO."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("mplindex")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def emit_panel(panel: Panel) -> str:

@@ -152,8 +152,7 @@ def test_c04_period_update_constrained_oracle():
         X[n * t + r, 1 + r] = quantities
         beta, *_ = np.linalg.lstsq(X, y, rcond=None)
 
-        result = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
-        est = result.estimate
+        est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
         assert _rel_err(est.deflators[-1], beta[0]) <= 1e-9
         assert _rel_err(est.ref_prices, beta[1:]) <= 1e-9
         assert_array_equal(est.deflators[:-1], prior.deflators)
@@ -163,7 +162,7 @@ def test_c04_period_update_constrained_oracle():
                    np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(scalar)
     final = update_multiperiod(prior, scalar, one_unit(scalar, "t3", [20.0], np.ones(1)))
-    assert final.estimate.indexes[2] == 2.0
+    assert final.indexes[2] == 2.0
 
 
 @_report(5, "rank-one quadratic forms reproduce the four textbook "

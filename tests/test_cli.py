@@ -610,6 +610,45 @@ def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
                  "--dof", ("paper", "observed")[case % 4 == 1])
         assert_update_unit_is_mpl(*update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags))
 
+    # a block of two items in two units of their own, which the new unit
+    # does not reach, leaves the extended panel split: the fit fails after
+    # the basket dropped the thin item, and both commands note it first
+    for case in range(40, 48):
+        n, t = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        panel = random_panel(rng, n, t, missing=float(rng.uniform(0.0, 0.3)) if t > 1 else 0.0)
+        input_rows = emit_panel(panel).split("\n", 1)[1]
+        input_rows += f"thin,{panel.units[int(rng.integers(t))]},{cell()}\n"
+        input_rows += "".join(f"far{i},far{u},{cell()}\n" for i in range(2) for u in range(2))
+        held = [item for item in panel.items if rng.random() < 0.7] or [panel.items[0]]
+        if case % 2:  # an item only the new unit holds is dropped too
+            held.insert(int(rng.integers(len(held) + 1)), f"only{case}")
+        new_rows = "".join(f"{item},new{case},{cell()}\n" for item in rng.permutation(held))
+        flags = ("--base", panel.units[int(rng.integers(t))],
+                 "--mode", ("time", "space")[case % 2],
+                 "--variance", ("full", "corollary3")[case % 3 == 0],
+                 "--dof", ("paper", "observed")[case % 4 == 1])
+        update, mpl = update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags)
+        note, error = mpl[2].splitlines()
+        prefix = "note: dropped items outside the reference basket: "
+        assert note.startswith(prefix) and "thin" in note[len(prefix):].split(", ")
+        assert (mpl[0], mpl[1]) == (1, "")
+        assert error.startswith("validation error: presence graph splits")
+        assert_update_unit_is_mpl(update, mpl)
+
+
+def test_update_unit_notes_the_dropped_item_before_a_failed_fit(run, tmp_path):
+    # x is in t0 only, so the extended basket drops it; t4 does not join
+    # the block of c and d, so the fit then fails, as mpl's does
+    update, mpl = update_unit_and_mpl(
+        run, tmp_path,
+        "a,t0,1,1\nb,t0,3,1\nx,t0,2,1\na,t1,2,1\nb,t1,5,1\n"
+        "c,t2,1,1\nd,t2,3,1\nc,t3,2,1\nd,t3,1,1\n",
+        "a,t4,2,1\nb,t4,4,1\n")
+    assert update == mpl
+    assert update[:2] == (1, "")
+    assert update[2].startswith("note: dropped items outside the reference basket: x\n"
+                                "validation error: presence graph splits into 2 components")
+
 
 def test_update_unit_keeps_an_item_only_the_input_basket_dropped(run, tmp_path):
     # x is in t1 only, so mpl on the input alone drops it; the new unit t4
@@ -783,12 +822,14 @@ def test_new_file_with_two_units_exits_1(run, tmp_path, command):
 
 def test_degenerate_new_period_exits_2(run, tmp_path):
     # each item's quantities are scaled by their largest, 1 in the new period,
-    # so the history's 1e-200 square to 0 and the Schur complement with them
+    # so the history's 1e-200 square to 0 and the Schur complement with them:
+    # an underflow, refused as every magnitude is
     src = write(tmp_path, "panel.csv", HEADER + "a,t1,1e-200,1e-200\nb,t1,2e-200,1e-200\n"
                 "a,t2,2e-200,1e-200\nb,t2,3e-200,1e-200\n")
     new = write(tmp_path, "new.csv", HEADER + "a,t3,1,1\nb,t3,1,1\n")
     assert run("update-period", "--input", src, "--new", new) == (
-        2, "", "estimation error: scalar Schur complement for the new period is not positive\n")
+        2, "", "estimation error: Gram blocks overflow: values or quantities are too large "
+               "or too small in magnitude\n")
 
 
 @pytest.mark.parametrize("encoding, line, reason", [
@@ -936,7 +977,7 @@ def test_update_period_se_at_large_magnitudes(tmp_path):
     # the new deflator is about 6e-151, so d**4 is below the float range
     panel = mplindex.load_panel(src)
     new_period = one_unit(panel, "t3", [2e150, 3e150, 5e150], [1.0, 2.0, 1.0])
-    est = mplindex.update_multiperiod(estimate_deflators(panel), panel, new_period).estimate
+    est = mplindex.update_multiperiod(estimate_deflators(panel), panel, new_period)
     reference = np.longdouble(est.se[-1]) / np.longdouble(est.deflators[-1])
     assert math.isfinite(se)
     assert abs(np.longdouble(se) - reference) <= 1e-15 * reference

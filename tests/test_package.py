@@ -94,19 +94,24 @@ def test_both_fits_are_index_fits():
     assert fit.sigma2 == fit.ssr / fit.dof
 
 
+def _package_trees():
+    """(file name, parsed module) for every module of the package."""
+    package = pathlib.Path(mplindex.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_only_algebra_touches_the_factor():
     # the triangular inverse and its kit stay inside algebra: other modules
     # use only a factor's solve and unit_variances
     kit = {"_tri_inv", "_first_failed_minor", "_inv", "_chol_solve"}
-    package = pathlib.Path(mplindex.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")):
-        if path.name == "algebra.py":
+    for name, tree in _package_trees():
+        if name == "algebra.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not used & kit, (path.name, sorted(used & kit))
+        assert not used & kit, (name, sorted(used & kit))
 
 
 def test_only_estimator_scales_a_fit():
@@ -124,6 +129,25 @@ def test_only_estimator_scales_a_fit():
                 if any(word in name.lower() for word in ("exponent", "unscale", "rescale"))]
 
 
+def test_only_the_cli_writes_to_stderr_and_every_note_is_logged_on_mplindex():
+    # notes go through the "mplindex" logger, and only the CLI decides
+    # where they and the error lines are written
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if name != "cli.py":
+                assert not (isinstance(node, ast.Attribute) and node.attr == "stderr"), \
+                    (name, node.lineno)
+                assert not (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                            and "stderr" in {alias.name for alias in node.names}), name
+                assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "print"), (name, node.lineno)
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) == "getLogger"
+                    or getattr(node.func, "id", None) == "getLogger"):
+                assert [getattr(arg, "value", None) for arg in node.args] == ["mplindex"], \
+                    (name, node.lineno)
+
+
 def _builds_a_panel(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Name):
@@ -138,9 +162,7 @@ def test_panel_derives_presence_from_its_values():
     # one constructor with no mask argument, and no module hands it a mask
     assert "present" not in inspect.signature(mplindex.Panel).parameters
     assert not hasattr(mplindex.Panel, "from_arrays")
-    package = pathlib.Path(mplindex.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in _package_trees():
         for call in ast.walk(tree):
             if not (isinstance(call, ast.Call) and _builds_a_panel(call)):
                 continue
@@ -150,7 +172,7 @@ def test_panel_derives_presence_from_its_values():
             read |= {node.id for arg in args for node in ast.walk(arg)
                      if isinstance(node, ast.Name)}
             assert "present" not in read | {k.arg for k in call.keywords}, \
-                (path.name, call.lineno)
+                (name, call.lineno)
 
 
 def _small_panel(n_units=3):

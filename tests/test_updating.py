@@ -7,11 +7,12 @@ from mplindex import (
     UnidentifiedModel,
     ValidationError,
     estimate_deflators,
+    fit_dummy_index,
     to_index_series,
     update_multilateral,
     update_multiperiod,
 )
-from helpers import one_unit, random_panel
+from helpers import notes, one_unit, random_panel
 
 
 def ones_panel(*columns, base=0):
@@ -94,12 +95,14 @@ def test_new_unit_basket_violation():
     values = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 5.0]])
     panel = Panel(("a", "b", "c"), ("t0", "t1"),
                   values, np.where(values > 0, 1.0, 0.0))
-    thin = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]))
-    assert thin.dropped_items == ("c",)
+    with notes() as thin_notes:
+        thin = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]))
+    assert thin_notes == ["note: dropped items outside the reference basket: c"]
     assert thin.estimate.items == ("a", "b")
     # covering c keeps it
-    ok = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 5.0], [1.0, 1.0, 1.0]))
-    assert ok.dropped_items == ()
+    with notes() as ok_notes:
+        ok = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 5.0], [1.0, 1.0, 1.0]))
+    assert ok_notes == []
     assert ok.estimate.items == ("a", "b", "c")
     assert len(ok.estimate.units) == 3
 
@@ -134,8 +137,9 @@ def test_new_unit_label_validation_and_item_matching():
     assert_array_equal(update_multilateral(F1, reverse).estimate.indexes, forward.indexes)
     # an item only the new unit holds is present once, and the basket drops it
     extra = Panel(("zz", "i0", "i1"), ("t9",), [[7.0], [3.0], [5.0]], [[1.0], [1.0], [2.0]])
-    result = update_multilateral(F1, extra)
-    assert result.dropped_items == ("zz",)
+    with notes() as noted:
+        result = update_multilateral(F1, extra)
+    assert noted == ["note: dropped items outside the reference basket: zz"]
     assert_array_equal(result.estimate.indexes, forward.indexes)
 
 
@@ -143,13 +147,13 @@ def test_period_update_scalar_fixture_is_exact():
     panel = Panel(("a",), ("t1", "t2"),
                   np.array([[10.0, 20.0]]), np.ones((1, 2)))
     prior = estimate_deflators(panel)
-    result = update_multiperiod(prior, panel, one_unit(panel, "t3", [20.0], np.ones(1)))
-    est = result.estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "t3", [20.0], np.ones(1)))
     assert est.indexes[2] == 2.0  # bit-exact, not approximately
     assert est.deflators[2] == 0.5
     assert_array_equal(est.deflators[:2], prior.deflators)
     assert_array_equal(est.indexes[:2], prior.indexes)
-    assert_array_equal(result.changed_mask, [False, False, True])
+    # the new period is appended after the published ones, none of which moved
+    assert est.units == ("t1", "t2", "t3")
 
 
 def test_period_update_matches_constrained_oracle():
@@ -165,8 +169,7 @@ def test_period_update_matches_constrained_oracle():
             quantities[-1] = 0.0
         prior, delta_new, prices, ssr = constrained_period_oracle(
             panel, values, quantities)
-        result = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
-        est = result.estimate
+        est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
         assert est.deflators[-1] == pytest.approx(delta_new, rel=1e-9)
         assert_allclose(est.ref_prices, prices, rtol=1e-9)
         assert est.ssr == pytest.approx(ssr, rel=1e-9, abs=1e-12)
@@ -175,7 +178,7 @@ def test_period_update_matches_constrained_oracle():
         # frozen history is carried bit for bit
         assert_array_equal(est.deflators[:-1], prior.deflators)
         assert_array_equal(est.indexes[:-1], prior.indexes)
-        assert not result.changed_mask[:-1].any()
+        assert est.units == (*panel.units, "new")
 
 
 def test_period_update_carries_prior_variances():
@@ -184,7 +187,7 @@ def test_period_update_carries_prior_variances():
     prior = estimate_deflators(panel)
     values = rng.uniform(0.5, 8.0, 4)
     quantities = rng.uniform(0.5, 8.0, 4)
-    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
     assert_array_equal(est.se[:3], prior.se)
     e = (panel.quantities**2).sum(axis=1)
     d = e + quantities**2
@@ -200,7 +203,7 @@ def test_period_update_without_prior_noise_scale():
     prior = estimate_deflators(panel)
     assert prior.sigma2 is None
     assert prior.se[0] == 0.0 and np.isnan(prior.se[1])
-    est = update_multiperiod(prior, panel, one_unit(panel, "t3", [4.0], np.ones(1))).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "t3", [4.0], np.ones(1)))
     assert est.sigma2 is not None
     assert est.se[0] == 0.0 and np.isnan(est.se[1])
     assert np.isfinite(est.se[2])
@@ -213,9 +216,8 @@ def test_period_update_far_from_the_prior_scales_the_plain_figures(scale):
     panel = random_panel(np.random.default_rng(2), 3, 3)
     prior = estimate_deflators(panel)
     values, quantities = np.array([2.0, 3.0, 5.0]), np.array([1.0, 2.0, 1.0])
-    plain = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
-    far = update_multiperiod(prior, panel,
-                             one_unit(panel, "new", values * scale, quantities)).estimate
+    plain = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
+    far = update_multiperiod(prior, panel, one_unit(panel, "new", values * scale, quantities))
     assert far.indexes[-1] == pytest.approx(plain.indexes[-1] * scale, rel=1e-12)
     assert far.index_se[-1] == pytest.approx(plain.index_se[-1] * scale, rel=1e-12)
     assert far.se[-1] == pytest.approx(plain.se[-1], rel=1e-12)
@@ -232,7 +234,7 @@ def test_period_update_reports_what_it_computed(dof_rule, variance_method):
     values[2] = quantities[2] = 0.0
     prior = estimate_deflators(panel, variance_method=variance_method,
                                dof_rule=dof_rule)
-    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
     assert (est.dof_rule, est.variance_method) == (dof_rule, variance_method)
     # 6 items x 5 units with one absent cell; N+1 = 7 unknowns
     assert est.dof == {"paper": 23, "observed": 22}[dof_rule]
@@ -252,7 +254,7 @@ def test_period_update_keeps_published_standard_errors(variance_method):
     prior = estimate_deflators(panel, variance_method=variance_method)
     values = rng.uniform(0.5, 8.0, 6)
     quantities = rng.uniform(0.5, 8.0, 6)
-    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities)).estimate
+    est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
     published = to_index_series(prior).se
     assert_array_equal(to_index_series(est).se[:-1], published)
     assert_array_equal(est.se[:4], prior.se)
@@ -265,7 +267,7 @@ def test_period_update_stores_no_schur_inverse(variance_method):
     prior = estimate_deflators(panel, variance_method=variance_method)
     est = update_multiperiod(
         prior, panel, one_unit(panel, "new", rng.uniform(0.5, 8.0, 6), rng.uniform(0.5, 8.0, 6))
-    ).estimate
+    )
     # what is published comes from the carried standard errors alone
     se = est.indexes * est.se
     series = to_index_series(est)
@@ -286,6 +288,15 @@ def test_period_update_requires_matching_prior():
                            match=f"^prior estimate and panel {other} disagree$"):
             update_multiperiod(estimate_deflators(fitted_on), panel,
                                one_unit(panel, "new", np.ones(3), np.ones(3)))
+
+
+def test_period_update_refuses_a_prior_that_is_not_a_deflator_estimate():
+    # a dummy fit has the panel's units, items and base, but no deflators
+    panel = random_panel(np.random.default_rng(6), 3, 3)
+    with pytest.raises(ValidationError,
+                       match="^prior must be a DeflatorEstimate, not DummyFit$"):
+        update_multiperiod(fit_dummy_index(panel), panel,
+                           one_unit(panel, "new", np.ones(3), np.ones(3)))
 
 
 def test_period_update_refuses_an_item_outside_the_basket():
@@ -341,14 +352,14 @@ def test_period_update_rescales_shared_extreme_magnitudes():
     # the update gives the unscaled figures bit for bit
     panel = random_panel(np.random.default_rng(4), 5, 4)
     new = one_unit(panel, "new", [3.0, 1.5, 2.0, 4.0, 2.5], [1.0, 2.0, 1.5, 1.0, 3.0])
-    plain = update_multiperiod(estimate_deflators(panel), panel, new).estimate
+    plain = update_multiperiod(estimate_deflators(panel), panel, new)
     g = 3 * np.arange(5) - 200
     k = -540 + 50 * np.array([1, -2, 0, 3, -1])
     far_panel = Panel(panel.items, panel.units, np.ldexp(panel.values, k[:-1]),
                       np.ldexp(panel.quantities, g[:, None]))
     far_new = one_unit(panel, "new", np.ldexp(new.values[:, 0], k[-1]),
                        np.ldexp(new.quantities[:, 0], g))
-    far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new).estimate
+    far = update_multiperiod(estimate_deflators(far_panel), far_panel, far_new)
     shift = k[panel.base_unit] - k
     assert_array_equal(far.deflators, np.ldexp(plain.deflators, shift))
     assert_array_equal(far.indexes, np.ldexp(plain.indexes, -shift))
