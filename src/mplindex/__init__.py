@@ -28,7 +28,6 @@ from .estimator import (
     IndexFit,
     IndexSeries,
     estimate_deflators,
-    pseudo_reciprocal,
     to_index_series,
 )
 from .panel import (
@@ -87,7 +86,6 @@ __all__ = [
     "load_panel",
     "mpl_two_period",
     "presence_components",
-    "pseudo_reciprocal",
     "simulate",
     "to_index_series",
     "update_multilateral",

@@ -94,7 +94,7 @@ def _table(result, meta: dict):
         if pct is None:
             pct = np.full(len(result.units), np.nan)
         return ({"mode": result.mode, "base": result.units[result.base_unit],
-                 "variance_method": result.variance_method, "dof_rule": result.dof_rule},
+                 "variance_method": result.variance_method},
                 ("unit", "index", "se", "lo", "hi", "pct_change"),
                 list(zip(result.units, result.index, result.se, result.lower,
                          result.upper, pct)))
@@ -103,6 +103,7 @@ def _table(result, meta: dict):
              "replications": cfg.replications, "seed": cfg.seed, "k": cfg.k,
              "noise_mean": cfg.noise_mean, "noise_sd_max": cfg.noise_sd_max,
              "estimators": list(cfg.estimators),
+             "variance_method": cfg.variance_method if "mpl" in cfg.estimators else None,
              "failures": {name: s.failures for name, s in summaries.items()}},
             ("estimator", "unit", "index", "se", "emp_sd", "lo_emp", "hi_emp",
              "lo_model", "hi_model"),
@@ -197,8 +198,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_mpl(args) -> int:
     panel = _prepare(args)
-    est = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
-                             dof_rule=args.dof)
+    est = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance])
     return _write_series(args, est)
 
 
@@ -220,8 +220,7 @@ def _cmd_tpd(args) -> int:
 
 def _cmd_update_unit(args) -> int:
     result = update_multilateral(_load(args), _read_unit(args.new),
-                                 variance_method=_VARIANCE_FLAG[args.variance],
-                                 dof_rule=args.dof)
+                                 variance_method=_VARIANCE_FLAG[args.variance])
     _write_series(args, result.estimate)
     changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
     _log.info("revised units: %s", ", ".join(changed) or "none")
@@ -230,8 +229,7 @@ def _cmd_update_unit(args) -> int:
 
 def _cmd_update_period(args) -> int:
     panel = _prepare(args)
-    prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance],
-                               dof_rule=args.dof)
+    prior = estimate_deflators(panel, variance_method=_VARIANCE_FLAG[args.variance])
     new_period = _read_unit(args.new)
     return _write_series(args, update_multiperiod(prior, panel, new_period))
 
@@ -242,8 +240,7 @@ def _cmd_simulate(args) -> int:
         scheme=args.scheme, replications=args.reps, noise_mean=args.noise_mean,
         noise_sd_max=args.noise_sd_max, seed=args.seed, k=args.k,
         estimators=tuple(args.estimators.split(",")),
-        variance_method=_VARIANCE_FLAG[args.variance], dof_rule=args.dof,
-        dump_draws=args.dump_draws,
+        variance_method=_VARIANCE_FLAG[args.variance], dump_draws=args.dump_draws,
     )
     report = simulate(panel, config)
     text = emit_report(report, args.format, {
@@ -270,7 +267,6 @@ def _add_io_flags(p, variance=True, bounds=True, formats=True):
                        help="half-width of bands in standard errors")
     if variance:
         p.add_argument("--variance", choices=["corollary3", "full"], default="full")
-        p.add_argument("--dof", choices=["paper", "observed"], default="paper")
 
 
 def build_parser() -> argparse.ArgumentParser:

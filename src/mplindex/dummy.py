@@ -37,9 +37,9 @@ class DummyFit(IndexFit):
 
     log_unit_effects has length T with 0 at the base unit, and indexes =
     exp(log_unit_effects); item_effects are the N item dummies.  ssr is the
-    weighted SSR of the log prices, and dof counts the present cells
-    (dof_rule "observed").  variance_method is "dummy_wls" or "dummy_ols",
-    for weighted or ordinary least squares.
+    weighted SSR of the log prices, and dof counts the present cells, as in
+    every fit.  variance_method is "dummy_wls" or "dummy_ols", for weighted
+    or ordinary least squares.
     """
 
     log_unit_effects: np.ndarray
@@ -133,7 +133,7 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         return DummyFit(
             units=panel.units, items=panel.items, base_unit=panel.base_unit,
             mode=panel.mode, indexes=indexes, se=se, ssr=ssr, dof=dof,
-            dof_rule="observed", variance_method="dummy_wls" if weighted else "dummy_ols",
+            variance_method="dummy_wls" if weighted else "dummy_ols",
             log_unit_effects=log_effects, item_effects=item_effects,
         )
 

@@ -8,10 +8,11 @@ on an exact power-of-two scaling (_Scaling): each unit's values and each
 item's quantities are brought to a largest entry in [0.5, 1) before the
 blocks are formed, so no unit's or item's magnitude under- or overflows
 the fit or sways its singularity test, and the scaling is undone in one
-step.  The published index is the pseudo-reciprocal of the deflators, so the
-base unit always reads 1.  deflator_fitter does the part of a fit that
-depends on presence and quantities alone once, so redrawn values (the
-replication harness) fit without repeating it.
+step.  The published index is the reciprocal of the deflators, so the base
+unit always reads 1.  The residual dof counts the present cells: an absent
+cell's residual is zero by construction.  deflator_fitter does the part of
+a fit that depends on presence and quantities alone once, so redrawn
+values (the replication harness) fit without repeating it.
 
 IndexFit is the one result type that MPL and the dummy baseline share and
 that to_index_series, simulate and the CLI read.  An index reaches a report
@@ -38,15 +39,6 @@ from .errors import (
 from .panel import Panel, require_connected
 
 VARIANCE_METHODS = ("corollary3", "full_partition")
-DOF_RULES = ("paper", "observed")
-
-
-def pseudo_reciprocal(values) -> np.ndarray:
-    """Elementwise 1/x with the convention that 0 maps to 0."""
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.zeros_like(arr)
-    np.divide(1.0, arr, out=out, where=arr != 0)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +49,10 @@ class IndexFit:
     indexes and se have length T in panel unit order, with the base entry
     pinned to 1 and 0.  se holds the standard errors of log index_t: 0 at
     the base and NaN elsewhere when the fit has no residual dof.  It is
-    computed once, under variance_method, with the dof counted by dof_rule;
-    no covariance between units is kept.  ssr is the fit's sum of squared
-    residuals on its own scale and dof its residual degrees of freedom.
+    computed once, under variance_method; no covariance between units is
+    kept.  ssr is the fit's sum of squared residuals on its own scale and
+    dof its residual degrees of freedom: the present cells less the
+    parameters.
     to_index_series, simulate and the CLI read only these fields.
     """
 
@@ -71,7 +64,6 @@ class IndexFit:
     se: np.ndarray
     ssr: float
     dof: int
-    dof_rule: str
     variance_method: str
 
     @property
@@ -90,7 +82,7 @@ class DeflatorEstimate(IndexFit):
     """Joint fit of unit deflators and reference prices on one panel.
 
     deflators have length T with the base entry pinned to 1, and indexes
-    are their pseudo-reciprocals; se, the standard errors of log d_t, are
+    are their reciprocals; se, the standard errors of log d_t, are
     those of log index_t and do not depend on any unit's scale.  ref_prices
     has one entry per item.  variance_method is "full_partition" or
     "corollary3"; refit to get the other convention.
@@ -176,15 +168,7 @@ def _stacked_ssr(quantities: np.ndarray, values: np.ndarray, delta: np.ndarray,
     return float(np.square(resid, out=resid).sum())
 
 
-def _dof(panel: Panel, dof_rule: str, n_params: int) -> int:
-    """Residual dof: the full grid ("paper") or the present cells ("observed")."""
-    if dof_rule == "paper":
-        return panel.n_items * panel.n_units - n_params
-    return int(panel.present.sum()) - n_params
-
-
-def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
-                    dof_rule: str = "paper"):
+def deflator_fitter(panel: Panel, variance_method: str = "full_partition"):
     """Prepare the deflator fit of the panel's presence and quantities.
 
     Returns fit(values) -> DeflatorEstimate for an N x T C-ordered value
@@ -202,19 +186,17 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
     """
     if variance_method not in VARIANCE_METHODS:
         raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
-    if dof_rule not in DOF_RULES:
-        raise ValidationError(f"dof_rule must be one of {DOF_RULES}")
     n, t = panel.n_items, panel.n_units
     if t < 2:
         raise InvalidDimension(f"estimation needs at least two units, got T={t}")
     _check_basket(panel)
     require_connected(panel)
 
-    dof = _dof(panel, dof_rule, n + t - 1)
     base, nonbase = panel.base_unit, np.array(panel.nonbase_units, dtype=np.intp)
     labels = ([f"ref_price[{item}]" for item in panel.items],
               [f"deflator[{panel.units[u]}]" for u in nonbase])
     n_present = int(panel.present.sum())
+    dof = n_present - (n + t - 1)
     q, k_items = _Scaling.scale(panel.quantities, 1, n_present)
     unit_rhs = np.zeros(t - 1)
     price_gram = (q * q).sum(axis=1)
@@ -243,37 +225,38 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition",
             se[nonbase] = np.sqrt(ssr / dof * factor.unit_variances) / delta_nb
         deflators, prices, ssr = _Scaling(
             k_units, k_items, int(k_units[base])).undo(deflators, prices, ssr)
+        # undo lets an exact-zero deflator through; its inf index is
+        # refused by checked_indexes
+        with np.errstate(divide="ignore"):
+            indexes = 1.0 / deflators
         return DeflatorEstimate(
             units=panel.units, items=panel.items, base_unit=base,
-            mode=panel.mode, deflators=deflators,
-            indexes=pseudo_reciprocal(deflators), ref_prices=prices,
-            ssr=ssr, dof=dof, dof_rule=dof_rule,
+            mode=panel.mode, deflators=deflators, indexes=indexes,
+            ref_prices=prices, ssr=ssr, dof=dof,
             variance_method=variance_method, se=se,
         )
 
     return fit
 
 
-def estimate_deflators(panel: Panel, variance_method: str = "full_partition",
-                       dof_rule: str = "paper") -> DeflatorEstimate:
+def estimate_deflators(panel: Panel,
+                       variance_method: str = "full_partition") -> DeflatorEstimate:
     """Estimate all unit deflators and reference prices in closed form.
 
     variance_method picks the deflator variances behind se: "corollary3"
     uses the approximation sigma2 / (v_t'v_t), "full_partition" uses sigma2
-    times the diagonal of the exact Schur-complement inverse.  dof_rule
-    "paper" divides the SSR by N*T - (N+T-1); "observed" counts only present
-    cells (absent cells have identically zero residuals, so only the divisor
-    changes).
+    times the diagonal of the exact Schur-complement inverse.  sigma2
+    divides the SSR by the present cells less the N+T-1 parameters.
     Raises UnidentifiedModel when the presence graph is disconnected.
     """
-    return deflator_fitter(panel, variance_method, dof_rule)(panel.values)
+    return deflator_fitter(panel, variance_method)(panel.values)
 
 
 @dataclass(frozen=True, eq=False)
 class IndexSeries:
     """Publishable index table: one row per unit, symmetric k-sigma bounds.
 
-    variance_method and dof_rule are the labels of the fit it came from.
+    variance_method is the label of the fit it came from.
     """
 
     units: tuple[str, ...]
@@ -286,7 +269,6 @@ class IndexSeries:
     k: float
     pct_change: np.ndarray | None
     variance_method: str
-    dof_rule: str
 
 
 def checked_indexes(fit: IndexFit) -> np.ndarray:
@@ -327,4 +309,4 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
     return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,
                        index=index.copy(), se=se, lower=index - k * se,
                        upper=index + k * se, k=float(k), pct_change=pct,
-                       variance_method=fit.variance_method, dof_rule=fit.dof_rule)
+                       variance_method=fit.variance_method)

@@ -50,7 +50,6 @@ class SimulationConfig:
     k: float = 3.0
     estimators: tuple[str, ...] = ("mpl", "tpd")
     variance_method: str = "full_partition"
-    dof_rule: str = "paper"
     dump_draws: bool = False
 
     def __post_init__(self):
@@ -163,8 +162,7 @@ def _value_draws(panel: Panel, config: SimulationConfig):
 # name -> callable(panel, config) returning the fit of the panel's presence
 # and quantities to a value matrix: values -> IndexFit (see deflator_fitter)
 _ESTIMATOR_FUNCS = {
-    "mpl": lambda panel, config: deflator_fitter(
-        panel, variance_method=config.variance_method, dof_rule=config.dof_rule),
+    "mpl": lambda panel, config: deflator_fitter(panel, config.variance_method),
     "tpd": lambda panel, config: dummy_fitter(panel, weighted=False),
     "tpd_weighted": lambda panel, config: dummy_fitter(panel, weighted=True),
 }

@@ -23,12 +23,10 @@ from .errors import EstimationError, MplIndexError, ValidationError
 from .estimator import (
     DeflatorEstimate,
     _check_basket,
-    _dof,
     _normal,
     _Scaling,
     _stacked_ssr,
     estimate_deflators,
-    pseudo_reciprocal,
 )
 from .panel import Panel, build_reference_basket, note_dropped
 
@@ -47,8 +45,7 @@ class UpdateResult:
 
 
 def update_multilateral(panel: Panel, new_unit: Panel,
-                        variance_method: str = "full_partition",
-                        dof_rule: str = "paper") -> UpdateResult:
+                        variance_method: str = "full_partition") -> UpdateResult:
     """Admit a new unit: the fresh estimate on the extended panel.
 
     new_unit is a one-unit Panel, matched to the panel by item label
@@ -62,11 +59,11 @@ def update_multilateral(panel: Panel, new_unit: Panel,
     """
     basket, report = build_reference_basket(panel.with_unit(new_unit))
     note_dropped(report)
-    estimate = estimate_deflators(basket, variance_method, dof_rule)
+    estimate = estimate_deflators(basket, variance_method)
 
     changed = np.ones(basket.n_units, dtype=bool)
     try:
-        prior = estimate_deflators(build_reference_basket(panel)[0], variance_method, dof_rule)
+        prior = estimate_deflators(build_reference_basket(panel)[0], variance_method)
     except MplIndexError:
         pass
     else:
@@ -82,9 +79,9 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     with the prior deflators held fixed; the prior deflators and indexes are
     carried over bit-identically.  The noise scale is recomputed on the
     stacked constrained system, whose N+1 unknowns are charged against the
-    prior's dof_rule (the full N*(T+1) grid or the present cells).  The new
-    deflator's variance follows the prior's variance_method: sigma2 over the
-    scalar Schur complement, or sigma2 / (v_new'v_new) under "corollary3".
+    present cells of the extended panel.  The new deflator's variance
+    follows the prior's variance_method: sigma2 over the scalar Schur
+    complement, or sigma2 / (v_new'v_new) under "corollary3".
     The prior's se is carried unchanged.  The system is solved on the
     scaling every MPL fit runs on (estimator._Scaling), with the frozen
     deflators moved into it.  new_period is a one-unit Panel matched to the
@@ -144,15 +141,17 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     # read before _stacked_ssr overwrites v
     gram = float(v_new @ v_new) if prior.variance_method == "corollary3" else denom
     ssr = _stacked_ssr(q, v, np.append(frozen, delta_new), prices)
-    dof = _dof(extended, prior.dof_rule, extended.n_items + 1)
+    dof = n_present - (extended.n_items + 1)
     se_new = np.sqrt(ssr / dof / gram) / delta_new if dof > 0 else np.nan
     deflators, prices, ssr = scaling.undo(np.append(frozen, delta_new), prices, ssr)
     delta_new = deflators[-1]
+    with np.errstate(divide="ignore"):
+        index_new = 1.0 / delta_new
 
     return DeflatorEstimate(
         units=extended.units, items=extended.items, base_unit=extended.base_unit,
         mode=extended.mode, deflators=np.append(prior.deflators, delta_new),
-        indexes=np.append(prior.indexes, pseudo_reciprocal([delta_new])),
-        ref_prices=prices, ssr=ssr, dof=dof, dof_rule=prior.dof_rule,
+        indexes=np.append(prior.indexes, index_new),
+        ref_prices=prices, ssr=ssr, dof=dof,
         variance_method=prior.variance_method, se=np.append(prior.se, se_new),
     )

@@ -124,7 +124,7 @@ def build_design_system(panel: Panel) -> DesignSystem:
         f"ref_price[{item}]" for item in panel.items
     )
     return DesignSystem(y=y, X=X, n_items=n, n_units=t,
-                        dof=n * t - (n + t - 1),
+                        dof=int(panel.present.sum()) - (n + t - 1),
                         column_labels=labels, unit_order=order)
 
 
@@ -242,7 +242,7 @@ def dense_dummy_fit(panel: Panel, weighted: bool = False) -> DummyFit:
     return DummyFit(
         units=panel.units, items=panel.items, base_unit=panel.base_unit,
         mode=panel.mode, log_unit_effects=log_effects, indexes=np.exp(log_effects),
-        item_effects=beta[t - 1:], se=se, ssr=ssr, dof=dof, dof_rule="observed",
+        item_effects=beta[t - 1:], se=se, ssr=ssr, dof=dof,
         variance_method="dummy_wls" if weighted else "dummy_ols",
     )
 
@@ -409,8 +409,7 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
     estimate_deflators or fit_dummy_index on it.
     """
     fits = {
-        "mpl": lambda p: estimate_deflators(p, variance_method=config.variance_method,
-                                            dof_rule=config.dof_rule),
+        "mpl": lambda p: estimate_deflators(p, variance_method=config.variance_method),
         "tpd": lambda p: fit_dummy_index(p, weighted=False),
         "tpd_weighted": lambda p: fit_dummy_index(p, weighted=True),
     }

@@ -294,9 +294,7 @@ def test_c10_format_reproduction_and_note():
     assert series.index[series.base_unit] == 1.0
 
     from mplindex.cli import emit_report
-    doc = json.loads(emit_report(series, "json",
-                                 {"variance_method": "full_partition",
-                                  "dof_rule": "paper"}))
+    doc = json.loads(emit_report(series, "json", {"variance_method": "full_partition"}))
     assert [r["unit"] for r in doc["series"]] == list(areas) + ["islands"]
     for r in doc["series"]:
         assert {"unit", "index", "se", "lo", "hi"} <= set(r)

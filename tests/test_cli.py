@@ -44,8 +44,7 @@ def test_mpl_json_output(run, tmp_path):
     code, out, err = run("mpl", "--input", src)
     assert code == 0
     doc = json.loads(out)
-    assert doc["meta"] == {"mode": "time", "base": "t1",
-                           "variance_method": "full_partition", "dof_rule": "paper"}
+    assert doc["meta"] == {"mode": "time", "base": "t1", "variance_method": "full_partition"}
     assert [row["unit"] for row in doc["series"]] == ["t1", "t2"]
     assert doc["series"][1]["index"] == 2.0
     assert doc["series"][0]["index"] == 1.0
@@ -487,6 +486,9 @@ def test_corollary3_bands_carry_a_note(run, tmp_path):
         assert (full[0], cor3[0]) == (0, 0), argv
         assert note not in full[2]
         assert cor3[2] == (note if noted else "") + full[2], argv
+        if argv[0] == "simulate":  # the meta names the MPL fits' method, if any
+            methods = [json.loads(out)["meta"]["variance_method"] for out in (full[1], cor3[1])]
+            assert methods == (["full_partition", "corollary3"] if noted else [None, None])
         if argv == ["mpl"]:
             assert cor3[1] == emit_report(to_index_series(
                 estimate_deflators(panel, "corollary3")), "json")
@@ -606,8 +608,7 @@ def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
         new_rows = "".join(f"{item},new{case},{cell()}\n" for item in rng.permutation(held))
         flags = ("--base", panel.units[int(rng.integers(t))],
                  "--mode", ("time", "space")[case % 2],
-                 "--variance", ("full", "corollary3")[case % 5 == 0],
-                 "--dof", ("paper", "observed")[case % 4 == 1])
+                 "--variance", ("full", "corollary3")[case % 5 == 0])
         assert_update_unit_is_mpl(*update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags))
 
     # a block of two items in two units of their own, which the new unit
@@ -625,8 +626,7 @@ def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
         new_rows = "".join(f"{item},new{case},{cell()}\n" for item in rng.permutation(held))
         flags = ("--base", panel.units[int(rng.integers(t))],
                  "--mode", ("time", "space")[case % 2],
-                 "--variance", ("full", "corollary3")[case % 3 == 0],
-                 "--dof", ("paper", "observed")[case % 4 == 1])
+                 "--variance", ("full", "corollary3")[case % 3 == 0])
         update, mpl = update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags)
         note, error = mpl[2].splitlines()
         prefix = "note: dropped items outside the reference basket: "
@@ -708,8 +708,7 @@ def test_output_write_failure_exits_2(run, tmp_path):
 def test_seventeen_digit_round_trip():
     panel = random_panel(np.random.default_rng(31), 3, 3)
     series = to_index_series(estimate_deflators(panel))
-    text = emit_report(series, "json", {"variance_method": "full_partition",
-                                        "dof_rule": "paper"})
+    text = emit_report(series, "json", {"variance_method": "full_partition"})
     doc = json.loads(text)
     for t, row in enumerate(doc["series"]):
         assert row["index"] == float(series.index[t])
@@ -950,14 +949,24 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)  # raises on an unknown flag or a bad choice
 
 
-# a spanning tree of cells: N + T - 1 = 4 present cells, no observed dof
+# a spanning tree of cells: N + T - 1 = 4 present cells, no residual dof
 TREE_CSV = HEADER + "a,t1,1,1\na,t2,2,1\nb,t2,3,1\nb,t3,4,1\n"
+
+
+def test_mpl_without_residual_dof_prints_null_se(run, tmp_path):
+    # the absent cells carry no residual information, so there is no band
+    src = write(tmp_path, "tree.csv", TREE_CSV)
+    code, out, err = run("mpl", "--input", src)
+    assert (code, err) == (0, "")
+    series = json.loads(out)["series"]
+    assert [row["se"] for row in series] == [0.0, None, None]
+    assert all(row["lo"] is None and row["hi"] is None for row in series[1:])
 
 
 def test_simulate_mpl_without_residual_dof_prints_null_se(run, tmp_path):
     src = write(tmp_path, "tree.csv", TREE_CSV)
-    code, out, err = run("simulate", "--input", src, "--dof", "observed",
-                         "--estimators", "mpl", "--reps", "5", "--noise-sd-max", "0.1")
+    code, out, err = run("simulate", "--input", src, "--estimators", "mpl",
+                         "--reps", "5", "--noise-sd-max", "0.1")
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["meta"]["failures"] == {"mpl": 0}

@@ -20,7 +20,6 @@ from mplindex import (
     estimate_deflators,
     gram_blocks,
     load_panel,
-    pseudo_reciprocal,
     to_index_series,
 )
 from mplindex.estimator import _stacked_ssr, deflator_fitter
@@ -49,12 +48,6 @@ def ones_panel(*columns, base=0, mode="time"):
 
 F1 = ones_panel([1.0, 2.0], [2.0, 4.0])
 F3 = ones_panel([1.0, 2.0], [3.0, 4.0])
-
-
-def test_pseudo_reciprocal():
-    assert_array_equal(pseudo_reciprocal([2.0, 0.0, 0.5]), [0.5, 0.0, 2.0])
-    x = np.array([0.25, 3.0, 7.5])
-    assert_allclose(pseudo_reciprocal(pseudo_reciprocal(x)), x, rtol=1e-15)
 
 
 def test_proportional_panel_fits_exactly():
@@ -102,7 +95,6 @@ def test_matches_dense_ols_on_random_panels():
         nb = panel.nonbase_units
         assert_allclose(est.deflators[nb], fit.beta[:t - 1], rtol=1e-10)
         assert_allclose(est.ref_prices, fit.beta[t - 1:], rtol=1e-10)
-        # dof = (n-1)(t-1) >= 1, so the noise scale is always defined
         assert est.sigma2 == pytest.approx(fit.sigma2, rel=1e-9)
         assert_allclose((est.se * est.deflators)[nb]**2,
                         est.sigma2 * np.diag(fit.blocks.lam11),
@@ -132,19 +124,15 @@ def test_single_unit_panel_rejected():
 
 
 def test_dof_rules():
+    # one rule: the present cells less the N + T - 1 parameters, since an
+    # absent cell's residual is zero by construction
     rng = np.random.default_rng(55)
     full = random_panel(rng, 5, 4)
-    assert estimate_deflators(full, dof_rule="paper").dof == \
-        estimate_deflators(full, dof_rule="observed").dof == 20 - 8
+    assert estimate_deflators(full).dof == 20 - 8
     sparse = random_panel(rng, 5, 4, missing=0.2)
-    paper = estimate_deflators(sparse, dof_rule="paper")
-    observed = estimate_deflators(sparse, dof_rule="observed")
     n_present = int(sparse.present.sum())
-    assert paper.dof == 12
-    assert observed.dof == n_present - 8
-    assert observed.sigma2 == pytest.approx(paper.ssr / observed.dof, rel=1e-15)
-    with pytest.raises(ValidationError):
-        estimate_deflators(full, dof_rule="bootstrap")
+    assert n_present < 20
+    assert estimate_deflators(sparse).dof == n_present - 8
     with pytest.raises(ValidationError):
         estimate_deflators(full, variance_method="sandwich")
 
@@ -290,8 +278,8 @@ def test_index_series_pct_change_chain():
     levels = np.array([1.0, 1.1, 1.21])
     est = DeflatorEstimate(
         units=("t1", "t2", "t3"), items=("a",), base_unit=0, mode="time",
-        deflators=pseudo_reciprocal(levels), indexes=levels,
-        ref_prices=np.ones(1), ssr=0.0, dof=0, dof_rule="paper",
+        deflators=1.0 / levels, indexes=levels,
+        ref_prices=np.ones(1), ssr=0.0, dof=0,
         variance_method="full_partition", se=np.array([0.0, np.nan, np.nan]),
     )
     series = to_index_series(est)
@@ -345,25 +333,40 @@ def test_exactly_fitting_split_panel_raises_unidentified():
     assert exc.value.components == ((("u0", "u1"), ("a",)), (("u2", "u3"), ("b",)))
 
 
-@pytest.mark.parametrize("method, band", [
+@pytest.mark.parametrize("method, band, share", [
     # the full inverse's se matches the spread of log d_t
-    ("full_partition", (0.9, 1.1)),
+    pytest.param("full_partition", (0.9, 1.1), 1.0, id="full_partition-band0"),
     # sigma2 / sum(v_t^2) leaves out the reference prices' uncertainty and
     # understates the spread by about a third
-    ("corollary3", (0.6, 0.8)),
+    pytest.param("corollary3", (0.6, 0.8), 1.0, id="corollary3-band1"),
+    # on a sparse panel too, as long as sigma2 counts only the present cells;
+    # there corollary3 understates less and less evenly (0.63 to 0.81 per
+    # unit over seeds 0 to 11)
+    pytest.param("full_partition", (0.9, 1.1), 0.55, id="full_partition-sparse"),
+    pytest.param("corollary3", (0.6, 0.85), 0.55, id="corollary3-sparse"),
 ])
-def test_se_against_the_spread_under_the_papers_model(method, band):
+def test_se_against_the_spread_under_the_papers_model(method, band, share):
     """se of log d_t over the empirical sd of log index_t across 1000 fits
-    of v_it = (q_it p_i + e_it) / d_t, e ~ N(0, 0.5^2), on every non-base unit."""
+    of v_it = (q_it p_i + e_it) / d_t, e ~ N(0, 0.5^2), on every non-base unit,
+    with about share of the cells present."""
     rng = np.random.default_rng(0)
     n, t, sigma, fits = 30, 6, 0.5, 1000
     prices = rng.uniform(5.0, 10.0, (n, 1))
     quantities = rng.uniform(2.0, 10.0, (n, t))
     deflators = np.linspace(1.0, 1.5, t)
+    noise = rng.normal(0.0, sigma, (fits, n, t))
+    # the base unit holds every item and every item one other unit; with
+    # q p >= 10, no draw of the noise on a present cell goes nonpositive
+    present = rng.random((n, t)) < (share * t - 1) / (t - 1)
+    present[:, 0] = True
+    lone = ~present[:, 1:].any(axis=1)
+    present[lone, rng.integers(1, t, lone.sum())] = True
+    quantities *= present
+    noise *= present
     panel = Panel([f"i{i}" for i in range(n)], [f"t{u}" for u in range(t)],
                   quantities * prices / deflators, quantities)
+    assert abs(present.mean() - share) < 0.05
     fit = deflator_fitter(panel, variance_method=method)
-    noise = rng.normal(0.0, sigma, (fits, n, t))
     estimates = [fit((quantities * prices + e) / deflators) for e in noise]
     log_index = np.log([est.indexes for est in estimates])
     ratio = (np.mean([est.se for est in estimates], axis=0)[1:]

@@ -82,14 +82,14 @@ def test_estimator_does_not_depend_on_the_dummy_module():
 
 def test_both_fits_are_index_fits():
     # one result type: sigma2 is derived, never stored, and the dummy fit
-    # states its variance method and dof rule as fields
+    # states its variance method as a field
     fields = {f.name for f in dataclasses.fields(mplindex.IndexFit)}
     assert fields == {"units", "items", "base_unit", "mode", "indexes", "se", "ssr",
-                      "dof", "dof_rule", "variance_method"}
+                      "dof", "variance_method"}
     for cls in (mplindex.DeflatorEstimate, mplindex.DummyFit):
         assert issubclass(cls, mplindex.IndexFit)
     fit = mplindex.fit_dummy_index(_small_panel(), weighted=True)
-    assert (fit.variance_method, fit.dof_rule) == ("dummy_wls", "observed")
+    assert fit.variance_method == "dummy_wls"
     assert not hasattr(fit, "weighted")
     assert fit.sigma2 == fit.ssr / fit.dof
 

@@ -185,7 +185,7 @@ def test_mpl_without_residual_dof_reports_nan_se():
     values = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
     panel = Panel(("a", "b"), ("t1", "t2", "t3"), values, values > 0)
     config = SimulationConfig(replications=5, noise_sd_max=0.1, seed=3,
-                              estimators=("mpl", "tpd"), dof_rule="observed")
+                              estimators=("mpl", "tpd"))
     report = simulate(panel, config)
     for summary in report.summaries.values():
         assert summary.failures == 0
@@ -247,13 +247,12 @@ ALL = ("mpl", "tpd", "tpd_weighted")
     (random_panel(np.random.default_rng(32), 7, 5, missing=0.1),
      dict(scheme="random_walk", estimators=ALL, noise_sd_max=0.5)),
     (random_panel(np.random.default_rng(33), 12, 8, missing=0.3, base=7),
-     dict(estimators=("mpl",), variance_method="corollary3", dof_rule="observed",
-          noise_sd_max=0.3)),
+     dict(estimators=("mpl",), variance_method="corollary3", noise_sd_max=0.3)),
     (random_panel(np.random.default_rng(34), 6, 9, missing=0.2),
-     dict(estimators=("tpd_weighted", "mpl"), dof_rule="observed", noise_sd_max=0.2)),
+     dict(estimators=("tpd_weighted", "mpl"), noise_sd_max=0.2)),
     (random_panel(np.random.default_rng(35), 3, 12, missing=0.1, base=4),
      dict(estimators=ALL, variance_method="corollary3", noise_sd_max=0.3)),
-    (zero_dof_panel(), dict(estimators=ALL, dof_rule="observed", noise_sd_max=0.1)),
+    (zero_dof_panel(), dict(estimators=ALL, noise_sd_max=0.1)),
     (zero_dof_panel(), dict(scheme="random_walk", estimators=ALL, noise_sd_max=0.1)),
 ])
 def test_simulate_matches_the_per_replication_fits(panel, options):

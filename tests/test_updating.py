@@ -173,7 +173,7 @@ def test_period_update_matches_constrained_oracle():
         assert est.deflators[-1] == pytest.approx(delta_new, rel=1e-9)
         assert_allclose(est.ref_prices, prices, rtol=1e-9)
         assert est.ssr == pytest.approx(ssr, rel=1e-9, abs=1e-12)
-        assert est.dof == n * (t + 1) - (n + 1)
+        assert est.dof == int(panel.present.sum()) + np.count_nonzero(values) - (n + 1)
         assert est.sigma2 == pytest.approx(ssr / est.dof, rel=1e-9)
         # frozen history is carried bit for bit
         assert_array_equal(est.deflators[:-1], prior.deflators)
@@ -224,20 +224,18 @@ def test_period_update_far_from_the_prior_scales_the_plain_figures(scale):
     assert_array_equal(far.se[:-1], prior.se)
 
 
-@pytest.mark.parametrize("dof_rule", ["paper", "observed"])
 @pytest.mark.parametrize("variance_method", ["full_partition", "corollary3"])
-def test_period_update_reports_what_it_computed(dof_rule, variance_method):
+def test_period_update_reports_what_it_computed(variance_method):
     rng = np.random.default_rng(3)
     panel = random_panel(rng, 6, 4)
     values = rng.uniform(0.5, 8.0, 6)
     quantities = rng.uniform(0.5, 8.0, 6)
     values[2] = quantities[2] = 0.0
-    prior = estimate_deflators(panel, variance_method=variance_method,
-                               dof_rule=dof_rule)
+    prior = estimate_deflators(panel, variance_method=variance_method)
     est = update_multiperiod(prior, panel, one_unit(panel, "new", values, quantities))
-    assert (est.dof_rule, est.variance_method) == (dof_rule, variance_method)
-    # 6 items x 5 units with one absent cell; N+1 = 7 unknowns
-    assert est.dof == {"paper": 23, "observed": 22}[dof_rule]
+    assert est.variance_method == variance_method
+    # 6 items x 5 units with one absent cell: 29 present cells; N+1 = 7 unknowns
+    assert est.dof == 22
     assert est.sigma2 == est.ssr / est.dof
     e = (panel.quantities**2).sum(axis=1)
     d = e + quantities**2
