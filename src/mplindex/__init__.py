@@ -45,7 +45,7 @@ from .simulate import (
     SimulationReport,
     simulate,
 )
-from .updating import UpdateResult, update_multilateral, update_multiperiod
+from .updating import update_multilateral, update_multiperiod
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "SimulationReport",
     "SingularSystem",
     "UnidentifiedModel",
-    "UpdateResult",
     "ValidationError",
     "bilateral_from_panel",
     "build_reference_basket",

@@ -219,12 +219,8 @@ def _cmd_tpd(args) -> int:
 
 
 def _cmd_update_unit(args) -> int:
-    result = update_multilateral(_load(args), _read_unit(args.new),
-                                 variance_method=_VARIANCE_FLAG[args.variance])
-    _write_series(args, result.estimate)
-    changed = [u for u, c in zip(result.estimate.units, result.changed_mask) if c]
-    _log.info("revised units: %s", ", ".join(changed) or "none")
-    return 0
+    return _write_series(args, update_multilateral(
+        _load(args), _read_unit(args.new), variance_method=_VARIANCE_FLAG[args.variance]))
 
 
 def _cmd_update_period(args) -> int:

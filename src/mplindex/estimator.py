@@ -177,8 +177,9 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition"):
     fit(panel.values).  The checks and everything that depends on presence
     and quantities alone are done here once: the argument, basket and
     connectivity checks, the dof, the labels, the item scaling and the
-    quantity parts of the Gram blocks (see algebra.gram_blocks).  S depends
-    on the values, so each fit scales them unit by unit, factors it and
+    item block C = diag(sum_t q^2) of algebra.factor_two_way's layout
+    [[C, B], [B', A]].  The cross block B, the unit block A and so S depend
+    on the values, so each fit scales them unit by unit, factors S and
     undoes the scaling (_Scaling).  Scaled, the blocks neither under- nor
     overflow: what magnitude alone still refuses, with EstimationError, is
     a deflator that leaves the normal float range once unscaled, or a unit

@@ -7,19 +7,16 @@ that basket, as mpl on the concatenated input does; it raises
 UnidentifiedModel when the newcomer leaves the presence graph split.  A
 multiperiod update (new period) keeps all previously published deflators
 fixed and solves a scalar system for the new one, so the published history
-never revises.  Each returns a DeflatorEstimate (a unit update inside an
-UpdateResult), so an update reaches a report through the same checked path
-as a fresh fit.
+never revises.  Each returns a DeflatorEstimate, so an update reaches a
+report through the same checked path as a fresh fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import OVERFLOW_MESSAGE
-from .errors import EstimationError, MplIndexError, ValidationError
+from .errors import EstimationError, ValidationError
 from .estimator import (
     DeflatorEstimate,
     _check_basket,
@@ -31,44 +28,22 @@ from .estimator import (
 from .panel import Panel, build_reference_basket, note_dropped
 
 
-@dataclass(frozen=True, eq=False)
-class UpdateResult:
-    """A unit update's estimate plus a mask of which published indexes moved.
-
-    changed_mask has one entry per unit of the extended panel; the new unit
-    is always True, and every other entry marks an actual difference
-    against the fit of the panel's own basket.
-    """
-
-    estimate: DeflatorEstimate
-    changed_mask: np.ndarray
-
-
 def update_multilateral(panel: Panel, new_unit: Panel,
-                        variance_method: str = "full_partition") -> UpdateResult:
+                        variance_method: str = "full_partition") -> DeflatorEstimate:
     """Admit a new unit: the fresh estimate on the extended panel.
 
     new_unit is a one-unit Panel, matched to the panel by item label
     (Panel.with_unit).  The reference basket is taken on the extended panel
-    and all deflators are re-estimated jointly on it, so prior indexes may
-    move; changed_mask records where, against the fit of the panel's own
-    basket.  A panel that cannot be fitted on its own (one unit, thin
-    basket) marks every unit.  The extended basket's dropped items are
+    and all deflators are re-estimated jointly on it, so in general every
+    earlier non-base index moves; a newcomer holding a single item of the
+    panel's basket moves none beyond rounding, since its deflator fits that
+    item exactly.  The extended basket's dropped items are
     noted before the fit.  Raises UnidentifiedModel when the extended
     presence graph is disconnected.
     """
     basket, report = build_reference_basket(panel.with_unit(new_unit))
     note_dropped(report)
-    estimate = estimate_deflators(basket, variance_method)
-
-    changed = np.ones(basket.n_units, dtype=bool)
-    try:
-        prior = estimate_deflators(build_reference_basket(panel)[0], variance_method)
-    except MplIndexError:
-        pass
-    else:
-        changed[:-1] = prior.indexes != estimate.indexes[:-1]
-    return UpdateResult(estimate, changed)
+    return estimate_deflators(basket, variance_method)
 
 
 def update_multiperiod(prior: DeflatorEstimate, panel: Panel,

@@ -121,11 +121,11 @@ def test_c03_unit_update_equals_reestimation():
         new = one_unit(panel, "new", values, quantities)
         result = update_multilateral(panel, new)
         fresh = estimate_deflators(panel.with_unit(new))
-        assert _rel_err(result.estimate.deflators, fresh.deflators) <= 1e-9
-        assert _rel_err(result.estimate.ref_prices, fresh.ref_prices) <= 1e-9
-        assert _rel_err(result.estimate.ssr, fresh.ssr) <= 1e-9 or fresh.ssr < 1e-20
+        assert _rel_err(result.deflators, fresh.deflators) <= 1e-9
+        assert _rel_err(result.ref_prices, fresh.ref_prices) <= 1e-9
+        assert _rel_err(result.ssr, fresh.ssr) <= 1e-9 or fresh.ssr < 1e-20
         if fresh.sigma2 is not None:
-            assert _rel_err(result.estimate.sigma2, fresh.sigma2) <= 1e-9 \
+            assert _rel_err(result.sigma2, fresh.sigma2) <= 1e-9 \
                 or fresh.sigma2 < 1e-20
 
 
@@ -281,7 +281,7 @@ def test_c10_format_reproduction_and_note():
     v4 = q4 * prices * 1.07 * rng.uniform(0.95, 1.05, n)
     islands = one_unit(panel, "islands", v4, q4)
     result = update_multilateral(panel, islands)
-    series = to_index_series(result.estimate, k=3.0)
+    series = to_index_series(result, k=3.0)
     dummy = fit_dummy_index(panel.with_unit(islands))
 
     # per-area row: index, standard error and 3-sigma bounds, all finite

@@ -505,8 +505,7 @@ def test_update_unit_matches_fresh_run(run, tmp_path):
     rows = "".join(f"i{k},new,{float(v[k])!r},{float(q[k])!r}\n" for k in range(5))
     new = write(tmp_path, "new.csv", HEADER + rows)
     code, updated, err = run("update-unit", "--input", src, "--new", new)
-    assert code == 0
-    assert "revised units:" in err
+    assert (code, err) == (0, "")
     combined = write(tmp_path, "combined.csv",
                      emit_panel(panel.with_unit(one_unit(panel, "new", v, q))))
     # pin the unit order: a long CSV is ordered by first appearance, which
@@ -558,7 +557,7 @@ def test_new_unit_item_the_basket_dropped_is_named_as_such(run, tmp_path, comman
     # as mpl on the two files concatenated does
     both = write(tmp_path, "both.csv", F1_CSV + "x,t1,1,1\na,t3,3,1\nx,t3,2,1\n")
     code, out, err = run(command, "--input", src, "--new", with_x)
-    assert (code, out, err) == (0, run("mpl", "--input", both)[1], "revised units: t2, t3\n")
+    assert (code, out, err) == (0, run("mpl", "--input", both)[1], "")
     # zz is present once, in the new unit, so it is dropped with x
     code, out, err = run(command, "--input", src, "--new", with_zz)
     assert code == 0
@@ -573,16 +572,6 @@ def update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags):
     both = write(tmp_path, "both.csv", HEADER + input_rows + new_rows)
     return (run("update-unit", "--input", src, "--new", new, *flags),
             run("mpl", "--input", both, *flags))
-
-
-def assert_update_unit_is_mpl(update, mpl):
-    """Same exit code, byte-identical report, and the same stderr apart from
-    update-unit's one revised-units line."""
-    assert update[:2] == mpl[:2]
-    lines = update[2].splitlines(keepends=True)
-    revised = [line for line in lines if line.startswith("revised units: ")]
-    assert len(revised) == (update[0] == 0)
-    assert [line for line in lines if line not in revised] == mpl[2].splitlines(keepends=True)
 
 
 def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
@@ -609,7 +598,8 @@ def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
         flags = ("--base", panel.units[int(rng.integers(t))],
                  "--mode", ("time", "space")[case % 2],
                  "--variance", ("full", "corollary3")[case % 5 == 0])
-        assert_update_unit_is_mpl(*update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags))
+        update, mpl = update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags)
+        assert update == mpl
 
     # a block of two items in two units of their own, which the new unit
     # does not reach, leaves the extended panel split: the fit fails after
@@ -633,7 +623,7 @@ def test_update_unit_is_mpl_on_the_concatenated_input(run, tmp_path):
         assert note.startswith(prefix) and "thin" in note[len(prefix):].split(", ")
         assert (mpl[0], mpl[1]) == (1, "")
         assert error.startswith("validation error: presence graph splits")
-        assert_update_unit_is_mpl(update, mpl)
+        assert update == mpl
 
 
 def test_update_unit_notes_the_dropped_item_before_a_failed_fit(run, tmp_path):
@@ -656,16 +646,25 @@ def test_update_unit_keeps_an_item_only_the_input_basket_dropped(run, tmp_path):
     update, mpl = update_unit_and_mpl(
         run, tmp_path, "a,t1,1,1\nb,t1,2,1\nx,t1,3,1\na,t2,2,1\nb,t2,3,1\na,t3,3,1\nb,t3,5,2\n",
         "a,t4,4,1\nb,t4,5,1\nx,t4,6,2\n")
-    assert update == (0, mpl[1], "revised units: t2, t3, t4\n")
+    assert update == (0, mpl[1], "")
     assert mpl[2] == ""
 
 
 def test_update_unit_extends_a_one_unit_input(run, tmp_path):
-    # the one-unit input cannot be fitted alone, so every unit is revised
+    # the one-unit input cannot be fitted alone; with the new unit it is
     update, mpl = update_unit_and_mpl(run, tmp_path, "a,t1,1,1\nb,t1,2,1\n",
                                       "a,t2,2,1\nb,t2,4,1\n")
-    assert update == (0, mpl[1], "revised units: t1, t2\n")
+    assert update == (0, mpl[1], "")
     assert json.loads(mpl[1])["series"][1]["index"] == 2.0
+
+
+def test_update_unit_base_names_a_unit_of_the_input(run, tmp_path):
+    # --base is resolved on --input alone, so it cannot name the new unit,
+    # which mpl on the two files concatenated can
+    update, mpl = update_unit_and_mpl(run, tmp_path, F1_CSV[len(HEADER):],
+                                      "a,t3,3,1\nb,t3,5,1\n", "--base", "t3")
+    assert update == (1, "", "validation error: base unit 't3' not found among units\n")
+    assert mpl[0] == 0 and json.loads(mpl[1])["meta"]["base"] == "t3"
 
 
 def test_simulate_deterministic_output_files(run, tmp_path):
@@ -1034,7 +1033,7 @@ def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
         src = write(tmp_path, "panel.csv", F1_CSV + "c,t1,1,1\n")
         new = write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nb,t3,5,2\n")
         assert run("update-unit", "--input", src, "--new", new)[2] == (
-            "note: dropped items outside the reference basket: c\nrevised units: t2, t3\n")
+            "note: dropped items outside the reference basket: c\n")
         calls = iter(range(10))
         real = _ESTIMATOR_FUNCS["mpl"]
 
@@ -1056,7 +1055,7 @@ def test_notes_go_through_the_package_logger(run, tmp_path, monkeypatch):
     assert (code, err) == (0, "note: dropped items outside the reference basket: c\n"
                               "note: 1 failed replications excluded\n")
     assert [record.getMessage() for record in records] == [
-        "note: dropped items outside the reference basket: c", "revised units: t2, t3",
+        "note: dropped items outside the reference basket: c",
         "note: dropped items outside the reference basket: c",
         "note: 1 failed replications excluded"]
     # run_cli took its stderr handler away again
@@ -1103,8 +1102,7 @@ def test_one_unit_at_its_own_scale_fits(run, tmp_path, scale):
     # index and se by the same factor and sways no decision of the fit, also
     # where the unit's deflator variance would leave the float range
     plain = scaled_unit_runs(run, tmp_path, 1.0)
-    assert [err for _, err, _, _ in plain] == ["", COROLLARY3_NOTE + "\n",
-                                              "revised units: t1, t2, t3, t4, t5\n"]
+    assert [err for _, err, _, _ in plain] == ["", COROLLARY3_NOTE + "\n", ""]
     for (_, plain_err, before, unit), (code, err, rows, _) in zip(
             plain, scaled_unit_runs(run, tmp_path, scale)):
         assert (code, err) == (0, plain_err)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import mplindex
-from helpers import one_unit
 
 
 def test_public_names_resolve_and_are_unique():
@@ -191,8 +190,6 @@ _DATACLASSES = {
     "DeflatorEstimate": lambda: mplindex.estimate_deflators(_small_panel()),
     "IndexSeries": lambda: mplindex.to_index_series(mplindex.estimate_deflators(_small_panel())),
     "DummyFit": lambda: mplindex.fit_dummy_index(_small_panel()),
-    "UpdateResult": lambda: mplindex.update_multilateral(
-        _small_panel(), one_unit(_small_panel(), "t4", [2.0, 1.0, 4.0], np.ones(3))),
     "BilateralInput": lambda: mplindex.bilateral_from_panel(_small_panel(2)),
     "GramBlocks": lambda: mplindex.gram_blocks(_small_panel()),
     "EstimatorSummary": lambda: mplindex.simulate(_small_panel(), _SIMULATION).summaries["mpl"],

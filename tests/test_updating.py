@@ -6,6 +6,7 @@ from mplindex import (
     Panel,
     UnidentifiedModel,
     ValidationError,
+    build_reference_basket,
     estimate_deflators,
     fit_dummy_index,
     to_index_series,
@@ -45,18 +46,15 @@ def constrained_period_oracle(panel, values, quantities):
 
 
 def test_new_unit_with_proportional_values():
-    result = update_multilateral(F1, one_unit(F1, "t3", [3.0, 6.0], np.ones(2)))
-    est = result.estimate
+    est = update_multilateral(F1, one_unit(F1, "t3", [3.0, 6.0], np.ones(2)))
     assert est.units == ("t0", "t1", "t3")
     assert_allclose(est.indexes, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
     assert est.ssr == pytest.approx(0.0, abs=1e-24)
-    assert result.changed_mask.shape == (3,)
-    assert result.changed_mask[-1]
 
 
 def test_duplicate_base_unit_reads_one():
-    result = update_multilateral(F1, one_unit(F1, "t3", [1.0, 2.0], np.ones(2)))
-    assert abs(result.estimate.indexes[-1] - 1.0) <= 1e-12
+    est = update_multilateral(F1, one_unit(F1, "t3", [1.0, 2.0], np.ones(2)))
+    assert abs(est.indexes[-1] - 1.0) <= 1e-12
 
 
 def test_matches_fresh_estimation_with_missing_cells():
@@ -75,18 +73,26 @@ def test_matches_fresh_estimation_with_missing_cells():
         fresh = estimate_deflators(panel.with_unit(new))
         for field in ("deflators", "indexes", "ref_prices", "se",
                       "ssr", "sigma2"):
-            assert_array_equal(getattr(result.estimate, field),
+            assert_array_equal(getattr(result, field),
                                getattr(fresh, field), err_msg=field)
 
 
-def test_changed_mask_agrees_with_prior_comparison():
+def test_newcomer_holding_one_item_revises_nothing_beyond_rounding():
+    # the newcomer's deflator fits its one item exactly, so the residuals,
+    # the dof and every earlier deflator are those of the input's own fit
     rng = np.random.default_rng(13)
-    panel = random_panel(rng, 5, 3, missing=0.1)
-    new = one_unit(panel, "new", rng.uniform(0.5, 8.0, 5), rng.uniform(0.5, 8.0, 5))
-    prior = estimate_deflators(panel)
-    result = update_multilateral(panel, new)
-    expected = np.append(prior.indexes != result.estimate.indexes[:-1], True)
-    assert_array_equal(result.changed_mask, expected)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        t = int(rng.integers(2, 7))
+        panel = random_panel(rng, n, t, missing=float(rng.uniform(0, 0.3)))
+        held = np.zeros(n)
+        held[rng.integers(n)] = 1.0
+        new = one_unit(panel, "new", held * rng.uniform(0.5, 8.0), held * rng.uniform(0.5, 8.0))
+        prior = estimate_deflators(panel)
+        result = update_multilateral(panel, new)
+        assert result.dof == prior.dof
+        assert_allclose(result.indexes[:-1], prior.indexes, rtol=1e-12, atol=0)
+        assert_allclose(result.se[:-1], prior.se, rtol=1e-12, atol=0)
 
 
 def test_new_unit_basket_violation():
@@ -98,13 +104,13 @@ def test_new_unit_basket_violation():
     with notes() as thin_notes:
         thin = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]))
     assert thin_notes == ["note: dropped items outside the reference basket: c"]
-    assert thin.estimate.items == ("a", "b")
+    assert thin.items == ("a", "b")
     # covering c keeps it
     with notes() as ok_notes:
         ok = update_multilateral(panel, one_unit(panel, "t2", [1.0, 1.0, 5.0], [1.0, 1.0, 1.0]))
     assert ok_notes == []
-    assert ok.estimate.items == ("a", "b", "c")
-    assert len(ok.estimate.units) == 3
+    assert ok.items == ("a", "b", "c")
+    assert len(ok.units) == 3
 
 
 # two blocks: items a, b in t0, t1 and items c, d in t2, t3; neither block
@@ -123,7 +129,7 @@ def test_newcomer_covering_one_block_of_split_panel_is_unidentified():
         update_multilateral(SPLIT, newcomer)
     # a newcomer that spans both blocks joins them
     bridge = one_unit(SPLIT, "t4", [2.0, 4.0, 1.0, 2.0], np.ones(4))
-    assert update_multilateral(SPLIT, bridge).estimate.indexes.min() > 0
+    assert update_multilateral(SPLIT, bridge).indexes.min() > 0
 
 
 def test_new_unit_label_validation_and_item_matching():
@@ -132,15 +138,15 @@ def test_new_unit_label_validation_and_item_matching():
     with pytest.raises(ValidationError, match="one-unit panel"):
         update_multilateral(F1, F1)
     # cells are matched by item label, not by position
-    forward = update_multilateral(F1, one_unit(F1, "t9", [3.0, 5.0], [1.0, 2.0])).estimate
+    forward = update_multilateral(F1, one_unit(F1, "t9", [3.0, 5.0], [1.0, 2.0]))
     reverse = Panel(("i1", "i0"), ("t9",), [[5.0], [3.0]], [[2.0], [1.0]])
-    assert_array_equal(update_multilateral(F1, reverse).estimate.indexes, forward.indexes)
+    assert_array_equal(update_multilateral(F1, reverse).indexes, forward.indexes)
     # an item only the new unit holds is present once, and the basket drops it
     extra = Panel(("zz", "i0", "i1"), ("t9",), [[7.0], [3.0], [5.0]], [[1.0], [1.0], [2.0]])
     with notes() as noted:
         result = update_multilateral(F1, extra)
     assert noted == ["note: dropped items outside the reference basket: zz"]
-    assert_array_equal(result.estimate.indexes, forward.indexes)
+    assert_array_equal(result.indexes, forward.indexes)
 
 
 def test_period_update_scalar_fixture_is_exact():
@@ -317,31 +323,27 @@ def test_bootstrap_from_single_unit():
     seed = Panel(("a", "b"), ("t1",), v[:, :1], q[:, :1])
     boot = update_multilateral(seed, one_unit(seed, "t2", v[:, 1], q[:, 1]))
     full = estimate_deflators(panel2)
-    assert_allclose(boot.estimate.deflators, full.deflators, rtol=1e-12)
-    assert_allclose(boot.estimate.ref_prices, full.ref_prices, rtol=1e-12)
-    assert boot.estimate.sigma2 == pytest.approx(full.sigma2, rel=1e-12)
+    assert_allclose(boot.deflators, full.deflators, rtol=1e-12)
+    assert_allclose(boot.ref_prices, full.ref_prices, rtol=1e-12)
+    assert boot.sigma2 == pytest.approx(full.sigma2, rel=1e-12)
 
 
 def test_chained_unit_updates_match_batch():
-    rng = np.random.default_rng(88)
-    panel = random_panel(rng, 4, 5, missing=0.15)
-    grown = Panel(panel.items, panel.units[:2],
-                  panel.values[:, :2], panel.quantities[:, :2])
-    for t in range(2, 5):
-        grown = update_multilateral(
-            grown, one_unit(panel, panel.units[t], panel.values[:, t], panel.quantities[:, t])
-        ).estimate
-        # rebuild the panel the cheap way for the next round
-        grown = Panel(panel.items, panel.units[: t + 1],
-                      panel.values[:, : t + 1],
-                      panel.quantities[:, : t + 1])
-    final = update_multilateral(
-        Panel(panel.items, panel.units[:4],
-              panel.values[:, :4], panel.quantities[:, :4]),
-        one_unit(panel, panel.units[4], panel.values[:, 4], panel.quantities[:, 4]),
-    ).estimate
-    batch = estimate_deflators(panel)
-    assert_allclose(final.deflators, batch.deflators, rtol=1e-10)
+    # each step is mpl on the units so far: the fit of their reference basket
+    for seed in range(88, 98):
+        panel = random_panel(np.random.default_rng(seed), 4, 5, missing=0.15)
+
+        def first(t):
+            return Panel(panel.items, panel.units[:t],
+                         panel.values[:, :t], panel.quantities[:, :t])
+
+        for t in range(2, 5):
+            step = update_multilateral(first(t), one_unit(
+                panel, panel.units[t], panel.values[:, t], panel.quantities[:, t]))
+            batch = estimate_deflators(build_reference_basket(first(t + 1))[0])
+            assert_array_equal(step.indexes, batch.indexes)
+            assert_array_equal(step.se, batch.se)
+        assert_allclose(step.deflators, estimate_deflators(panel).deflators, rtol=1e-10)
 
 
 def test_period_update_rescales_shared_extreme_magnitudes():
