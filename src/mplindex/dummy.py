@@ -15,8 +15,9 @@ the unit effects come from diag(S^{-1}), which the factor returns, as the
 MPL deflator variances do; connectivity is checked by
 panel.require_connected.  The log prices are taken as log v - log q where
 v / q leaves the normal float range, so no present cell's price is out of
-reach.  A fit is an IndexFit (estimator), so it reaches a report as an MPL
-fit does.
+reach, and each item's mean log price is taken out before the sums, the
+log-space counterpart of the MPL fit's per-item scaling.  A fit is an
+IndexFit (estimator), so it reaches a report as an MPL fit does.
 """
 
 from __future__ import annotations
@@ -46,22 +47,19 @@ class DummyFit(IndexFit):
     item_effects: np.ndarray
 
 
-def _log_prices(values: np.ndarray, quantities: np.ndarray) -> tuple[np.ndarray, bool]:
+def _log_prices(values: np.ndarray, quantities: np.ndarray) -> np.ndarray:
     """log(v / q), or log v - log q where the quotient is not a positive normal float.
 
     The difference of logs neither under- nor overflows, so values near
     1e300 over quantities near 1e-300 (or the reverse) fit as well; every
-    other cell keeps the bits of log(v / q).  Also returns whether any cell
-    took the difference.
+    other cell keeps the bits of log(v / q).
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         prices = values / quantities
         odd = ~(np.isfinite(prices) & (prices >= np.finfo(np.float64).tiny))
         out = np.log(prices, out=prices)
-    extreme = bool(odd.any())
-    if extreme:
-        out[odd] = np.log(values[odd]) - np.log(quantities[odd])
-    return out, extreme
+    out[odd] = np.log(values[odd]) - np.log(quantities[odd])
+    return out
 
 
 def dummy_fitter(panel: Panel, weighted: bool = False):
@@ -80,6 +78,7 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
     # flat indexes of the present cells, in the order of present's True cells
     cells = np.flatnonzero(present)
     q_obs = panel.quantities.take(cells)
+    counts = present.sum(axis=1)
     nonbase = np.array(panel.nonbase_units, dtype=np.intp)
     dof = int(present.sum()) - (n + t - 1)
     labels = ([f"item[{item}]" for item in panel.items],
@@ -95,13 +94,12 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
 
     def fit(values: np.ndarray) -> DummyFit:
         logp = np.zeros((n, t))
-        logp.ravel()[cells], extreme = _log_prices(values.take(cells), q_obs)
-        if extreme:
-            # log prices near +-700 would make the sums below lose the
-            # digits the unit effects live in; the item effects absorb a
-            # per-item shift exactly, so each item's mean is taken out
-            shift = logp.sum(axis=1) / present.sum(axis=1)
-            logp -= shift[:, None] * present
+        logp.ravel()[cells] = _log_prices(values.take(cells), q_obs)
+        # an item's price level would make the sums below lose the digits
+        # the unit effects live in; the item effects absorb a per-item
+        # shift exactly, so each item's mean is taken out
+        shift = logp.sum(axis=1) / counts
+        logp -= shift[:, None] * present
         if weighted:
             # each unit's values times 2^-k with 2^k just above its largest,
             # so the sum cannot overflow; the shares keep their bits
@@ -122,8 +120,7 @@ def dummy_fitter(panel: Panel, weighted: bool = False):
         logp -= item_effects[:, None]
         logp -= log_effects[None, :]
         ssr = float((w * logp * logp).sum())
-        if extreme:
-            item_effects = item_effects + shift
+        item_effects += shift
 
         se = np.zeros(t)
         se[nonbase] = np.sqrt(ssr / dof * factor.unit_variances) if dof > 0 else np.nan

@@ -267,7 +267,6 @@ class IndexSeries:
     se: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    k: float
     pct_change: np.ndarray | None
     variance_method: str
 
@@ -309,5 +308,5 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
             pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
     return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,
                        index=index.copy(), se=se, lower=index - k * se,
-                       upper=index + k * se, k=float(k), pct_change=pct,
+                       upper=index + k * se, pct_change=pct,
                        variance_method=fit.variance_method)

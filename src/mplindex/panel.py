@@ -61,8 +61,9 @@ class Panel:
     values recomputes it.  The arrays are marked read-only so a constructed
     panel can be shared freely.
 
-    T = 1 panels are accepted only as the starting point of the period-update
-    bootstrap; every estimator requires T >= 2.
+    T = 1 panels are accepted: a new unit or period arrives as one (the
+    --new file, and a one-unit update-unit input); every estimator requires
+    T >= 2.
     """
 
     items: tuple[str, ...]

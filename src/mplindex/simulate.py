@@ -84,7 +84,6 @@ class SimulationConfig:
 class EstimatorSummary:
     """Replication averages and bands for one estimator."""
 
-    name: str
     mean_index: np.ndarray
     emp_sd: np.ndarray
     mean_se: np.ndarray
@@ -208,7 +207,6 @@ def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
         emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(t)
         mean_se = se_arr.mean(axis=0)
         summaries[name] = EstimatorSummary(
-            name=name,
             mean_index=mean_index,
             emp_sd=emp_sd,
             mean_se=mean_se,

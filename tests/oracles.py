@@ -5,7 +5,7 @@ implementations the fast paths replaced, so tests can compare against them:
 the dense stacked deflator design with its pivoted-QR least-squares fit, the
 normal matrix assembled from the closed-form blocks, the dense dummy fit,
 the unit-by-unit replication draw and the replication loop that builds and
-fits a panel per replication.  It solves the MPL and weighted TPD normal
+fits a panel per replication.  It solves the MPL and TPD normal
 equations exactly, in fractions, for the accuracy tests.  It also holds the two forms the paper gives
 for the two-period index, which the tests check mpl_two_period and
 classical_index against: the quadratic-form index and the convex mean of
@@ -336,18 +336,23 @@ def exact_deflators(panel: Panel) -> np.ndarray:
     return deflators
 
 
-def exact_weighted_tpd(panel: Panel) -> np.ndarray:
-    """Log unit effects of the weighted TPD normal equations, solved exactly.
+def exact_tpd(panel: Panel, weighted: bool) -> np.ndarray:
+    """Log unit effects of the TPD normal equations, solved exactly.
 
     The data are those the fit starts from: the float64 within-unit shares,
-    formed as fit_dummy_index forms them, and np.log(v / q) on the present
-    cells.  The sums over them are exact.  Length T, 0 at the base.
+    formed as fit_dummy_index forms them (the presence mask when not
+    weighted), and np.log(v / q) on the present cells.  The sums over them
+    are exact, and a per-item shift of the log prices, which the fit takes
+    out, leaves the unit effects unchanged.  Length T, 0 at the base.
     """
     nb = panel.nonbase_units
     values, present = panel.values, panel.present
-    k = np.frexp(values.max(axis=0))[1]
-    shares = np.ldexp(values, -k)
-    shares /= shares.sum(axis=0)
+    if weighted:
+        k = np.frexp(values.max(axis=0))[1]
+        shares = np.ldexp(values, -k)
+        shares /= shares.sum(axis=0)
+    else:
+        shares = present.astype(np.float64)
     logp = np.zeros_like(values)
     logp[present] = np.log(values[present] / panel.quantities[present])
     w, y = _fractions(shares), _fractions(logp)
@@ -440,7 +445,7 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
         emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(panel.n_units)
         mean_se = np.vstack(ses[name]).mean(axis=0)
         summaries[name] = EstimatorSummary(
-            name=name, mean_index=mean_index, emp_sd=emp_sd, mean_se=mean_se,
+            mean_index=mean_index, emp_sd=emp_sd, mean_se=mean_se,
             lo_emp=mean_index - config.k * emp_sd, hi_emp=mean_index + config.k * emp_sd,
             lo_model=mean_index - config.k * mean_se, hi_model=mean_index + config.k * mean_se,
             failures=len(failed[name]), failed_replications=tuple(failed[name]),

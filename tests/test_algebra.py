@@ -22,7 +22,7 @@ from oracles import (
     DesignSystem,
     build_design_system,
     exact_deflators,
-    exact_weighted_tpd,
+    exact_tpd,
     ols_fit,
     schur_block12,
     structured_normal_matrix,
@@ -462,6 +462,29 @@ def weakly_linked_panels(count):
                     values, quantities)
 
 
+def spread_level_panels(count):
+    """Seeded sparse panels whose item price levels spread over 1e+-30.
+
+    Each item's prices are its level 10^U(-30, 30) times
+    exp(N(0, 0.3)) noise; quantities are U(0.5, 8).  Each cell is present
+    with probability 0.8, unit 0 is complete, and items present in fewer
+    than two units are dropped.
+    """
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        n, t = int(rng.integers(3, 15)), int(rng.integers(3, 12))
+        levels = 10.0 ** rng.uniform(-30.0, 30.0, n)
+        prices = levels[:, None] * np.exp(rng.normal(0.0, 0.3, (n, t)))
+        quantities = rng.uniform(0.5, 8.0, (n, t))
+        present = rng.random((n, t)) < 0.8
+        present[:, 0] = True
+        keep = present.sum(axis=1) >= 2
+        present, prices, quantities = present[keep], prices[keep], quantities[keep]
+        yield Panel([f"i{k}" for k in np.flatnonzero(keep)], [f"u{k}" for k in range(t)],
+                    np.where(present, prices * quantities, 0.0),
+                    np.where(present, quantities, 0.0))
+
+
 def fit_outcome(fit, panel):
     try:
         return "ok", fit(panel).indexes
@@ -492,10 +515,11 @@ def test_item_side_decides_as_the_unit_side(solve_side):
 
 
 def test_accepted_fits_are_within_their_error_bound(monkeypatch):
-    # every accepted MPL and weighted TPD fit of the weakly linked panels,
-    # on whichever side factor_two_way factors it, is within BETA_TOL of
-    # the exact solution of its normal equations and within the bound that
-    # accepted it (the last one computed)
+    # every accepted MPL, weighted TPD and unweighted TPD fit of the weakly
+    # linked panels and of the spread-price-level panels, on whichever side
+    # factor_two_way factors it, is within BETA_TOL of the exact solution of
+    # its normal equations and within the bound that accepted it (the last
+    # one computed)
     bounds = []
     error_bound = algebra._error_bound
 
@@ -504,21 +528,30 @@ def test_accepted_fits_are_within_their_error_bound(monkeypatch):
         return bounds[-1]
 
     monkeypatch.setattr(algebra, "_error_bound", recorded)
+
+    def tpd_error(weighted):
+        return lambda panel: np.expm1(fit_dummy_index(panel, weighted).log_unit_effects
+                                      - exact_tpd(panel, weighted))
+
     index_errors = {
         "mpl": lambda panel: estimate_deflators(panel).indexes * exact_deflators(panel) - 1,
-        "tpd": lambda panel: np.expm1(fit_dummy_index(panel, weighted=True).log_unit_effects
-                                      - exact_weighted_tpd(panel)),
+        "tpd": tpd_error(True),
+        "tpd_ols": tpd_error(False),
     }
-    accepted = dict.fromkeys(index_errors, 0)
-    for panel in weakly_linked_panels(200):
-        for name, index_error in index_errors.items():
-            try:
-                error = np.abs(index_error(panel)).max()
-            except SingularSystem:
-                continue
-            accepted[name] += 1
-            assert error <= min(BETA_TOL, bounds[-1]), (name, panel.values, error, bounds[-1])
-    assert accepted["mpl"] >= 10 and accepted["tpd"] >= 60
+    families = {"weakly_linked": (weakly_linked_panels(200), (10, 60, 200)),
+                "spread_levels": (spread_level_panels(200), (200, 100, 200))}
+    for family, (panels, least) in families.items():
+        accepted = dict.fromkeys(index_errors, 0)
+        for panel in panels:
+            for name, index_error in index_errors.items():
+                try:
+                    error = np.abs(index_error(panel)).max()
+                except SingularSystem:
+                    continue
+                accepted[name] += 1
+                assert error <= min(BETA_TOL, bounds[-1]), (
+                    family, name, panel.values, error, bounds[-1])
+        assert all(a >= b for a, b in zip(accepted.values(), least)), (family, accepted)
 
 
 def split_masks():

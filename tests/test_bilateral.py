@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mplindex import (
     BilateralInput,
     DegenerateForm,
+    EstimationError,
     Panel,
     ValidationError,
     bilateral_from_panel,
@@ -14,6 +15,7 @@ from mplindex import (
     estimate_deflators,
     mpl_two_period,
 )
+from mplindex.bilateral import CLASSICAL_KINDS
 from helpers import panel_from_bilateral, random_bilateral
 from oracles import (
     classical_form_matrix,
@@ -136,6 +138,35 @@ def test_item_permutation_leaves_value_bit_identical():
     assert mpl_two_period(shuffled) == mpl_two_period(inp)
     for kind in ("laspeyres", "paasche", "marshall_edgeworth", "walsh"):
         assert classical_index(shuffled, kind) == classical_index(inp, kind)
+
+
+@pytest.mark.parametrize("price_exp, quantity_exp",
+                         [(330, 660), (-330, -660), (330, -660), (-330, 660)])
+def test_extreme_scales_leave_every_index_bit_identical(price_exp, quantity_exp):
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        inp = random_bilateral(rng, int(rng.integers(1, 9)))
+        scaled = BilateralInput(p1=np.ldexp(inp.p1, price_exp), p2=np.ldexp(inp.p2, price_exp),
+                                q1=np.ldexp(inp.q1, quantity_exp),
+                                q2=np.ldexp(inp.q2, quantity_exp))
+        for kind in CLASSICAL_KINDS:
+            assert classical_index(scaled, kind) == classical_index(inp, kind)
+        assert mpl_two_period(scaled) == mpl_two_period(inp)
+
+
+@pytest.mark.parametrize("inp", [
+    # the prices span the float range, so scaling flushes one to zero
+    BilateralInput(p1=[1e308, 1e-310], p2=[1.0, 1.0], q1=[1.0, 1.0], q2=[1.0, 1.0]),
+    # the aggregates sit more than the float range below the largest price
+    # times the largest quantity, so scaled they are subnormal
+    BilateralInput(p1=[1e10, 1e-300], p2=[1e10, 1e-300], q1=[1e-300, 1e10], q2=[1e-300, 1e10]),
+])
+def test_aggregates_beyond_the_float_range_are_refused(inp):
+    for kind in CLASSICAL_KINDS:
+        with pytest.raises(EstimationError, match="^Gram blocks overflow"):
+            classical_index(inp, kind)
+    with pytest.raises(EstimationError, match="^Gram blocks overflow"):
+        mpl_two_period(inp)
 
 
 def test_panel_adapter_roundtrip():

@@ -113,6 +113,16 @@ def test_base_flag_by_label(run, tmp_path):
     assert doc["series"][0]["index"] == pytest.approx(0.5, abs=1e-13)
 
 
+def test_base_flag_by_position_unless_a_unit_has_that_label(run, tmp_path):
+    rows = "a,{0},1,1\nb,{0},2,1\na,{1},2,1\nb,{1},3,1\na,{2},4,1\nb,{2},5,1\n"
+    src = write(tmp_path, "panel.csv", HEADER + rows.format("t1", "t2", "t3"))
+    code, out, _ = run("mpl", "--input", src, "--base", "1")
+    assert code == 0 and json.loads(out)["meta"]["base"] == "t2"
+    src = write(tmp_path, "labelled.csv", HEADER + rows.format("t1", "t2", "1"))
+    code, out, _ = run("mpl", "--input", src, "--base", "1")
+    assert code == 0 and json.loads(out)["meta"]["base"] == "1"
+
+
 def test_variance_flag_switches_reported_method(run, tmp_path):
     csv_text = HEADER + "a,t1,1,1\nb,t1,2,1\na,t2,3,1\nb,t2,4,1\n"
     src = write(tmp_path, "f3.csv", csv_text)
@@ -423,6 +433,34 @@ def test_bilateral_command(run, tmp_path):
     assert idx["paasche"] == pytest.approx(7.0 / 4.0, rel=1e-15)
     code, out, _ = run("bilateral", "--input", src, "--format", "csv")
     assert out.splitlines()[0] == "kind,value"
+
+
+@pytest.mark.parametrize("value_scale, quantity_scale", [(1e300, 1e200), (1e-300, 1e-200)])
+def test_bilateral_fits_the_magnitudes_mpl_fits(run, tmp_path, value_scale, quantity_scale):
+    # p*q overflowed (null walsh and mpl) or underflowed (a ZeroDivisionError)
+    # before the prices and the quantities were scaled by powers of two
+    rows = [("a", "t1", 1, 1), ("b", "t1", 2, 1), ("a", "t2", 3, 1), ("b", "t2", 1, 2)]
+    src = write(tmp_path, "two.csv", HEADER + "".join(
+        f"{i},{u},{v * value_scale!r},{q * quantity_scale!r}\n" for i, u, v, q in rows))
+    code, out, err = run("bilateral", "--input", src)
+    assert (code, err) == (0, "")
+    idx = json.loads(out)["indexes"]
+    assert all(math.isfinite(x) and x > 0 for x in idx.values()), idx
+    mpl = json.loads(run("mpl", "--input", src)[1])["series"][1]["index"]
+    assert idx["mpl"] == pytest.approx(mpl, rel=1e-12)
+    code, out, err = run("bilateral", "--input", src, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert all(line.split(",")[1] for line in out.splitlines()[1:])
+
+
+def test_bilateral_refuses_implied_prices_past_the_float_range(run, tmp_path):
+    # v/q near 1e310 used to be called invalid input; mpl fits this panel
+    src = write(tmp_path, "two.csv", HEADER + ("a,t1,1e300,1e-10\nb,t1,2e300,1e-10\n"
+                                               "a,t2,3e300,1e-10\nb,t2,1e300,2e-10\n"))
+    assert run("bilateral", "--input", src) == (
+        2, "", "estimation error: Gram blocks overflow: values or quantities are too large "
+               "or too small in magnitude\n")
+    assert run("mpl", "--input", src)[0] == 0
 
 
 def test_tpd_command_balanced_panel(run, tmp_path):

@@ -1,14 +1,17 @@
+import argparse
 import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import mplindex
+from mplindex.cli import build_parser
 
 
 def test_public_names_resolve_and_are_unique():
@@ -208,3 +211,15 @@ def test_dataclasses_holding_arrays_compare_and_hash_by_identity(name):
     by_value = name == "SimulationConfig"
     assert first == first and (first == second) == by_value
     assert len({first, second}) == (1 if by_value else 2)
+
+
+def test_every_cli_option_is_documented_in_the_readme():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    missing = {(command, option)
+               for command, parser in subparsers.choices.items()
+               for action in parser._actions if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings
+               if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)}
+    assert missing == set()

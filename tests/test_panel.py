@@ -175,6 +175,17 @@ def test_panel_validates_sign_combinations():
         dataclasses.replace(panel, values=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("items, units, shape, sign, message", [
+    ((), ("t1",), (0, 1), 1.0, "panel needs at least one item and one unit"),
+    (("a",), ("t1", "t1"), (1, 2), 1.0, "unit labels must be unique"),
+    (("a", "b"), ("t1", "t2"), (2, 3), 1.0, r"values must have shape \(2, 2\)"),
+    (("a",), ("t1", "t2"), (1, 2), -1.0, "values and quantities must be nonnegative"),
+], ids=["empty", "duplicate_unit", "shape", "negative"])
+def test_panel_refusals_name_their_cause(items, units, shape, sign, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Panel(items, units, sign * np.ones(shape), np.ones(shape))
+
+
 def test_unit_with_no_items_rejected():
     values = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):
