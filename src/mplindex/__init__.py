@@ -10,7 +10,6 @@ from .bilateral import (
 from .dummy import DummyFit, fit_dummy_index
 from .errors import (
     BasketViolation,
-    DegenerateForm,
     DuplicateObservation,
     EmptyBasket,
     EstimationError,
@@ -54,7 +53,6 @@ __all__ = [
     "BasketViolation",
     "BilateralInput",
     "DeflatorEstimate",
-    "DegenerateForm",
     "DummyFit",
     "DuplicateObservation",
     "EmptyBasket",

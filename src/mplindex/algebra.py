@@ -25,7 +25,9 @@ BLAS-3 products for L^{-1}, which is all a factor keeps; every solve
 multiplies by it.  Callers need only the solve and the variances of the
 unit effects, diag(S^{-1}), which the factor holds; L never leaves this
 module.  With diag(A) and diag(S) they give the one forward-error bound,
-_error_bound, that decides a refusal on either side.
+_error_bound, that decides a refusal on either side.  Callers hand the
+factor scaled, bounded blocks, so it checks no magnitude, and each of its
+refusals is a SingularSystem naming a column.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, SingularSystem
+from .errors import SingularSystem
 from .panel import Panel
 
 # a factored system is refused when its forward-error bound exceeds this
 BETA_TOL = 1e-6
 # triangular blocks of at most this order are inverted by LAPACK in one call
 _BLOCK = 64
-OVERFLOW_MESSAGE = ("Gram blocks overflow: values or quantities are too large "
-                    "or too small in magnitude")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +67,8 @@ def gram_blocks(panel: Panel) -> GramBlocks:
     v, q, base = panel.values, panel.quantities, panel.base_unit
     nonbase = panel.nonbase_units
     v_nb = v[:, nonbase]
-    # overflow to inf is reported as EstimationError by factor_two_way
+    # no fit reads these unscaled blocks, so an extreme panel's products
+    # are left to overflow to inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         return GramBlocks(
             deflator_gram=(v_nb * v_nb).sum(axis=0),
@@ -207,42 +208,41 @@ def factor_two_way(item_diag, cross, unit_diag, item_labels, unit_labels):
     with N < K the units go, leaving the N-sized K = C - BA^{-1}B'
     (_eliminate_units).
 
-    The factor's solve(r, s) returns the unit effects a and the item
+    Callers pass bounded blocks.  An MPL fit scales each unit's values and
+    each item's quantities to a largest entry in [0.5, 1), so A and C are
+    at least 1/4 and |B| at most 1; a TPD fit's weights lie in [0, 1] and
+    each unit's sum to its count or to 1, so A is at least 1, |B| at most 1
+    and each C_i at least every entry of its row of B.  C^{-1}B, S and K
+    then cannot overflow, and the factor checks no magnitude beyond C's
+    pivots.  The factor's solve(r, s) returns the unit effects a and the item
     effects b of [[C, B], [B', A]] [b; a] = [r; s], and its unit_variances
     is diag(S^{-1}), the unit block of the inverse matrix's diagonal.
-    Every refusal is decided here.  EstimationError is raised when C, its
-    inverse or S is not finite.  SingularSystem names the item column when
-    a pivot of C is not positive, and the unit column when S has a leading
-    minor that is not positive definite (the first one) or _error_bound
-    exceeds BETA_TOL (the largest A_t (S^{-1})_tt); the item side leaves
-    every system it finds over that bound to the unit side.
+    Every refusal is decided here, and each is a SingularSystem: it names
+    the first item column whose pivot of C has no finite positive
+    reciprocal (a zero weight, or one too small to invert), and the unit
+    column when S has a leading minor that is not positive definite (the
+    first one) or _error_bound exceeds BETA_TOL (the largest
+    A_t (S^{-1})_tt); the item side leaves every system it finds over that
+    bound to the unit side.
     """
-    if (item_diag <= 0).any():
-        i = int(np.argmin(item_diag))
-        raise SingularSystem("an item has zero weight in every unit",
-                             column=item_labels[i])
-    # a subnormal pivot overflows its reciprocal; an infinite one would
-    # silently zero its column of C^{-1}B
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         c_inv = 1.0 / item_diag
-    if not (np.isfinite(item_diag).all() and np.isfinite(c_inv).all()):
-        raise EstimationError(OVERFLOW_MESSAGE)
-    args = (item_diag, cross, unit_diag)
+    bad = ~(np.isfinite(c_inv) & (c_inv > 0))
+    if bad.any():
+        raise SingularSystem("an item's total weight is zero or too small to invert",
+                             column=item_labels[int(np.argmax(bad))])
+    args = (item_diag, cross, unit_diag, c_inv)
     if item_diag.size < unit_diag.size:
         factor = _eliminate_units(*args)
         if factor is not None:
             return factor
-    return _eliminate_items(*args, c_inv=c_inv, unit_labels=unit_labels)
+    return _eliminate_items(*args, unit_labels=unit_labels)
 
 
 def _eliminate_items(item_diag, cross, unit_diag, c_inv, unit_labels):
     """The unit-side factor, deciding every refusal factor_two_way leaves to S."""
-    # an infinite product turns inf * 0 into NaN; both are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        bc = cross * c_inv[:, None]
-        schur = np.diag(unit_diag) - cross.T @ bc
-    if not np.isfinite(schur).all():
-        raise EstimationError(OVERFLOW_MESSAGE)
+    bc = cross * c_inv[:, None]
+    schur = np.diag(unit_diag) - cross.T @ bc
     try:
         chol = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
@@ -258,20 +258,16 @@ def _eliminate_items(item_diag, cross, unit_diag, c_inv, unit_labels):
     return factor
 
 
-def _eliminate_units(item_diag, cross, unit_diag):
+def _eliminate_units(item_diag, cross, unit_diag, c_inv):
     """The item-side factor, or None to leave the decision to _eliminate_items.
 
-    It returns None when K is not finite or not positive definite, or when
-    _error_bound, on diag(S) formed at O(NK), exceeds BETA_TOL; a unit
-    pivot that is not positive and finite makes one of them so.
+    It returns None when K is not positive definite, or when _error_bound,
+    on diag(S) formed at O(NK), exceeds BETA_TOL.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a_inv = 1.0 / unit_diag
-        ba = cross * a_inv
-        k = np.diag(item_diag) - ba @ cross.T
-        schur_diag = unit_diag - (cross * cross).T @ (1.0 / item_diag)
-    if not np.isfinite(k).all():
-        return None
+    a_inv = 1.0 / unit_diag
+    ba = cross * a_inv
+    k = np.diag(item_diag) - ba @ cross.T
+    schur_diag = unit_diag - (cross * cross).T @ c_inv
     try:
         factor = _ItemSide(np.linalg.cholesky(k), item_diag, cross, unit_diag, a_inv, ba)
     except np.linalg.LinAlgError:

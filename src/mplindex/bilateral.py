@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OVERFLOW_MESSAGE
-from .errors import EstimationError, ValidationError
+from .errors import OVERFLOW_MESSAGE, EstimationError, ValidationError
 from .estimator import _normal, _Scaling
 from .panel import Panel, implied_prices
 

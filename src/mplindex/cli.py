@@ -22,7 +22,7 @@ import numpy as np
 
 from .bilateral import CLASSICAL_KINDS, bilateral_from_panel, classical_index, mpl_two_period
 from .dummy import fit_dummy_index
-from .errors import EstimationError, MplIndexError, ValidationError
+from .errors import EstimationError, ValidationError
 from .estimator import IndexFit, IndexSeries, estimate_deflators, to_index_series
 from .panel import Panel, build_reference_basket, load_panel, note_dropped
 from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, simulate
@@ -44,9 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    """17-significant-digit text for a float; empty for NaN."""
+    """17-significant-digit text for a float; empty for NaN or an infinity."""
     x = float(x)
-    if math.isnan(x):
+    if not math.isfinite(x):
         return ""
     return format(x, ".17g")
 
@@ -123,8 +123,6 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
         if fmt == "csv":
             return _csv(("kind", "value"), ([kind, _fmt(value)] for kind, value in result.items()))
         return _json_value({"meta": meta, "indexes": result}) + "\n"
-    if not isinstance(result, (IndexSeries, SimulationReport)):
-        raise TypeError(f"cannot serialize {type(result).__name__}")
 
     doc_meta, columns, rows = _table(result, meta)
     if fmt == "csv":
@@ -331,6 +329,8 @@ def run_cli(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "dump_draws", False) and args.format == "csv":
+            parser.error("--dump-draws writes JSON only; drop --format csv")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 3
@@ -345,9 +345,6 @@ def run_cli(argv) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
-        return 2
-    except MplIndexError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

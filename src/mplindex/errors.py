@@ -4,7 +4,7 @@ an argument of the wrong numeric type.
 Two families matter for exit-code mapping in the CLI: ValidationError
 (bad input data, exit 1) and EstimationError (a numerical step cannot
 be completed, exit 2).  A magnitude that a solve or an update cannot
-carry in floats is a plain EstimationError with algebra.OVERFLOW_MESSAGE.
+carry in floats is a plain EstimationError with OVERFLOW_MESSAGE.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ class ValidationError(MplIndexError):
 
 class EstimationError(MplIndexError):
     """A numerical estimation step cannot be completed."""
+
+
+OVERFLOW_MESSAGE = ("Gram blocks overflow: values or quantities are too large "
+                    "or too small in magnitude")
 
 
 class DuplicateObservation(ValidationError):
@@ -70,10 +74,6 @@ class SingularSystem(EstimationError):
             message = f"{message} (dependent column: {column})"
         super().__init__(message)
         self.column = column
-
-
-class DegenerateForm(EstimationError):
-    """The quadratic form vanishes on the base price vector."""
 
 
 class RedrawExhausted(EstimationError):

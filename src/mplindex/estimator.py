@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OVERFLOW_MESSAGE, factor_two_way
+from .algebra import factor_two_way
 from .errors import (
+    OVERFLOW_MESSAGE,
     BasketViolation,
     EstimationError,
     InvalidDimension,
@@ -292,10 +293,10 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
 
     se is the fit's index_se, so it is NaN off the base where the variance
     is undefined, and so are the bounds.  pct_change is period-over-period in
-    time mode (first entry NaN) and None in space mode.  Raises
-    ValidationError unless k is a finite, positive real number, and
-    EstimationError when an index is not a positive normal float
-    (checked_indexes).
+    time mode (first entry NaN, inf past the float range) and None in space
+    mode.  Raises ValidationError unless k is a finite, positive real
+    number, and EstimationError when an index is not a positive normal
+    float (checked_indexes).
     """
     require_number("k", k)
     if not (math.isfinite(k) and k > 0):
@@ -304,7 +305,7 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
     pct = None
     if fit.mode == "time":
         pct = np.full(len(fit.units), np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
     return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,
                        index=index.copy(), se=se, lower=index - k * se,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import OVERFLOW_MESSAGE
-from .errors import EstimationError, ValidationError
+from .errors import OVERFLOW_MESSAGE, EstimationError, ValidationError
 from .estimator import (
     DeflatorEstimate,
     _check_basket,

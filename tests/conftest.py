@@ -27,9 +27,8 @@ def solve_side(monkeypatch):
         verdicts.append(factor is not None)
         return factor
 
-    def items_first(*args, c_inv, unit_labels):
-        return recorded(*args) or eliminate_items(*args, c_inv=c_inv,
-                                                  unit_labels=unit_labels)
+    def items_first(*args, unit_labels):
+        return recorded(*args) or eliminate_items(*args, unit_labels=unit_labels)
 
     def steer(side=None):
         monkeypatch.setattr(algebra, "_eliminate_units",

@@ -23,7 +23,6 @@ from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
 from mplindex import (
     BilateralInput,
-    DegenerateForm,
     DummyFit,
     EstimationError,
     EstimatorSummary,
@@ -47,6 +46,10 @@ from helpers import solve_two_way
 # ols_fit declares the design rank deficient when its smallest QR pivot
 # falls below this fraction of the largest one
 PIVOT_RTOL = 1e-12
+
+
+class DegenerateForm(EstimationError):
+    """The quadratic form vanishes on the base price vector."""
 
 
 def transition_matrix(n: int) -> np.ndarray:

@@ -231,13 +231,17 @@ def test_schur_two_unit_scalar_formula():
     assert_allclose(block, [[3.0 / 2.0 / 12.5, 4.0 / 2.0 / 12.5]], rtol=1e-14)
 
 
-def test_schur_rejects_zero_quantity_item():
-    # the second item has zero quantity, so its price pivot is zero
+@pytest.mark.parametrize("pivot", [0.0, 1e-310], ids=["zero", "too_small_to_invert"])
+def test_schur_rejects_zero_quantity_item(pivot):
+    # the second item's price pivot is zero, or a subnormal whose
+    # reciprocal overflows: either way the item is named as singular
     with pytest.raises(SingularSystem) as exc:
-        solve_two_way(np.array([1.0, 0.0]), -np.array([[1.0], [0.0]]),
+        solve_two_way(np.array([1.0, pivot]), -np.array([[1.0], [0.0]]),
                       np.array([2.0]), np.array([1.0, 0.0]), np.zeros(1),
                       ["ref_price[a]", "ref_price[b]"], ["deflator[t2]"])
     assert exc.value.column == "ref_price[b]"
+    assert str(exc.value) == ("an item's total weight is zero or too small to invert "
+                              "(dependent column: ref_price[b])")
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (40, 70), (90, 130),

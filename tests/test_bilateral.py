@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
     BilateralInput,
-    DegenerateForm,
     EstimationError,
     Panel,
     ValidationError,
@@ -18,6 +17,7 @@ from mplindex import (
 from mplindex.bilateral import CLASSICAL_KINDS
 from helpers import panel_from_bilateral, random_bilateral
 from oracles import (
+    DegenerateForm,
     classical_form_matrix,
     convex_weights,
     convex_weights_from_values,

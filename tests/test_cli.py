@@ -292,6 +292,19 @@ def test_tiny_link_refused_through_the_item_side(run, tmp_path, solve_side):
     assert verdicts == [False]
 
 
+def test_item_with_a_share_too_small_to_invert_is_singular(run, tmp_path):
+    # x's shares are about 3e-311 and 2e-311 of units holding 1e300s, so
+    # its total weight is a subnormal whose reciprocal overflows: the item
+    # is refused as singular, by name
+    src = write(tmp_path, "tiny_share.csv", HEADER + (
+        "a,t1,1e300,1\na,t2,2e300,1\na,t3,3e300,1\n"
+        "b,t1,2e300,1\nb,t2,1e300,1\nb,t3,1e300,1\n"
+        "x,t1,1e-10,1\nx,t2,5e-11,1\n"))
+    assert run("tpd", "--weighted", "--input", src) == (
+        2, "", "estimation error: an item's total weight is zero or too small to invert "
+               "(dependent column: item[x])\n")
+
+
 def series_rows(text):
     return json.loads(text)["series"]
 
@@ -734,6 +747,33 @@ def test_simulate_csv_format(run, tmp_path):
     assert len(lines) == 1 + 2 * 2  # two estimators x two units
 
 
+def test_simulate_dump_draws_match_the_library(run, tmp_path):
+    src = write(tmp_path, "panel.csv", HEADER + "a,t1,1,1\nb,t1,2,1\na,t2,2,1\n"
+                "b,t2,3,2\na,t3,3,1\nb,t3,5,1\nc,t2,4,1\nc,t3,6,2\n")
+    code, out, err = run("simulate", "--input", src, "--reps", "4", "--seed", "3",
+                         "--noise-sd-max", "0.05", "--estimators", "mpl,tpd_weighted",
+                         "--dump-draws")
+    assert (code, err) == (0, "")
+    panel, _ = mplindex.build_reference_basket(mplindex.load_panel(src))
+    report = mplindex.simulate(panel, mplindex.SimulationConfig(
+        replications=4, seed=3, noise_sd_max=0.05, estimators=("mpl", "tpd_weighted"),
+        dump_draws=True))
+    draws = json.loads(out)["draws"]
+    assert list(draws) == ["mpl", "tpd_weighted"]
+    for name, summary in report.summaries.items():
+        assert summary.draws.shape == (4, 3)
+        assert draws[name] == summary.draws.tolist()
+
+
+def test_simulate_dump_draws_with_csv_is_a_usage_error(run, tmp_path):
+    # refused before the input is read: the CSV report has no place for them
+    report = tmp_path / "report.csv"
+    assert run("simulate", "--input", str(tmp_path / "missing.csv"), "--dump-draws",
+               "--format", "csv", "--output", str(report)) == (
+        3, "", "usage error: --dump-draws writes JSON only; drop --format csv\n")
+    assert not report.exists()
+
+
 def test_output_write_failure_exits_2(run, tmp_path):
     src = write(tmp_path, "panel.csv", F1_CSV)
     dest = tmp_path / "missing-dir" / "out.json"
@@ -779,6 +819,26 @@ def test_extreme_scales_print_one_line(run, tmp_path, scale):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.count("\n") == 1
     assert_same_figures(series_rows(proc.stdout), series_rows(out))
+
+
+@pytest.mark.parametrize("command", ["mpl", "tpd"])
+def test_pct_change_past_the_float_range_prints_null_or_blank(run, tmp_path, command):
+    # t1's values x 1e-153.5 and t2's x 1e153.5: every index is a normal
+    # float, but t2's over t1's, times 100, leaves the float range
+    rng = np.random.default_rng(0)
+    values, quantities = rng.uniform(1, 10, (6, 3)), rng.uniform(1, 10, (6, 3))
+    values[:, 0] *= 10 ** -153.5
+    values[:, 1] *= 10 ** 153.5
+    src = write(tmp_path, "far.csv", HEADER + "".join(
+        f"i{i},t{t + 1},{values[i, t]:.17g},{quantities[i, t]:.17g}\n"
+        for t in range(3) for i in range(6)))
+    code, out, err = run(command, "--input", src)
+    assert (code, err) == (0, "")
+    rows = series_rows(out)
+    assert rows[1]["pct_change"] is None and math.isfinite(rows[2]["pct_change"])
+    code, out, err = run(command, "--input", src, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [row[5] for row in csv.reader(io.StringIO(out))][1:3] == ["", ""]
 
 
 def test_tiny_values_publish_the_unscaled_index(run, tmp_path):

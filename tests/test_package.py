@@ -116,6 +116,49 @@ def test_only_algebra_touches_the_factor():
         assert not used & kit, (name, sorted(used & kit))
 
 
+def _raised(tree):
+    """(line, name) of each raise in a module; None for a bare re-raise."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def test_the_factor_refuses_only_singular_systems():
+    # callers hand algebra bounded blocks, so no magnitude is refused there
+    raised = dict(_package_trees())["algebra.py"]
+    assert [(line, name) for line, name in _raised(raised)
+            if name != "SingularSystem"] == []
+
+
+def test_every_error_type_is_raised_by_the_package():
+    trees = dict(_package_trees())
+    declared = {node.name for node in ast.walk(trees["errors.py"])
+                if isinstance(node, ast.ClassDef)}
+    raised = {name for tree in trees.values() for _, name in _raised(tree)}
+    assert declared - raised == {"MplIndexError"}
+
+
+def _error_types(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("mplindex"):
+            yield sub
+            yield from _error_types(sub)
+
+
+def test_the_cli_handlers_cover_every_refusal():
+    # every package error is a ValidationError (exit 1) or an
+    # EstimationError (exit 2), so run_cli needs no other handler for one
+    run_cli = next(node for node in ast.walk(dict(_package_trees())["cli.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "run_cli")
+    handled = [handler.type.id for node in ast.walk(run_cli) if isinstance(node, ast.Try)
+               for handler in node.handlers]
+    assert handled == ["_UsageError", "ValidationError", "EstimationError", "OSError"]
+    covered = (mplindex.ValidationError, mplindex.EstimationError)
+    assert [cls.__name__ for cls in _error_types(mplindex.MplIndexError)
+            if not issubclass(cls, covered)] == []
+
+
 def test_only_estimator_scales_a_fit():
     # both MPL fits run on the scaling estimator owns: updating takes no
     # binary exponent and undoes no scale of its own
