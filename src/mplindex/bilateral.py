@@ -72,17 +72,15 @@ def _scaled(inp: BilateralInput) -> BilateralInput:
     flushes to zero: the prices or the quantities span the float range.
     """
     n = inp.p1.size
-    with np.errstate(under="ignore"):
-        p, _ = _Scaling.scale(np.concatenate([inp.p1, inp.p2]), 0, 2 * n)
-        q, _ = _Scaling.scale(np.concatenate([inp.q1, inp.q2]), 0, 2 * n)
+    p, _ = _Scaling.scale(np.concatenate([inp.p1, inp.p2]), 0, 2 * n)
+    q, _ = _Scaling.scale(np.concatenate([inp.q1, inp.q2]), 0, 2 * n)
     return BilateralInput(p1=p[:n], p2=p[n:], q1=q[:n], q2=q[n:])
 
 
 def _price_ratio(inp: BilateralInput, w: np.ndarray) -> float:
     """p2'w / p1'w, refused with EstimationError unless the two aggregates
     and their ratio are positive normal floats."""
-    with np.errstate(under="ignore"):
-        num, den = math.fsum(inp.p2 * w), math.fsum(inp.p1 * w)
+    num, den = math.fsum(inp.p2 * w), math.fsum(inp.p1 * w)
     ratio = num / den if den else math.inf
     if not _normal(np.array([num, den, ratio])).all():
         raise EstimationError(OVERFLOW_MESSAGE)
@@ -92,9 +90,7 @@ def _price_ratio(inp: BilateralInput, w: np.ndarray) -> float:
 def classical_index(inp: BilateralInput, kind: str) -> float:
     """Laspeyres, Paasche, Marshall-Edgeworth or Walsh index."""
     inp = _scaled(inp)
-    with np.errstate(under="ignore"):
-        w = _quantity_weights(inp, kind)
-    return _price_ratio(inp, w)
+    return _price_ratio(inp, _quantity_weights(inp, kind))
 
 
 def mpl_two_period(inp: BilateralInput) -> float:
@@ -107,7 +103,7 @@ def mpl_two_period(inp: BilateralInput) -> float:
     inp = _scaled(inp)
     p2, q1, q2 = inp.p2, inp.q1, inp.q2
     # an item whose d underflows to zero weighs 0 / 0, which the ratio refuses
-    with np.errstate(under="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         d = q1 * q1 + q2 * q2
         # the leading factor 2 cancels in the ratio; kept for fidelity.  The
         # quantity product is grouped so a q1/q2 swap stays bit-neutral.
@@ -125,8 +121,7 @@ def bilateral_from_panel(panel: Panel) -> BilateralInput:
         raise ValidationError("bilateral adapter needs exactly two units")
     if not panel.present.all():
         raise ValidationError("bilateral formulas need every cell present")
-    with np.errstate(under="ignore"):
-        prices = implied_prices(panel)
+    prices = implied_prices(panel)
     if not _normal(prices).all():
         raise EstimationError(OVERFLOW_MESSAGE)
     b = panel.base_unit

@@ -43,25 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x) -> str:
-    """17-significant-digit text for a float; empty for NaN or an infinity."""
+def _number(x) -> str | None:
+    """17-significant-digit text for a float; None for NaN or an infinity,
+    a figure the data cannot give, which CSV writes blank and JSON null."""
     x = float(x)
-    if not math.isfinite(x):
-        return ""
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else None
 
 
 def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
     if isinstance(x, str):
         return json.dumps(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(x, ".17g")
+    text = None if x is None else _number(x)
+    return "null" if text is None else text
 
 
 def _json_value(obj) -> str:
@@ -75,7 +70,8 @@ def _json_value(obj) -> str:
 
 def _csv(columns, rows) -> str:
     """CSV text under csv quoting: a field holding a comma or a quote is
-    quoted, every other field is written as it is; lines end in "\n"."""
+    quoted, None is blank, every other field is written as it is; lines end
+    in "\n"."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
@@ -90,14 +86,11 @@ def _table(result, meta: dict):
     and the JSON forms of a report render these same rows.
     """
     if isinstance(result, IndexSeries):
-        pct = result.pct_change
-        if pct is None:
-            pct = np.full(len(result.units), np.nan)
         return ({"mode": result.mode, "base": result.units[result.base_unit],
                  "variance_method": result.variance_method},
                 ("unit", "index", "se", "lo", "hi", "pct_change"),
                 list(zip(result.units, result.index, result.se, result.lower,
-                         result.upper, pct)))
+                         result.upper, result.pct_change)))
     cfg, summaries = result.config, result.summaries
     return ({"mode": meta.get("mode"), "base": meta.get("base"), "scheme": cfg.scheme,
              "replications": cfg.replications, "seed": cfg.seed, "k": cfg.k,
@@ -116,21 +109,20 @@ def emit_report(result, fmt: str, meta: dict | None = None) -> str:
     """Serialize an index series, a simulation report or a bilateral table.
 
     An index series carries its own JSON meta; the other reports take mode
-    and base from ``meta``.  JSON leaves out a NaN pct_change.
+    and base from ``meta``.  A JSON row holds the CSV line's columns.
     """
     meta = meta or {}
     if isinstance(result, dict):  # bilateral kind -> value table
         if fmt == "csv":
-            return _csv(("kind", "value"), ([kind, _fmt(value)] for kind, value in result.items()))
+            return _csv(("kind", "value"),
+                        ([kind, _number(value)] for kind, value in result.items()))
         return _json_value({"meta": meta, "indexes": result}) + "\n"
 
     doc_meta, columns, rows = _table(result, meta)
     if fmt == "csv":
-        return _csv(columns, ([x if isinstance(x, str) else _fmt(x) for x in row]
+        return _csv(columns, ([x if isinstance(x, str) else _number(x) for x in row]
                               for row in rows))
-    doc = {"meta": doc_meta, "series": [
-        {c: x for c, x in zip(columns, row) if not (c == "pct_change" and math.isnan(x))}
-        for row in rows]}
+    doc = {"meta": doc_meta, "series": [dict(zip(columns, row)) for row in rows]}
     if isinstance(result, SimulationReport) and result.config.dump_draws:
         doc["draws"] = {name: s.draws for name, s in result.summaries.items()}
     return _json_value(doc) + "\n"

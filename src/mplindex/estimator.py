@@ -33,7 +33,6 @@ from .errors import (
     OVERFLOW_MESSAGE,
     BasketViolation,
     EstimationError,
-    InvalidDimension,
     ValidationError,
     require_number,
 )
@@ -189,10 +188,8 @@ def deflator_fitter(panel: Panel, variance_method: str = "full_partition"):
     if variance_method not in VARIANCE_METHODS:
         raise ValidationError(f"variance_method must be one of {VARIANCE_METHODS}")
     n, t = panel.n_items, panel.n_units
-    if t < 2:
-        raise InvalidDimension(f"estimation needs at least two units, got T={t}")
-    _check_basket(panel)
     require_connected(panel)
+    _check_basket(panel)
 
     base, nonbase = panel.base_unit, np.array(panel.nonbase_units, dtype=np.intp)
     labels = ([f"ref_price[{item}]" for item in panel.items],
@@ -268,7 +265,7 @@ class IndexSeries:
     se: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    pct_change: np.ndarray | None
+    pct_change: np.ndarray
     variance_method: str
 
 
@@ -293,8 +290,8 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
 
     se is the fit's index_se, so it is NaN off the base where the variance
     is undefined, and so are the bounds.  pct_change is period-over-period in
-    time mode (first entry NaN, inf past the float range) and None in space
-    mode.  Raises ValidationError unless k is a finite, positive real
+    time mode (first entry NaN, inf past the float range) and NaN throughout
+    in space mode.  Raises ValidationError unless k is a finite, positive real
     number, and EstimationError when an index is not a positive normal
     float (checked_indexes).
     """
@@ -302,9 +299,8 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"k must be finite and positive, got {k}")
     index, se = checked_indexes(fit), fit.index_se
-    pct = None
+    pct = np.full(len(fit.units), np.nan)
     if fit.mode == "time":
-        pct = np.full(len(fit.units), np.nan)
         with np.errstate(over="ignore"):
             pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
     return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,

@@ -4,9 +4,9 @@ and the connectivity of the presence graph.
 A panel holds two aligned nonnegative matrices (values and quantities) over
 N items and T units, where a unit is a time period (mode "time") or an area
 (mode "space").  A cell is present when both entries are strictly positive;
-absent cells carry exact zeros in both matrices.  Every estimator needs the
-bipartite item/unit presence graph connected (require_connected), which is
-checked with boolean frontier sweeps.
+absent cells carry exact zeros in both matrices.  Every estimator needs two
+units or more and the bipartite item/unit presence graph connected
+(require_connected), which is checked with boolean frontier sweeps.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     EmptyBasket,
     FormatError,
     InconsistentCell,
+    InvalidDimension,
     UnidentifiedModel,
     ValidationError,
     require_number,
@@ -552,11 +553,14 @@ def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, 
 
 
 def require_connected(panel: Panel) -> None:
-    """Raise UnidentifiedModel unless the presence graph is connected.
+    """Raise InvalidDimension for a panel of one unit, which leaves no index
+    to estimate, and UnidentifiedModel unless the presence graph is connected.
 
     One sweep from the base unit; presence_components runs only to describe
     a failure.
     """
+    if panel.n_units < 2:
+        raise InvalidDimension(f"estimation needs at least two units, got T={panel.n_units}")
     items = np.zeros(panel.n_items, dtype=bool)
     units = np.zeros(panel.n_units, dtype=bool)
     units[panel.base_unit] = True

@@ -82,7 +82,11 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorSummary:
-    """Replication averages and bands for one estimator."""
+    """Replication averages and bands for one estimator.
+
+    emp_sd is the spread of the fitted replications' indexes: NaN off the
+    base, with the empirical bands, when fewer than two were fitted.
+    """
 
     mean_index: np.ndarray
     emp_sd: np.ndarray
@@ -204,7 +208,12 @@ def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
         arr = np.vstack(draws[name])
         se_arr = np.vstack(ses[name])
         mean_index = arr.mean(axis=0)
-        emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(t)
+        if arr.shape[0] > 1:
+            emp_sd = arr.std(axis=0, ddof=1)
+        else:
+            # one fit measures no spread, but the base index is 1 in every fit
+            emp_sd = np.full(t, np.nan)
+            emp_sd[panel.base_unit] = 0.0
         mean_se = se_arr.mean(axis=0)
         summaries[name] = EstimatorSummary(
             mean_index=mean_index,

@@ -445,7 +445,9 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
             raise EstimationError(f"estimator {name!r} failed in every replication")
         arr = np.vstack(draws[name])
         mean_index = arr.mean(axis=0)
-        emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros(panel.n_units)
+        # below two fits the spread is unmeasured: NaN, except 0 at the base
+        emp_sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.where(
+            np.arange(panel.n_units) == panel.base_unit, 0.0, np.nan)
         mean_se = np.vstack(ses[name]).mean(axis=0)
         summaries[name] = EstimatorSummary(
             mean_index=mean_index, emp_sd=emp_sd, mean_se=mean_se,

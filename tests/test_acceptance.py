@@ -285,7 +285,7 @@ def test_c10_format_reproduction_and_note():
     dummy = fit_dummy_index(panel.with_unit(islands))
 
     # per-area row: index, standard error and 3-sigma bounds, all finite
-    assert series.pct_change is None
+    assert np.isnan(series.pct_change).all()
     for t in range(4):
         row = (series.index[t], series.se[t], series.lower[t], series.upper[t])
         assert all(math.isfinite(x) for x in row), row

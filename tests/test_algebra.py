@@ -489,6 +489,33 @@ def spread_level_panels(count):
                     np.where(present, quantities, 0.0))
 
 
+def dominant_unit_panels(count):
+    """Seeded sparse panels in which one unit holds most of every item's weight.
+
+    Item prices are U(1, 10), unit deflators U(0.8, 1.2) with the base's 1
+    and quantities U(1, 10), one random unit's times 10^U(0, 8); values
+    are q p e^N(0, 0.05) / d.  Each cell is present with probability 0.85,
+    unit 0 and item 0 are complete, and items present in fewer than two
+    units are dropped.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n, t = int(rng.integers(8, 30)), int(rng.integers(2, 12))
+        prices = rng.uniform(1.0, 10.0, n)
+        deflators = rng.uniform(0.8, 1.2, t)
+        deflators[0] = 1.0
+        quantities = rng.uniform(1.0, 10.0, (n, t))
+        quantities[:, rng.integers(t)] *= 10.0 ** rng.uniform(0.0, 8.0)
+        values = quantities * prices[:, None] * np.exp(rng.normal(0.0, 0.05, (n, t)))
+        values /= deflators
+        present = rng.random((n, t)) < 0.85
+        present[:, 0] = present[0] = True
+        keep = present.sum(axis=1) >= 2
+        present, values, quantities = present[keep], values[keep], quantities[keep]
+        yield Panel([f"i{k}" for k in np.flatnonzero(keep)], [f"u{k}" for k in range(t)],
+                    np.where(present, values, 0.0), np.where(present, quantities, 0.0))
+
+
 def fit_outcome(fit, panel):
     try:
         return "ok", fit(panel).indexes
@@ -520,10 +547,10 @@ def test_item_side_decides_as_the_unit_side(solve_side):
 
 def test_accepted_fits_are_within_their_error_bound(monkeypatch):
     # every accepted MPL, weighted TPD and unweighted TPD fit of the weakly
-    # linked panels and of the spread-price-level panels, on whichever side
-    # factor_two_way factors it, is within BETA_TOL of the exact solution of
-    # its normal equations and within the bound that accepted it (the last
-    # one computed)
+    # linked, the spread-price-level and the dominant-unit panels, on
+    # whichever side factor_two_way factors it, is within BETA_TOL of the
+    # exact solution of its normal equations and within the bound that
+    # accepted it (the last one computed)
     bounds = []
     error_bound = algebra._error_bound
 
@@ -543,7 +570,8 @@ def test_accepted_fits_are_within_their_error_bound(monkeypatch):
         "tpd_ols": tpd_error(False),
     }
     families = {"weakly_linked": (weakly_linked_panels(200), (10, 60, 200)),
-                "spread_levels": (spread_level_panels(200), (200, 100, 200))}
+                "spread_levels": (spread_level_panels(200), (200, 100, 200)),
+                "dominant_unit": (dominant_unit_panels(200), (100, 200, 200))}
     for family, (panels, least) in families.items():
         accepted = dict.fromkeys(index_errors, 0)
         for panel in panels:

@@ -48,7 +48,7 @@ def test_mpl_json_output(run, tmp_path):
     assert [row["unit"] for row in doc["series"]] == ["t1", "t2"]
     assert doc["series"][1]["index"] == 2.0
     assert doc["series"][0]["index"] == 1.0
-    assert "pct_change" not in doc["series"][0]
+    assert doc["series"][0]["pct_change"] is None
     assert doc["series"][1]["pct_change"] == 100.0
     assert doc["series"][1]["se"] == 0.0
     assert doc["series"][1]["lo"] == 2.0 and doc["series"][1]["hi"] == 2.0
@@ -80,6 +80,29 @@ def test_csv_reports_quote_a_label_with_a_comma(run, tmp_path, command):
     assert "t,1" in [row[rows[0].index("unit")] for row in rows]
 
 
+@pytest.mark.parametrize("mode", ["time", "space"])
+@pytest.mark.parametrize("command", [
+    ["mpl"], ["tpd"], ["tpd", "--weighted"], ["update-unit"], ["update-period"],
+    ["simulate", "--reps", "3", "--noise-sd-max", "0.05"]], ids=" ".join)
+def test_json_rows_hold_the_csv_columns(run, tmp_path, command, mode):
+    # each JSON row has the CSV header's keys, in order, and the CSV line's
+    # fields, with null where the line is blank
+    src = write(tmp_path, "panel.csv", HEADER + "a,t1,1,1\nb,t1,2,1\n"
+                "a,t2,2,1\nb,t2,4.5,1\na,t3,3,1\nb,t3,5,2\n")
+    if command[0].startswith("update"):
+        command = [*command, "--new", write(tmp_path, "new.csv", HEADER + "a,t4,2,1\nb,t4,3,1\n")]
+    reports = {}
+    for fmt in ("json", "csv"):
+        code, reports[fmt], err = run(*command, "--input", src, "--mode", mode, "--format", fmt)
+        assert (code, err) == (0, "")
+    header, *lines = csv.reader(io.StringIO(reports["csv"]))
+    rows = series_rows(reports["json"])
+    assert [list(row) for row in rows] == [header] * len(lines)
+    for row, line in zip(rows, lines):
+        assert [x if isinstance(x, str) else "" if x is None else format(float(x), ".17g")
+                for x in row.values()] == line
+
+
 def test_undefined_se_serialized_as_null_and_blank(run, tmp_path):
     src = write(tmp_path, "one.csv", HEADER + "a,t1,2,1\na,t2,3,1\n")
     code, out, _ = run("mpl", "--input", src)
@@ -92,13 +115,13 @@ def test_undefined_se_serialized_as_null_and_blank(run, tmp_path):
     assert row[2] == "" and row[3] == "" and row[4] == ""
 
 
-def test_space_mode_omits_pct_change(run, tmp_path):
+def test_space_mode_pct_change_is_null_or_blank(run, tmp_path):
     csv_text = HEADER + "a,rome,1,1\nb,rome,2,1\na,milan,2,1\nb,milan,3,1\n"
     src = write(tmp_path, "areas.csv", csv_text)
     code, out, _ = run("mpl", "--input", src, "--mode", "space")
     doc = json.loads(out)
     assert doc["meta"]["mode"] == "space"
-    assert all("pct_change" not in row for row in doc["series"])
+    assert all(row["pct_change"] is None for row in doc["series"])
     code, out, _ = run("mpl", "--input", src, "--mode", "space", "--format", "csv")
     for line in out.strip().split("\n")[1:]:
         assert line.endswith(",")
@@ -745,6 +768,25 @@ def test_simulate_csv_format(run, tmp_path):
     lines = out.strip().split("\n")
     assert lines[0] == "estimator,unit,index,se,emp_sd,lo_emp,hi_emp,lo_model,hi_model"
     assert len(lines) == 1 + 2 * 2  # two estimators x two units
+
+
+def test_simulate_one_replication_prints_no_spread(run, tmp_path):
+    # one fit measures no spread: emp_sd and its band are blank or null off
+    # the base, whose index is 1 in every replication
+    src = write(tmp_path, "panel.csv", HEADER + "a,t1,1,1\nb,t1,2,1\n"
+                "a,t2,2,1\nb,t2,4.5,1\na,t3,3,1\nb,t3,5,2\n")
+    args = ("simulate", "--input", src, "--reps", "1", "--noise-sd-max", "0.1",
+            "--estimators", "mpl")
+    code, out, err = run(*args, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = list(csv.DictReader(io.StringIO(out)))
+    spread = [[line[c] for c in ("emp_sd", "lo_emp", "hi_emp")] for line in lines]
+    assert spread == [["0", "1", "1"], ["", "", ""], ["", "", ""]]
+    assert all(line["lo_model"] != "" for line in lines)
+    code, out, err = run(*args)
+    assert (code, err) == (0, "")
+    assert [[row[c] for c in ("emp_sd", "lo_emp", "hi_emp")] for row in series_rows(out)] == [
+        [0, 1, 1], [None, None, None], [None, None, None]]
 
 
 def test_simulate_dump_draws_match_the_library(run, tmp_path):

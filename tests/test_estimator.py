@@ -14,12 +14,15 @@ from mplindex import (
     EstimationError,
     InvalidDimension,
     Panel,
+    SimulationConfig,
     UnidentifiedModel,
     ValidationError,
     build_reference_basket,
     estimate_deflators,
+    fit_dummy_index,
     gram_blocks,
     load_panel,
+    simulate,
     to_index_series,
 )
 from mplindex.estimator import _stacked_ssr, deflator_fitter
@@ -117,10 +120,16 @@ def test_thin_item_rejected_before_estimation():
 
 
 def test_single_unit_panel_rejected():
+    # a panel of one unit has no index to estimate: MPL and TPD, weighted or
+    # not, and the replication harness refuse it alike
     v = np.ones((2, 1))
     panel = Panel(("a", "b"), ("t1",), v, v.copy())
-    with pytest.raises(InvalidDimension):
-        estimate_deflators(panel)
+    fits = (estimate_deflators, fit_dummy_index,
+            lambda p: fit_dummy_index(p, weighted=True),
+            lambda p: simulate(p, SimulationConfig(replications=2, estimators=("tpd",))))
+    for fit in fits:
+        with pytest.raises(InvalidDimension, match="at least two units, got T=1$"):
+            fit(panel)
 
 
 def test_dof_rules():
@@ -289,13 +298,13 @@ def test_index_series_pct_change_chain():
     assert series.se[0] == 0.0
 
 
-def test_index_series_space_mode_has_no_pct():
+def test_index_series_space_mode_pct_is_nan():
     rng = np.random.default_rng(4)
     panel = random_panel(rng, 4, 3, mode="space")
     est = estimate_deflators(panel)
     assert est.mode == "space"
     series = to_index_series(est)
-    assert series.pct_change is None
+    assert np.isnan(series.pct_change).all() and len(series.pct_change) == 3
     assert series.mode == "space"
 
 

@@ -260,6 +260,37 @@ def test_simulate_matches_the_per_replication_fits(panel, options):
     assert_same_report(simulate(panel, config), simulate_reference(panel, config))
 
 
+def test_one_fitted_replication_measures_no_spread(monkeypatch):
+    # below two fits emp_sd and the empirical band are NaN off the base,
+    # whose index is 1 in every fit, and nothing warns
+    panel = random_panel(np.random.default_rng(11), 2, 3, base=1)
+    config = SimulationConfig(replications=1, noise_sd_max=0.1, estimators=ALL)
+    report = simulate(panel, config)
+    assert_same_report(report, simulate_reference(panel, config))
+    real = _ESTIMATOR_FUNCS["mpl"]
+
+    def first_only(panel, config):
+        fit, fitted = real(panel, config), []
+
+        def fitter(values):
+            if fitted:
+                raise EstimationError("synthetic failure")
+            fitted.append(values)
+            return fit(values)
+
+        return fitter
+
+    monkeypatch.setitem(_ESTIMATOR_FUNCS, "mpl", first_only)
+    failing = simulate(panel, SimulationConfig(replications=4, noise_sd_max=0.1,
+                                               estimators=("mpl",))).summaries["mpl"]
+    assert failing.failures == 3
+    for summary in [*report.summaries.values(), failing]:
+        assert (summary.emp_sd[1], summary.lo_emp[1], summary.hi_emp[1]) == (0.0, 1.0, 1.0)
+        for band in (summary.emp_sd, summary.lo_emp, summary.hi_emp):
+            assert np.isnan(band[[0, 2]]).all()
+        assert np.isfinite(summary.lo_model).all()
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_value_draws_match_the_per_unit_loop(scheme):
     # noise about as large as the values: many replications redraw a cell
