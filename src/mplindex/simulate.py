@@ -6,12 +6,12 @@ off the base where the fit has no residual dof); a replication fails only
 when the fit raises or an index is not a positive normal float
 (estimator.checked_indexes, the check every published index passes).
 Presence and quantities never change, so what depends on them alone is
-done once per run: each estimator is prepared once (deflator_fitter,
-dummy_fitter) and no panel is rebuilt per replication.
+done once per run: each estimator is prepared once, before the first draw
+(deflator_fitter, dummy_fitter), and no panel is rebuilt per replication.
 One draw function (_value_draws) writes every replication's values into
 one reused buffer.  Replication r draws from its own child of the root seed
-sequence, so results are bit-identical for any execution order or worker
-count.  Nonpositive perturbed values are redrawn from the same generator;
+sequence, so its draws do not depend on how many replications run.
+Nonpositive perturbed values are redrawn from the same generator;
 persistent failure to stay positive aborts the whole run.
 """
 
@@ -29,7 +29,14 @@ from .estimator import IndexFit, checked_indexes, deflator_fitter
 from .panel import Panel
 
 SCHEMES = ("additive_on_base", "random_walk")
-ESTIMATORS = ("mpl", "tpd", "tpd_weighted")
+# name -> callable(panel, config) returning the fit of the panel's presence
+# and quantities to a value matrix: values -> IndexFit (see deflator_fitter)
+_ESTIMATOR_FUNCS = {
+    "mpl": lambda panel, config: deflator_fitter(panel, config.variance_method),
+    "tpd": lambda panel, config: dummy_fitter(panel, weighted=False),
+    "tpd_weighted": lambda panel, config: dummy_fitter(panel, weighted=True),
+}
+ESTIMATORS = tuple(_ESTIMATOR_FUNCS)
 MAX_REDRAWS = 100
 
 
@@ -162,39 +169,28 @@ def _value_draws(panel: Panel, config: SimulationConfig):
     return draw
 
 
-# name -> callable(panel, config) returning the fit of the panel's presence
-# and quantities to a value matrix: values -> IndexFit (see deflator_fitter)
-_ESTIMATOR_FUNCS = {
-    "mpl": lambda panel, config: deflator_fitter(panel, config.variance_method),
-    "tpd": lambda panel, config: dummy_fitter(panel, weighted=False),
-    "tpd_weighted": lambda panel, config: dummy_fitter(panel, weighted=True),
-}
-
-
 def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
     """Run the replication study; failed replications are excluded and counted.
 
-    Each estimator is prepared once, on first use, and fits every
-    replication's values; a preparation that raises EstimationError fails
-    its replication and is tried again on the next.  Errors surface in the
-    replication and the order in which per-replication fits of freshly
-    built panels would raise them.
+    Each estimator is prepared once, before the first draw, and fits every
+    replication's values.  A preparation reads only presence and quantities,
+    which no replication changes, so its error stops the run before any
+    draw; after that, errors surface in the replication and the order in
+    which per-replication fits of freshly built panels would raise them.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
     t = panel.n_units
     draw = _value_draws(panel, config)
-    fitters = {}
+    fitters = {name: _ESTIMATOR_FUNCS[name](panel, config) for name in config.estimators}
     draws = {name: [] for name in config.estimators}
     ses = {name: [] for name in config.estimators}
     failed = {name: [] for name in config.estimators}
 
     for r in range(config.replications):
         values = draw(children[r])
-        for name in config.estimators:
+        for name, fitter in fitters.items():
             try:
-                if name not in fitters:
-                    fitters[name] = _ESTIMATOR_FUNCS[name](panel, config)
-                fit: IndexFit = fitters[name](values)
+                fit: IndexFit = fitter(values)
                 draws[name].append(checked_indexes(fit))
             except EstimationError:
                 failed[name].append(r)

@@ -274,7 +274,8 @@ import json, sys
 from mplindex.cli import run_cli
 for argv, expected in json.loads(sys.argv[1]):
     code = run_cli(argv)
-    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    # numpy.random costs about 10 ms of start-up, and only simulate draws
+    loaded = sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.random")))
     print(argv[0], code, loaded, file=sys.stderr)
     assert code == expected and not loaded, (argv, code, loaded)
 """

@@ -440,15 +440,19 @@ LOADER_CASES = {
     # labels that strip to the same text are one label
     "unicode_padded_labels": (HEADER + "\na,t1,10,2\n\xa0b,t1,6,3\na\u3000,t2,8,2\n"
                               "b,\xa0t2\u3000,9,3\n", True),
+    "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
+             "a,t2,8,2\r\nb,t2,9,3\r\n", True),
+    "crlf_mixed_no_trailing_newline": (HEADER + "\r\na,t1,10,2\nb,t1,6,3\r\n"
+                                       "a,t2,8,2\r\nb,t2,9, 3\r", True),
     # input the row parser decides
+    "bare_cr_in_line": (HEADER + "\na,t1,10,2\nb,t1\r,6,3\na,t2,8,2\nb,t2,9,3\n", False),
+    "cr_cr_lf": (HEADER + "\na,t1,10,2\r\r\nb,t1,6,3\na,t2,8,2\nb,t2,9,3\n", False),
     "unicode_digits": (HEADER + "\na,t1,١٠,2\nb,t1,6,٣\na,t2,8,2\nb,t2,9,3\n", False),
     "unicode_space_in_number": (HEADER + "\na,t1,\xa010,2\nb,t1,6,3\u3000\n", False),
     "unicode_padded_duplicate": (HEADER + "\na,t1,10,2\nb,t1,6,3\n\xa0a\u3000,t1,8,2\n",
                                  False),
     "bom": ("\ufeff" + HEADER + "\na,t1,10,2\nb,t1,6,3\n", False),
     "quoted": (HEADER + '\n"a",t1,10,2\nb,"t1",6,3\n"a,x",t2,8,2\nb,t2,"9",3\n', False),
-    "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
-             "a,t2,8,2\r\nb,t2,9,3\r\n", False),
     "blank_lines": (HEADER + "\na,t1,10,2\n\nb,t1,6,3\na,t2,8,2\n\nb,t2,9,3\n\n", False),
     "trailing_comma": (HEADER + "\na,t1,10,2\nb,t1,6,3,\na,t2,8,2\n", False),
     # realigned, the fields would read as two more valid, distinct cells
@@ -487,6 +491,10 @@ def test_loader_cases_hit_the_intended_outcomes():
     assert result("empty") == (FormatError, "line 1: empty input")
     assert result("spellings")[0] == ("a", "b")
     assert result("quoted")[0] == ("a", "b", "a,x")
+    assert result("crlf") == result("plain")
+    # a bare CR ends a line, for a stream as for a file
+    assert result("bare_cr_in_line") == (FormatError, "line 3: expected 4 fields, got 2")
+    assert result("cr_cr_lf") == result("plain")
     assert result("odd_whitespace_in_labels")[:2] == (("a\x0cb", "c"), ("t\x851", "t2"))
     assert result("unicode_padded_labels")[:2] == (("a", "b"), ("t1", "t2"))
     assert result("unicode_digits")[0] == ("a", "b")

@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,9 @@ from mplindex import (
 from mplindex.simulate import _ESTIMATOR_FUNCS, SCHEMES, _value_draws
 from helpers import random_panel
 from oracles import per_unit_values, simulate_reference
+
+# the package exports the function simulate under the module's name
+simulate_module = importlib.import_module("mplindex.simulate")
 
 
 def test_config_validation():
@@ -178,6 +182,35 @@ def test_all_replications_failing_is_an_error(monkeypatch):
                               estimators=("mpl", "tpd"))
     with pytest.raises(EstimationError):
         simulate(panel, config)
+
+
+def test_refused_preparation_stops_the_run_before_any_draw(monkeypatch):
+    # presence and quantities never change, so a refused preparation is
+    # refused in every replication: it is tried once and its own error stands
+    panel = random_panel(np.random.default_rng(10), 4, 3)
+    calls = Counter()
+
+    def refusing(sim_panel, config):
+        calls["prepare"] += 1
+        raise EstimationError("refused")
+
+    real_draws = simulate_module._value_draws
+
+    def counted_draws(panel, config):
+        draw = real_draws(panel, config)
+
+        def counted(seed):
+            calls["draw"] += 1
+            return draw(seed)
+
+        return counted
+
+    monkeypatch.setitem(_ESTIMATOR_FUNCS, "tpd", refusing)
+    monkeypatch.setattr(simulate_module, "_value_draws", counted_draws)
+    config = SimulationConfig(replications=50, noise_sd_max=0.1, estimators=("mpl", "tpd"))
+    with pytest.raises(EstimationError, match="^refused$"):
+        simulate(panel, config)
+    assert calls == {"prepare": 1}
 
 
 def test_mpl_without_residual_dof_reports_nan_se():
