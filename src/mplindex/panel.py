@@ -244,17 +244,17 @@ def load_panel(source, mode: str = "time", base_unit=None) -> Panel:
     units are ordered by first appearance.  ``base_unit`` is a unit label
     or positional index (default: first unit).
 
-    Plain input (LF or CRLF line ends; no quote, NUL or CR inside a line;
-    three commas on every line) is parsed column by column from its UTF-8
-    bytes, at most ``csv.field_size_limit()`` bytes (128 kB by default) at
-    a time: a path is read in binary, a stream's text is encoded once.  A
-    bare CR ends a line for both.  Anything else goes
+    Plain input (LF line ends; no quote, CR or NUL; three commas on every
+    line) is parsed column by column from its UTF-8 bytes, at most
+    ``csv.field_size_limit()`` bytes (128 kB by default) at a time: a path
+    is read in binary, a stream's text is encoded once.  Anything else goes
     to the csv row parser from the start of the input: a stream whose text
     does not encode (a lone surrogate), a first line in a batch longer than
     the field limit, a number float() does not take from ASCII bytes (such
     as Unicode digits or spaces), a label that is not UTF-8, and any input
     a whole-file check rejects.  Both parsers give the same panel, and every
-    error comes from the row parser.  Text that does not decode and csv
+    error comes from the row parser, which ends a line at LF, CRLF or a bare
+    CR, for a stream as for a path.  Text that does not decode and csv
     faults such as an oversized field raise FormatError.
     """
     try:
@@ -323,11 +323,10 @@ def _parse_columns(fh):
     """Columnar parse of a binary handle; None where the row parser must decide.
 
     Returns what _parse_rows returns for the same text, or None on a header
-    outside _HEADERS; a batch holding a quote, NUL or a CR that does not end a
-    line, a first line longer than the csv field limit or a line without
-    exactly four fields; a number float() rejects; a label that is not UTF-8
-    or is empty once stripped; a non-finite or sign-inconsistent number, a
-    duplicate cell or no data rows.
+    outside _HEADERS; a batch holding a quote, CR or NUL, a first line longer
+    than the csv field limit or a line without exactly four fields; a number
+    float() rejects; a label that is not UTF-8 or is empty once stripped; a
+    non-finite or sign-inconsistent number, a duplicate cell or no data rows.
     """
     limit = csv.field_size_limit()
     header = fh.readline()
@@ -335,10 +334,9 @@ def _parse_columns(fh):
         names = header.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    names = names.removesuffix("\n").removesuffix("\r")
     # a quote or NUL survives strip(), a CR does not
     if (len(header) > limit or "\r" in names
-            or tuple(h.strip() for h in names.split(",")) not in _HEADERS):
+            or tuple(h.strip() for h in names.rstrip("\n").split(",")) not in _HEADERS):
         return None
 
     # labels are coded by their raw bytes and stripped once each at the end
@@ -360,9 +358,7 @@ def _parse_columns(fh):
             return None
         if not data:
             continue
-        # float() strips the CR a CRLF line end leaves on the quantity
-        if b'"' in data or b"\0" in data or (
-                b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        if b'"' in data or b"\r" in data or b"\0" in data:
             return None
         count = data.count(b"\n")
         # each line is four fields and the b"\n" that ended it; the split

@@ -415,6 +415,11 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
     """simulate as a loop of whole fits: per replication, the values
     simulate._value_draws draws, a freshly validated Panel and
     estimate_deflators or fit_dummy_index on it.
+
+    Each estimator first fits the unperturbed panel, and its error stops
+    the run, as simulate's preparation does before the first draw.  That
+    fit stands in for the preparation, so the two agree where the panel's
+    own values fit or are refused for their presence and quantities.
     """
     fits = {
         "mpl": lambda p: estimate_deflators(p, variance_method=config.variance_method),
@@ -426,6 +431,8 @@ def simulate_reference(panel: Panel, config: SimulationConfig) -> SimulationRepo
     ses = {name: [] for name in config.estimators}
     failed = {name: [] for name in config.estimators}
     draw = _value_draws(panel, config)
+    for name in config.estimators:
+        fits[name](panel)
     for r in range(config.replications):
         values = draw(children[r]).copy()
         sim_panel = Panel(panel.items, panel.units, values, panel.quantities,

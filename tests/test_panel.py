@@ -440,10 +440,6 @@ LOADER_CASES = {
     # labels that strip to the same text are one label
     "unicode_padded_labels": (HEADER + "\na,t1,10,2\n\xa0b,t1,6,3\na\u3000,t2,8,2\n"
                               "b,\xa0t2\u3000,9,3\n", True),
-    "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
-             "a,t2,8,2\r\nb,t2,9,3\r\n", True),
-    "crlf_mixed_no_trailing_newline": (HEADER + "\r\na,t1,10,2\nb,t1,6,3\r\n"
-                                       "a,t2,8,2\r\nb,t2,9, 3\r", True),
     # input the row parser decides
     "bare_cr_in_line": (HEADER + "\na,t1,10,2\nb,t1\r,6,3\na,t2,8,2\nb,t2,9,3\n", False),
     "cr_cr_lf": (HEADER + "\na,t1,10,2\r\r\nb,t1,6,3\na,t2,8,2\nb,t2,9,3\n", False),
@@ -453,6 +449,8 @@ LOADER_CASES = {
                                  False),
     "bom": ("\ufeff" + HEADER + "\na,t1,10,2\nb,t1,6,3\n", False),
     "quoted": (HEADER + '\n"a",t1,10,2\nb,"t1",6,3\n"a,x",t2,8,2\nb,t2,"9",3\n', False),
+    "crlf": ("item_id,unit_id,value,quantity\r\na,t1,10,2\r\nb,t1,6,3\r\n"
+             "a,t2,8,2\r\nb,t2,9,3\r\n", False),
     "blank_lines": (HEADER + "\na,t1,10,2\n\nb,t1,6,3\na,t2,8,2\n\nb,t2,9,3\n\n", False),
     "trailing_comma": (HEADER + "\na,t1,10,2\nb,t1,6,3,\na,t2,8,2\n", False),
     # realigned, the fields would read as two more valid, distinct cells

@@ -17,6 +17,7 @@ from mplindex import (
     estimator,
     simulate,
 )
+from mplindex.errors import OVERFLOW_MESSAGE
 from mplindex.simulate import _ESTIMATOR_FUNCS, SCHEMES, _value_draws
 from helpers import random_panel
 from oracles import per_unit_values, simulate_reference
@@ -368,6 +369,22 @@ def test_simulate_fails_as_the_per_replication_fits(options, error):
         simulate(panel, config)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
+
+
+def test_refused_preparation_fails_as_the_reference():
+    # item a's quantities span more than the float range, which the MPL
+    # scaling refuses whatever the values: the run stops with that refusal
+    panel = random_panel(np.random.default_rng(37), 5, 4)
+    quantities = panel.quantities.copy()
+    quantities[0, :2] = 1e-200, 1e200
+    panel = Panel(panel.items, panel.units, panel.values, quantities)
+    config = SimulationConfig(replications=6, seed=2, estimators=ALL)
+    with pytest.raises(EstimationError) as expected:
+        simulate_reference(panel, config)
+    with pytest.raises(EstimationError) as got:
+        simulate(panel, config)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value) == OVERFLOW_MESSAGE
 
 
 def test_replications_repeat_no_presence_work(monkeypatch):
