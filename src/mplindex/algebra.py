@@ -43,6 +43,9 @@ from .panel import Panel
 BETA_TOL = 1e-6
 # triangular blocks of at most this order are inverted by LAPACK in one call
 _BLOCK = 64
+# the item side refines its solve only where long double is wider than
+# float64; run in float64, the step loses accuracy rather than gaining it
+_WIDE_REFINEMENT = bool(np.finfo(np.longdouble).eps < np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +157,16 @@ class _UnitSide(_Factor):
 class _ItemSide(_Factor):
     """The units eliminated: K = C - BA^{-1}B' = LL'.
 
-    solve gives K b = r - BA^{-1}s, then a = A^{-1}(s - B'b), and refines
-    that once on the residual of the whole system taken in np.longdouble:
-    the plain solve is a few times less accurate than the unit side's, and
-    the step brings it to the exact solution of the given blocks (where
-    long double is wider than float64; elsewhere it is an ordinary
-    refinement step).  unit_variances is diag(S^{-1}), by the Woodbury
-    identity S^{-1} = A^{-1} + A^{-1}B'K^{-1}BA^{-1}: diag(A^{-1}) plus the
-    column sums of squares of L^{-1}BA^{-1}.
+    solve gives K b = r - BA^{-1}s, then a = A^{-1}(s - B'b).  Where
+    np.longdouble is wider than float64 (_WIDE_REFINEMENT), it refines that
+    once on the residual of the whole system taken in long double: the
+    plain solve is a few times less accurate than the unit side's, and the
+    step brings it to the exact solution of the given blocks.  Elsewhere
+    the plain solve stands, since the same step on a float64 residual
+    leaves it several times less accurate still.  unit_variances is
+    diag(S^{-1}), by the Woodbury identity S^{-1} = A^{-1} +
+    A^{-1}B'K^{-1}BA^{-1}: diag(A^{-1}) plus the column sums of squares of
+    L^{-1}BA^{-1}.
     """
 
     def __init__(self, chol, item_diag, cross, unit_diag, a_inv, ba):
@@ -177,6 +182,8 @@ class _ItemSide(_Factor):
     def solve(self, item_rhs, unit_rhs):
         """The unit effects a and the item effects b for r = item_rhs, s = unit_rhs."""
         items, units = self._plain_solve(item_rhs, unit_rhs)
+        if not _WIDE_REFINEMENT:
+            return units, items
         b, a, x = (arr.astype(np.longdouble) for arr in (items, units, self._cross))
         d_items, d_units = self._plain_solve(
             (item_rhs - self._item_diag * b - np.einsum("ij,j->i", x, a)).astype(float),

@@ -139,8 +139,8 @@ def _write(text: str, output: str | None):
 def _read_panel(path, **kwargs) -> Panel:
     try:
         return load_panel(path, **kwargs)
-    except FileNotFoundError:
-        raise ValidationError(f"cannot read {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load(args) -> Panel:

@@ -1,14 +1,15 @@
 """Updates when a unit (area) or a period joins the panel.
 
 A new unit or period is a one-unit Panel, matched to the panel by item
-label.  A multilateral update (new area) notes the items the extended
-panel's reference basket drops and re-estimates every deflator jointly on
-that basket, as mpl on the concatenated input does; it raises
-UnidentifiedModel when the newcomer leaves the presence graph split.  A
-multiperiod update (new period) keeps all previously published deflators
+label, and either update notes the items the extended panel's reference
+basket drops.  A multilateral update (new area) re-estimates every
+deflator jointly on that basket, as mpl on the concatenated input does; it
+raises UnidentifiedModel when the newcomer leaves the presence graph split.
+A multiperiod update (new period) keeps all previously published deflators
 fixed and solves a scalar system for the new one, so the published history
-never revises.  Each returns a DeflatorEstimate, so an update reaches a
-report through the same checked path as a fresh fit.
+never revises and the published basket stays as it is.  Each returns a
+DeflatorEstimate, so an update reaches a report through the same checked
+path as a fresh fit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import OVERFLOW_MESSAGE, EstimationError, ValidationError
 from .estimator import (
     DeflatorEstimate,
-    _check_basket,
     _normal,
     _Scaling,
     _stacked_ssr,
@@ -59,29 +59,27 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     The prior's se is carried unchanged.  The system is solved on the
     scaling every MPL fit runs on (estimator._Scaling), with the frozen
     deflators moved into it.  new_period is a one-unit Panel matched to the
-    panel by item label.  The frozen history leaves no room for a new item,
-    so an item the panel (the prior's reference basket) does not hold
-    raises ValidationError, as does a prior that is not a DeflatorEstimate
-    or one fitted on other units, items or base.  EstimationError is raised
-    when the scaled Schur complement underflows or a price is not finite,
-    and, decided on the unscaled figures, when the new deflator leaves the
-    normal float range.
+    panel by item label; the extended panel's reference basket is taken and
+    the items it drops are noted before the solve.  An item the panel does
+    not hold is present in the new period alone, so the basket rule drops
+    it: with no cell in the frozen history it would add nothing to the new
+    deflator's sums.  ValidationError is raised for a prior that is not a
+    DeflatorEstimate or one fitted on other units, base or items than the
+    extended basket's, and for a new period left with no basket item.
+    EstimationError is raised when the scaled Schur complement underflows
+    or a price is not finite, and, decided on the unscaled figures, when
+    the new deflator leaves the normal float range.
     """
     if not isinstance(prior, DeflatorEstimate):
         raise ValidationError(f"prior must be a DeflatorEstimate, not {type(prior).__name__}")
     if prior.units != panel.units:
         raise ValidationError("prior estimate and panel units disagree")
-    if prior.items != panel.items:
-        raise ValidationError("prior estimate and panel items disagree")
     if prior.base_unit != panel.base_unit:
         raise ValidationError("prior estimate and panel base unit disagree")
-    basket = set(panel.items)
-    outside = [item for item in new_period.items if item not in basket]
-    if outside:
-        raise ValidationError("new period contains items outside the reference basket: "
-                              + ", ".join(outside[:5]))
-    extended = panel.with_unit(new_period)
-    _check_basket(extended)
+    extended, report = build_reference_basket(panel.with_unit(new_period))
+    note_dropped(report)
+    if extended.items != prior.items:
+        raise ValidationError("prior estimate and panel items disagree")
 
     n_present = int(extended.present.sum())
     q, k_items = _Scaling.scale(extended.quantities, 1, n_present)
@@ -95,7 +93,7 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         # per-item quantity energy, split into the prior-panel part e and
         # the total d; the prior-fit signal m is (Q * V) applied to the
         # frozen deflator vector (base entry 1).  Every item is present
-        # somewhere (the basket check) and its largest quantity is scaled
+        # somewhere (the basket rule) and its largest quantity is scaled
         # to a normal float, so d >= (max q)^2 > 0
         e = (q[:, :-1]**2).sum(axis=1)
         d = e + q_new * q_new

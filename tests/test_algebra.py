@@ -298,6 +298,25 @@ def test_one_factor_solves_every_right_hand_side(n, k):
         assert factor.unit_variances.tobytes() == var.tobytes()
 
 
+def test_item_side_without_a_wider_long_double_is_the_plain_solve(monkeypatch):
+    # where np.longdouble is float64, the item side skips its refinement
+    # step and returns the plain solve bit for bit
+    rng = np.random.default_rng(12)
+    n, k = 40, 70
+    item_diag = rng.uniform(0.5, 3.0, n)
+    cross = -rng.uniform(0.0, 2.0, (n, k))
+    unit_diag = 2.0 * np.abs(cross.T @ (cross / item_diag[:, None])).sum(axis=1) + 1.0
+    factor = factor_two_way(item_diag, cross, unit_diag,
+                            [f"i{j}" for j in range(n)], [f"u{j}" for j in range(k)])
+    assert isinstance(factor, algebra._ItemSide)
+    monkeypatch.setattr(algebra, "_WIDE_REFINEMENT", False)
+    item_rhs, unit_rhs = rng.normal(size=n), rng.normal(size=k)
+    items, units = factor._plain_solve(item_rhs, unit_rhs)
+    got_units, got_items = factor.solve(item_rhs, unit_rhs)
+    assert got_units.tobytes() == units.tobytes()
+    assert got_items.tobytes() == items.tobytes()
+
+
 def test_blocks_invert_the_normal_matrix():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -605,12 +605,13 @@ def test_new_unit_file_is_aligned_to_panel_items(run, tmp_path):
     assert extended.values[:, -1].tolist() == [1, 0, 0, 4, 0, 6]
     assert extended.quantities[:, -1].tolist() == [10, 0, 0, 40, 0, 60]
 
+    # zz is present in the new period alone, so the basket rule drops it
     src = write(tmp_path, "panel.csv", emit_panel(panel))
-    bad = write(tmp_path, "bad.csv", HEADER + "i0,new,1,1\nzz,new,1,1\n")
-    code, _, err = run("update-period", "--input", src, "--new", bad)
-    assert code == 1
-    assert err.endswith("validation error: new period contains items outside the "
-                        "reference basket: zz\n")
+    extra = write(tmp_path, "extra.csv", HEADER + "i0,new,1,1\nzz,new,1,1\n")
+    plain = write(tmp_path, "plain.csv", HEADER + "i0,new,1,1\n")
+    assert run("update-period", "--input", src, "--new", extra) == (
+        0, run("update-period", "--input", src, "--new", plain)[1],
+        "note: dropped items outside the reference basket: zz\n")
 
 
 @pytest.mark.parametrize("command", ["update-unit", "update-period"])
@@ -621,12 +622,16 @@ def test_new_unit_item_the_basket_dropped_is_named_as_such(run, tmp_path, comman
     with_x = write(tmp_path, "with_x.csv", HEADER + "a,t3,3,1\nx,t3,2,1\n")
     with_zz = write(tmp_path, "with_zz.csv", HEADER + "a,t3,3,1\nb,t3,5,1\nzz,t3,1,1\n")
     if command == "update-period":
-        # the frozen history has no reference price for either
-        for new, outside in ((with_x, "x"), (with_zz, "zz")):
-            assert run(command, "--input", src, "--new", new) == (1, "", (
+        # the published basket stays frozen, so each is present in the new
+        # period alone and dropped there too: the input's note, then the
+        # new period's
+        a_only = write(tmp_path, "a_only.csv", HEADER + "a,t3,3,1\n")
+        a_and_b = write(tmp_path, "a_and_b.csv", HEADER + "a,t3,3,1\nb,t3,5,1\n")
+        for new, kept, outside in ((with_x, a_only, "x"), (with_zz, a_and_b, "zz")):
+            assert run(command, "--input", src, "--new", new) == (
+                0, run(command, "--input", src, "--new", kept)[1],
                 "note: dropped items outside the reference basket: x\n"
-                "validation error: new period contains items outside the reference "
-                f"basket: {outside}\n"))
+                f"note: dropped items outside the reference basket: {outside}\n")
         return
     # the new unit is x's second presence, so the extended basket keeps x,
     # as mpl on the two files concatenated does
@@ -637,6 +642,47 @@ def test_new_unit_item_the_basket_dropped_is_named_as_such(run, tmp_path, comman
     code, out, err = run(command, "--input", src, "--new", with_zz)
     assert code == 0
     assert err.startswith("note: dropped items outside the reference basket: x, zz\n")
+
+
+def test_update_period_drops_what_the_published_basket_lacks(run, tmp_path):
+    # F' is a new-period file F plus an item only F' holds, the input's
+    # thin item (present in one input unit) and an explicit 0,0 row for a
+    # label the basket lacks.  None has a cell in the frozen history, so
+    # the report is F's and F's notes gain one line, before any corollary3 note
+    rng = np.random.default_rng(33)
+    prefix = "note: dropped items outside the reference basket: "
+    for case in range(8):
+        n, t = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        mode, variance = ("time", "space")[case % 2], ("full", "corollary3")[case // 2 % 2]
+        panel = random_panel(rng, n, t, missing=float(rng.uniform(0.0, 0.3)), mode=mode)
+        cells = [f"{float(x)!r}" for x in rng.uniform(0.5, 8.0, 2 * (n + 2))]
+        input_rows = emit_panel(panel) + f"thin,{panel.units[int(rng.integers(t))]},1.5,2\n"
+        held = [item for item in panel.items if rng.random() < 0.7] or [panel.items[0]]
+        rows = [f"{item},new,{cells[2 * k]},{cells[2 * k + 1]}\n" for k, item in enumerate(held)]
+        extra = [f"only{case},new,{cells[-2]},{cells[-1]}\n",
+                 f"thin,new,{cells[-4]},{cells[-3]}\n", f"gone{case},new,0,0\n"]
+        mixed = [str(row) for row in rng.permutation(rows + extra)]
+        flags = ("--input", write(tmp_path, "input.csv", input_rows), "--mode", mode,
+                 "--base", panel.units[int(rng.integers(t))], "--variance", variance)
+        f = run("update-period", *flags, "--new", write(tmp_path, "f.csv", HEADER + "".join(rows)))
+        f_prime = run("update-period", *flags,
+                      "--new", write(tmp_path, "f_prime.csv", HEADER + "".join(mixed)))
+        dropped = ", ".join(row.split(",", 1)[0] for row in mixed if row in extra)
+        f_notes = f[2].splitlines(keepends=True)
+        assert f[0] == 0 and f_notes[0] == prefix + "thin\n"
+        assert f_prime == (0, f[1], "".join([f_notes[0], f"{prefix}{dropped}\n", *f_notes[1:]]))
+
+
+def test_update_period_without_a_basket_item_exits_1(run, tmp_path):
+    # as mpl does when the basket empties a unit
+    src = write(tmp_path, "panel.csv", F1_CSV + "x,t1,1,1\n")
+    new = write(tmp_path, "new.csv", HEADER + "x,t3,2,1\nzz,t3,1,1\nyy,t3,0,0\n")
+    assert run("update-period", "--input", src, "--new", new) == (
+        1, "", "note: dropped items outside the reference basket: x\n"
+               "validation error: unit 't3' has no present items\n")
+    both = write(tmp_path, "both.csv", F1_CSV + "zz,t3,1,1\n")
+    assert run("mpl", "--input", both) == (
+        1, "", "validation error: unit 't3' has no present items\n")
 
 
 def update_unit_and_mpl(run, tmp_path, input_rows, new_rows, *flags):
@@ -957,6 +1003,21 @@ def test_new_file_with_two_units_exits_1(run, tmp_path, command):
     assert run(command, "--input", src, "--new", new, "--output", str(report)) == (
         1, "", f"validation error: expected exactly one unit in {new}, found 2\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--new"])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_unreadable_input_exits_1(run, tmp_path, flag, kind, reason):
+    # input that cannot be read is invalid input; only output failures exit 2
+    unreadable = tmp_path / kind
+    if kind == "directory":
+        unreadable.mkdir()
+    files = {"--input": write(tmp_path, "panel.csv", F1_CSV),
+             "--new": write(tmp_path, "new.csv", HEADER + "a,t3,3,1\nb,t3,5,1\n"),
+             flag: str(unreadable)}
+    assert run("update-period", *(arg for pair in files.items() for arg in pair)) == (
+        1, "", f"validation error: cannot read {unreadable}: {reason}\n")
 
 
 def test_degenerate_new_period_exits_2(run, tmp_path):

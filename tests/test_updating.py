@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mplindex import (
+    EstimationError,
     Panel,
     UnidentifiedModel,
     ValidationError,
@@ -303,13 +304,40 @@ def test_period_update_refuses_a_prior_that_is_not_a_deflator_estimate():
                            one_unit(panel, "new", np.ones(3), np.ones(3)))
 
 
-def test_period_update_refuses_an_item_outside_the_basket():
-    # the frozen history has no reference price for zz
+def test_period_update_drops_an_item_outside_the_basket():
+    # zz has no cell in the frozen history, so it would add nothing to the
+    # new deflator's sums: the basket rule drops it with a note, and the
+    # update is the one on the new period without it
     panel = random_panel(np.random.default_rng(6), 3, 3)
-    new = Panel(("i0", "zz", "i2"), ("new",), np.ones((3, 1)), np.ones((3, 1)))
-    with pytest.raises(ValidationError, match="^new period contains items outside the "
-                                              "reference basket: zz$"):
+    prior = estimate_deflators(panel)
+    new = Panel(("i0", "zz", "i2"), ("new",), [[2.0], [1.0], [3.0]], [[1.0], [1.0], [2.0]])
+    with notes() as noted:
+        est = update_multiperiod(prior, panel, new)
+    assert noted == ["note: dropped items outside the reference basket: zz"]
+    plain = update_multiperiod(prior, panel, one_unit(panel, "new", [2.0, 0.0, 3.0],
+                                                      [1.0, 0.0, 2.0]))
+    assert (est.items, est.units) == (plain.items, plain.units) == (panel.items,
+                                                                    (*panel.units, "new"))
+    for name in ("deflators", "indexes", "se", "ref_prices"):
+        assert_array_equal(getattr(est, name), getattr(plain, name))
+    assert (est.ssr, est.dof) == (plain.ssr, plain.dof)
+    # a new period holding no basket item is left with no present item
+    with notes() as noted, pytest.raises(ValidationError,
+                                         match="^unit 'new' has no present items$"):
+        update_multiperiod(prior, panel, Panel(("zz",), ("new",), [[1.0]], [[1.0]]))
+    assert noted == []
+
+
+def test_period_update_notes_the_dropped_item_before_a_failed_solve():
+    # each item's quantities are scaled by their largest, 1 in the new
+    # period, so the history's 1e-200 square to 0 and the Schur complement
+    # with them; the basket has dropped zz by then
+    values = np.array([[1e-200, 2e-200], [2e-200, 3e-200]])
+    panel = Panel(("a", "b"), ("t1", "t2"), values, np.full((2, 2), 1e-200))
+    new = Panel(("a", "zz", "b"), ("t3",), np.ones((3, 1)), np.ones((3, 1)))
+    with notes() as noted, pytest.raises(EstimationError, match="overflow"):
         update_multiperiod(estimate_deflators(panel), panel, new)
+    assert noted == ["note: dropped items outside the reference basket: zz"]
 
 
 def test_bootstrap_from_single_unit():
