@@ -24,7 +24,7 @@ from .bilateral import CLASSICAL_KINDS, bilateral_from_panel, classical_index, m
 from .dummy import fit_dummy_index
 from .errors import EstimationError, ValidationError
 from .estimator import IndexFit, IndexSeries, estimate_deflators, to_index_series
-from .panel import Panel, build_reference_basket, load_panel, note_dropped
+from .panel import Panel, build_reference_basket, load_panel
 from .simulate import ESTIMATORS, SCHEMES, SimulationConfig, SimulationReport, simulate
 from .updating import update_multilateral, update_multiperiod
 
@@ -149,9 +149,7 @@ def _load(args) -> Panel:
 
 def _prepare(args) -> Panel:
     """The input's reference basket."""
-    panel, report = build_reference_basket(_load(args))
-    note_dropped(report)
-    return panel
+    return build_reference_basket(_load(args))[0]
 
 
 def _read_unit(path: str) -> Panel:

@@ -73,8 +73,10 @@ class IndexFit:
 
     @property
     def index_se(self) -> np.ndarray:
-        """Delta-method standard errors on the index scale, 0 at the base."""
-        return self.indexes * self.se
+        """Delta-method standard errors on the index scale, 0 at the base;
+        inf where the product passes the float range."""
+        with np.errstate(over="ignore"):
+            return self.indexes * self.se
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,21 +291,22 @@ def to_index_series(fit: IndexFit, k: float = 3.0) -> IndexSeries:
     """Index, standard errors and k-sigma bounds of a fit.
 
     se is the fit's index_se, so it is NaN off the base where the variance
-    is undefined, and so are the bounds.  pct_change is period-over-period in
-    time mode (first entry NaN, inf past the float range) and NaN throughout
-    in space mode.  Raises ValidationError unless k is a finite, positive real
-    number, and EstimationError when an index is not a positive normal
-    float (checked_indexes).
+    is undefined, and so are the bounds; an se or a bound past the float
+    range is ±inf.  pct_change is period-over-period in time mode (first
+    entry NaN, inf past the float range) and NaN throughout in space mode.
+    Raises ValidationError unless k is a finite, positive real number, and
+    EstimationError when an index is not a positive normal float
+    (checked_indexes).
     """
     require_number("k", k)
     if not (math.isfinite(k) and k > 0):
         raise ValidationError(f"k must be finite and positive, got {k}")
     index, se = checked_indexes(fit), fit.index_se
     pct = np.full(len(fit.units), np.nan)
-    if fit.mode == "time":
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        lower, upper = index - k * se, index + k * se
+        if fit.mode == "time":
             pct[1:] = 100.0 * (index[1:] / index[:-1] - 1.0)
     return IndexSeries(units=fit.units, base_unit=fit.base_unit, mode=fit.mode,
-                       index=index.copy(), se=se, lower=index - k * se,
-                       upper=index + k * se, pct_change=pct,
-                       variance_method=fit.variance_method)
+                       index=index.copy(), se=se, lower=lower, upper=upper,
+                       pct_change=pct, variance_method=fit.variance_method)

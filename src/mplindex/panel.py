@@ -6,7 +6,8 @@ N items and T units, where a unit is a time period (mode "time") or an area
 (mode "space").  A cell is present when both entries are strictly positive;
 absent cells carry exact zeros in both matrices.  Every estimator needs two
 units or more and the bipartite item/unit presence graph connected
-(require_connected), which is checked with boolean frontier sweeps.
+(require_connected), which is read off the graph's components, found with
+boolean frontier sweeps (presence_components).
 """
 
 from __future__ import annotations
@@ -471,9 +472,13 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     Returns the restricted panel and a report with the dropped item labels,
     the items that survive the rule but are absent in the base unit (they
     stay in the basket, zero-filled), and a lazy view of the per-pair
-    presence intersection sizes.  The work is O(NT): estimation never reads
-    the pairwise overlaps, so they are counted only on lookup.  Raises
-    EmptyBasket when nothing survives.  Idempotent on conforming panels.
+    presence intersection sizes.  Dropped items are noted, in panel order,
+    on the "mplindex" logger at INFO (``note: dropped items outside the
+    reference basket: ...``) once the restricted panel stands, for a
+    library caller as for the CLI.  The work is O(NT): estimation never
+    reads the pairwise overlaps, so they are counted only on lookup.
+    Raises EmptyBasket when nothing survives, and what Panel raises for a
+    unit left with no item.  Idempotent on conforming panels.
     """
     keep = panel.present.sum(axis=1) >= 2
     dropped = tuple(lab for lab, k in zip(panel.items, keep) if not k)
@@ -484,6 +489,7 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
         restricted = replace(panel, items=[lab for lab, k in zip(panel.items, keep) if k],
                              values=panel.values[keep],
                              quantities=panel.quantities[keep])
+        _log.info("note: dropped items outside the reference basket: %s", ", ".join(dropped))
     else:
         restricted = panel
 
@@ -493,13 +499,6 @@ def build_reference_basket(panel: Panel) -> tuple[Panel, BasketReport]:
     )
     overlaps = PairOverlaps(pres, restricted.units)
     return restricted, BasketReport(dropped, overlaps, base_absent)
-
-
-def note_dropped(report: BasketReport) -> None:
-    """Note the items a reference basket dropped on the "mplindex" logger."""
-    if report.dropped_items:
-        _log.info("note: dropped items outside the reference basket: %s",
-                  ", ".join(report.dropped_items))
 
 
 def implied_prices(panel: Panel) -> np.ndarray:
@@ -515,39 +514,31 @@ def implied_prices(panel: Panel) -> np.ndarray:
     return prices
 
 
-def _reach(present, items, units):
-    """Grow item and unit masks, in place, to their part of the presence graph.
-
-    A boolean frontier sweep from the units: each step reaches the items
-    present in the units reached last, then the units holding those items.
-    Every unit of an item already in items must be in units.  No edge list
-    is built.
-    """
-    frontier = units.copy()
-    while frontier.any():
-        new_items = present[:, frontier].any(axis=1) & ~items
-        items |= new_items
-        frontier = present[new_items].any(axis=0) & ~units
-        units |= frontier
-
-
 def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Connected components of the bipartite presence graph.
 
     Nodes are the N items followed by the T units; each present cell is an
     edge.  Returns (unit labels, item labels) per component, components in
     order of their first item and members in panel order (every unit holds
-    an item, so each component is reached from its first item).
+    an item, so each component is reached from its first item).  Each
+    component grows by boolean frontier sweeps: a step reaches the items
+    present in the units reached last, then the units holding those items.
+    No edge list is built.
     """
-    n, t = panel.n_items, panel.n_units
+    n, present = panel.n_items, panel.present
     seen = np.zeros(n, dtype=bool)
     out = []
     while not seen.all():
         first = np.argmin(seen)
         items = np.zeros(n, dtype=bool)
         items[first] = True
-        units = panel.present[first].copy()
-        _reach(panel.present, items, units)
+        units = present[first].copy()
+        frontier = units.copy()
+        while frontier.any():
+            new_items = present[:, frontier].any(axis=1) & ~items
+            items |= new_items
+            frontier = present[new_items].any(axis=0) & ~units
+            units |= frontier
         seen |= items
         out.append((tuple(panel.units[u] for u in np.flatnonzero(units)),
                     tuple(panel.items[i] for i in np.flatnonzero(items))))
@@ -556,20 +547,14 @@ def presence_components(panel: Panel) -> list[tuple[tuple[str, ...], tuple[str, 
 
 def require_connected(panel: Panel) -> None:
     """Raise InvalidDimension for a panel of one unit, which leaves no index
-    to estimate, and UnidentifiedModel unless the presence graph is connected.
-
-    One sweep from the base unit; presence_components runs only to describe
-    a failure.
+    to estimate, and UnidentifiedModel, listing the components, unless
+    presence_components finds exactly one.
     """
     if panel.n_units < 2:
         raise InvalidDimension(f"estimation needs at least two units, got T={panel.n_units}")
-    items = np.zeros(panel.n_items, dtype=bool)
-    units = np.zeros(panel.n_units, dtype=bool)
-    units[panel.base_unit] = True
-    _reach(panel.present, items, units)
-    if units.all() and items.all():
-        return
     comps = presence_components(panel)
+    if len(comps) == 1:
+        return
     desc = "; ".join(
         f"units {{{', '.join(u)}}} with items {{{', '.join(i)}}}"
         for u, i in comps

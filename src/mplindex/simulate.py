@@ -92,7 +92,9 @@ class EstimatorSummary:
     """Replication averages and bands for one estimator.
 
     emp_sd is the spread of the fitted replications' indexes: NaN off the
-    base, with the empirical bands, when fewer than two were fitted.
+    base, with the empirical bands, when fewer than two were fitted.  Each
+    unit's figures are averaged and spread on a power-of-two scaling
+    (_scaled_columns), and a band past the float range is ±inf.
     """
 
     mean_index: np.ndarray
@@ -169,6 +171,19 @@ def _value_draws(panel: Panel, config: SimulationConfig):
     return draw
 
 
+def _scaled_columns(arr: np.ndarray):
+    """arr with each column times 2^-k, k the binary exponent of the
+    column's largest magnitude, and k per column.
+
+    A column's mean and sd taken on the scaled figures and multiplied back
+    by 2^k (ldexp) are numpy's own wherever those neither over- nor
+    underflow, since scaling by a power of two is exact; squared deviations
+    of figures near 1e200 or 1e-160 would.
+    """
+    exp = np.frexp(np.abs(arr).max(axis=0))[1]
+    return np.ldexp(arr, -exp), exp
+
+
 def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
     """Run the replication study; failed replications are excluded and counted.
 
@@ -202,25 +217,28 @@ def simulate(panel: Panel, config: SimulationConfig) -> SimulationReport:
         if not draws[name]:
             raise EstimationError(f"estimator {name!r} failed in every replication")
         arr = np.vstack(draws[name])
-        se_arr = np.vstack(ses[name])
-        mean_index = arr.mean(axis=0)
+        scaled, exp = _scaled_columns(arr)
+        mean_index = np.ldexp(scaled.mean(axis=0), exp)
         if arr.shape[0] > 1:
-            emp_sd = arr.std(axis=0, ddof=1)
+            emp_sd = np.ldexp(scaled.std(axis=0, ddof=1), exp)
         else:
             # one fit measures no spread, but the base index is 1 in every fit
             emp_sd = np.full(t, np.nan)
             emp_sd[panel.base_unit] = 0.0
-        mean_se = se_arr.mean(axis=0)
-        summaries[name] = EstimatorSummary(
-            mean_index=mean_index,
-            emp_sd=emp_sd,
-            mean_se=mean_se,
-            lo_emp=mean_index - config.k * emp_sd,
-            hi_emp=mean_index + config.k * emp_sd,
-            lo_model=mean_index - config.k * mean_se,
-            hi_model=mean_index + config.k * mean_se,
-            failures=len(failed[name]),
-            failed_replications=tuple(failed[name]),
-            draws=arr if config.dump_draws else None,
-        )
+        scaled, exp = _scaled_columns(np.vstack(ses[name]))
+        mean_se = np.ldexp(scaled.mean(axis=0), exp)
+        # a band past the float range is inf, which a report writes as null
+        with np.errstate(over="ignore"):
+            summaries[name] = EstimatorSummary(
+                mean_index=mean_index,
+                emp_sd=emp_sd,
+                mean_se=mean_se,
+                lo_emp=mean_index - config.k * emp_sd,
+                hi_emp=mean_index + config.k * emp_sd,
+                lo_model=mean_index - config.k * mean_se,
+                hi_model=mean_index + config.k * mean_se,
+                failures=len(failed[name]),
+                failed_replications=tuple(failed[name]),
+                draws=arr if config.dump_draws else None,
+            )
     return SimulationReport(units=panel.units, config=config, summaries=summaries)

@@ -1,18 +1,21 @@
 """Updates when a unit (area) or a period joins the panel.
 
 A new unit or period is a one-unit Panel, matched to the panel by item
-label, and either update notes the items the extended panel's reference
-basket drops.  A multilateral update (new area) re-estimates every
-deflator jointly on that basket, as mpl on the concatenated input does; it
-raises UnidentifiedModel when the newcomer leaves the presence graph split.
-A multiperiod update (new period) keeps all previously published deflators
-fixed and solves a scalar system for the new one, so the published history
-never revises and the published basket stays as it is.  Each returns a
-DeflatorEstimate, so an update reaches a report through the same checked
-path as a fresh fit.
+label, and either update takes the extended panel's reference basket,
+which notes the items it drops.  A multilateral update (new area)
+re-estimates every deflator jointly on that basket, as mpl on the
+concatenated input does; it raises UnidentifiedModel when the newcomer
+leaves the presence graph split.  A multiperiod update (new period) keeps
+all previously published deflators fixed and solves a scalar system for
+the new one, so the published history never revises and the published
+basket stays as it is: the history is restricted to the prior's items
+before the new period joins it.  Each returns a DeflatorEstimate, so an
+update reaches a report through the same checked path as a fresh fit.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .estimator import (
     _stacked_ssr,
     estimate_deflators,
 )
-from .panel import Panel, build_reference_basket, note_dropped
+from .panel import Panel, build_reference_basket
 
 
 def update_multilateral(panel: Panel, new_unit: Panel,
@@ -36,12 +39,11 @@ def update_multilateral(panel: Panel, new_unit: Panel,
     and all deflators are re-estimated jointly on it, so in general every
     earlier non-base index moves; a newcomer holding a single item of the
     panel's basket moves none beyond rounding, since its deflator fits that
-    item exactly.  The extended basket's dropped items are
-    noted before the fit.  Raises UnidentifiedModel when the extended
-    presence graph is disconnected.
+    item exactly.  build_reference_basket notes the items that basket drops
+    before the fit.  Raises UnidentifiedModel when the extended presence
+    graph is disconnected.
     """
-    basket, report = build_reference_basket(panel.with_unit(new_unit))
-    note_dropped(report)
+    basket, _ = build_reference_basket(panel.with_unit(new_unit))
     return estimate_deflators(basket, variance_method)
 
 
@@ -58,14 +60,18 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
     complement, or sigma2 / (v_new'v_new) under "corollary3".
     The prior's se is carried unchanged.  The system is solved on the
     scaling every MPL fit runs on (estimator._Scaling), with the frozen
-    deflators moved into it.  new_period is a one-unit Panel matched to the
-    panel by item label; the extended panel's reference basket is taken and
-    the items it drops are noted before the solve.  An item the panel does
-    not hold is present in the new period alone, so the basket rule drops
-    it: with no cell in the frozen history it would add nothing to the new
-    deflator's sums.  ValidationError is raised for a prior that is not a
-    DeflatorEstimate or one fitted on other units, base or items than the
-    extended basket's, and for a new period left with no basket item.
+    deflators moved into it.  panel is restricted, by label, to the prior's
+    items, so it may hold items the prior's basket dropped, such as the
+    panel an earlier update extended.  new_period is a one-unit Panel
+    matched to that history by item label, and the extended panel's
+    reference basket is taken (build_reference_basket notes what it drops)
+    before the solve.  An item outside the prior's basket is present in the
+    new period alone, so the basket rule drops it: with no cell in the
+    frozen history it would add nothing to the new deflator's sums.
+    ValidationError is raised for a prior that is not a DeflatorEstimate,
+    one fitted on other units or base, or on items the panel lacks or the
+    extended basket does not keep, and for a new period left with no
+    basket item.
     EstimationError is raised when the scaled Schur complement underflows
     or a price is not finite, and, decided on the unscaled figures, when
     the new deflator leaves the normal float range.
@@ -76,8 +82,17 @@ def update_multiperiod(prior: DeflatorEstimate, panel: Panel,
         raise ValidationError("prior estimate and panel units disagree")
     if prior.base_unit != panel.base_unit:
         raise ValidationError("prior estimate and panel base unit disagree")
-    extended, report = build_reference_basket(panel.with_unit(new_period))
-    note_dropped(report)
+    # the CLI passes the prior's basket itself; on a 10,000-item panel a
+    # copy would add over half the rest of the update's time
+    if panel.items != prior.items:
+        rows = {item: k for k, item in enumerate(panel.items)}
+        try:
+            keep = [rows[item] for item in prior.items]
+        except KeyError:
+            raise ValidationError("prior estimate and panel items disagree") from None
+        panel = replace(panel, items=prior.items, values=panel.values[keep],
+                        quantities=panel.quantities[keep])
+    extended, _ = build_reference_basket(panel.with_unit(new_period))
     if extended.items != prior.items:
         raise ValidationError("prior estimate and panel items disagree")
 

@@ -10,6 +10,7 @@ from mplindex import (
     MplIndexError,
     Panel,
     SingularSystem,
+    UnidentifiedModel,
     algebra,
     estimate_deflators,
     fit_dummy_index,
@@ -17,6 +18,7 @@ from mplindex import (
 )
 from mplindex.algebra import BETA_TOL, _Factor, _first_failed_minor, _tri_inv, factor_two_way
 from mplindex.dummy import presence_components
+from mplindex.panel import require_connected
 from helpers import random_panel, solve_two_way
 from oracles import (
     DesignSystem,
@@ -633,3 +635,12 @@ def test_presence_components_match_csgraph():
             expected.append((tuple(panel.units[m - n] for m in members if m >= n),
                              tuple(panel.items[m] for m in members if m < n)))
         assert presence_components(panel) == expected
+        if t < 2:
+            continue
+        # connectivity is read off the same list
+        if n_comp == 1:
+            require_connected(panel)
+        else:
+            with pytest.raises(UnidentifiedModel) as caught:
+                require_connected(panel)
+            assert caught.value.components == tuple(expected)

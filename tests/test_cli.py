@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -164,12 +165,15 @@ def test_validate_reports_basket_decisions(run, tmp_path):
     csv_text = (HEADER + "a,t1,1,1\na,t2,1,1\nb,t1,1,1\nb,t2,2,1\n"
                 + "c,t2,1,1\nc,t3,1,1\nd,t3,5,1\na,t3,1,1\n")
     src = write(tmp_path, "panel.csv", csv_text)
-    code, out, _ = run("validate", "--input", src)
+    code, out, err = run("validate", "--input", src)
     assert code == 0
     assert out.startswith("ok: 3 items, 3 units")
     assert "dropped (fewer than two presences): d" in out
     assert "absent in base: c" in out
     assert "smallest pairwise overlap" in out
+    # the basket notes its drops, as for every command that takes it
+    assert err == "note: dropped items outside the reference basket: d\n"
+    assert run("validate", "--input", write(tmp_path, "f1.csv", F1_CSV))[2] == ""
 
 
 def test_validate_reports_brute_force_smallest_overlap(run, tmp_path):
@@ -928,6 +932,22 @@ def test_pct_change_past_the_float_range_prints_null_or_blank(run, tmp_path, com
     code, out, err = run(command, "--input", src, "--format", "csv")
     assert (code, err) == (0, "")
     assert [row[5] for row in csv.reader(io.StringIO(out))][1:3] == ["", ""]
+
+
+@pytest.mark.parametrize("indexes, se, blank", [
+    ([1.0, 1.5e308], [0.0, 0.1], ["hi"]),  # index + 3 se
+    ([1.0, 1e308], [0.0, 2.0], ["se", "lo", "hi"]),  # index * se
+])
+def test_se_or_band_past_the_float_range_prints_null_or_blank(indexes, se, blank):
+    # t2's pct_change passes the float range too
+    panel = Panel(("a", "b"), ("t1", "t2"), np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 2)))
+    fit = dataclasses.replace(estimate_deflators(panel), indexes=np.array(indexes),
+                              se=np.array(se))
+    series = to_index_series(fit)
+    row = json.loads(emit_report(series, "json"))["series"][1]
+    assert [column for column, x in row.items() if x is None] == blank + ["pct_change"]
+    header, _, line = csv.reader(io.StringIO(emit_report(series, "csv")))
+    assert [column for column, x in zip(header, line) if x == ""] == blank + ["pct_change"]
 
 
 def test_tiny_values_publish_the_unscaled_index(run, tmp_path):

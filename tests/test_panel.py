@@ -24,7 +24,7 @@ from mplindex import (
     implied_prices,
     load_panel,
 )
-from helpers import emit_panel, one_unit, random_panel
+from helpers import emit_panel, notes, one_unit, random_panel
 
 HEADER = "item_id,unit_id,value,quantity"
 
@@ -209,6 +209,17 @@ def test_basket_drops_thin_items_and_reports():
     assert again.items == kept.items
     assert rep2.dropped_items == ()
     assert_array_equal(again.values, kept.values)
+
+
+def test_basket_notes_dropped_items_in_panel_order():
+    panel = load_panel(csv("z,t1,1,1", "a,t1,1,1", "a,t2,1,1", "c,t2,1,1"))
+    with notes() as noted:
+        kept, report = build_reference_basket(panel)
+    assert noted == ["note: dropped items outside the reference basket: z, c"]
+    assert report.dropped_items == ("z", "c")
+    with notes() as noted:
+        build_reference_basket(kept)
+    assert noted == []
 
 
 def test_basket_flags_items_absent_from_base():

@@ -1,4 +1,5 @@
 import importlib
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,23 @@ def test_bands_use_k_and_mean_se():
         assert_allclose(summary.hi_emp - summary.lo_emp,
                         2 * 2.5 * summary.emp_sd, rtol=1e-12, atol=1e-15)
         assert summary.draws is None
+
+
+@pytest.mark.parametrize("scale, replications, sd_max", [(1.0, 3, 1e200),
+                                                         (1e-160, 5, 1e-160)])
+def test_replication_spread_at_the_ends_of_the_float_range(scale, replications, sd_max):
+    # squared deviations of t2's indexes overflow near 1e200 and lose digits
+    # as subnormals near 1e-160; the spread is taken on a power-of-two scaling
+    values = np.array([[1.0, 2.0 * scale], [2.0, 3.0 * scale]])
+    panel = Panel(("a", "b"), ("t1", "t2"), values, np.ones((2, 2)))
+    config = SimulationConfig(replications=replications, noise_sd_max=sd_max,
+                              estimators=("mpl",), dump_draws=True)
+    summary = simulate(panel, config).summaries["mpl"]
+    draws = list(summary.draws[:, 1])
+    assert summary.failures == 0
+    assert summary.mean_index[1] == pytest.approx(statistics.fmean(draws), rel=1e-15, abs=0)
+    assert summary.emp_sd[1] == pytest.approx(statistics.stdev(draws), rel=1e-15, abs=0)
+    assert np.isfinite([summary.lo_emp[1], summary.hi_emp[1]]).all()
 
 
 def test_noise_sd_is_drawn_per_replication():

@@ -328,6 +328,28 @@ def test_period_update_drops_an_item_outside_the_basket():
     assert noted == []
 
 
+def test_period_update_chain_passes_the_history_as_it_stands():
+    # x joins in u4, and e4's basket drops it; held again in u5, it is
+    # present twice in the history e4 extended, and the update restricts
+    # that history to e4's items, so x is new in u5 and dropped again
+    rng = np.random.default_rng(5)
+    hist = random_panel(rng, 3, 4)
+    t4, t5 = (Panel((*hist.items, "x"), (label,), rng.uniform(0.5, 8.0, (4, 1)),
+                    rng.uniform(0.5, 8.0, (4, 1))) for label in ("u4", "u5"))
+    e4 = update_multiperiod(estimate_deflators(hist), hist, t4)
+    assert e4.items == hist.items
+    with notes() as noted:
+        e5 = update_multiperiod(e4, hist.with_unit(t4), t5)
+    assert noted == ["note: dropped items outside the reference basket: x"]
+    basket = hist.with_unit(one_unit(hist, "u4", t4.values[:3], t4.quantities[:3]))
+    restricted = update_multiperiod(e4, basket, t5)
+    for name in ("deflators", "indexes", "se", "ref_prices"):
+        assert_array_equal(getattr(e5, name), getattr(restricted, name))
+    assert (e5.ssr, e5.dof) == (restricted.ssr, restricted.dof)
+    assert_array_equal(e5.indexes[:-1], e4.indexes)
+    assert_array_equal(e5.se[:-1], e4.se)
+
+
 def test_period_update_notes_the_dropped_item_before_a_failed_solve():
     # each item's quantities are scaled by their largest, 1 in the new
     # period, so the history's 1e-200 square to 0 and the Schur complement
